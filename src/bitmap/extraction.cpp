@@ -101,8 +101,8 @@ ExtractReport extract(const edram::MacroCell& mc, const ExtractRequest& req) {
       if (!req.share_programs) {
         plan.options.newton.solver.program_cache = nullptr;
       }
-      // batch_engageable() re-checks the preconditions (cache, solver kind,
-      // hooks), so a cache-less or dense request degrades to scalar here.
+      // batch_engageable() re-checks the preconditions (cache, hooks), so a
+      // cache-less request degrades to scalar here.
       plan.batch_width = req.batch_width;
       plan.retry = req.robust ? req.retry : util::RetryPolicy{.max_attempts = 1};
       plan.contain = req.robust && req.contain;

@@ -54,7 +54,7 @@ struct ExtractRequest {
   /// Circuit engine only: lockstep batch width per tile (DESIGN.md §14).
   /// 0 = auto (lane count picked by the host's vector ISA), 1 = scalar
   /// per-cell measurement, N >= 2 = exactly N lanes. Batching needs shared
-  /// programs (`share_programs`, non-dense solver, no solve hooks) and
+  /// programs (`share_programs`) and no solve hooks, and
   /// silently runs scalar when those preconditions fail; codes are
   /// bit-identical either way, at any width and worker count.
   int batch_width = 0;

@@ -189,8 +189,8 @@ class Device {
   /// (companion capacitors, gmin ties): contributions that depend on dt,
   /// the integration method, and latched state, but never on ctx.x. The
   /// sparse backend stamps these once per solve point into the static
-  /// image instead of on every Newton iteration; the dense backend calls
-  /// it back-to-back with stamp(). Linear devices keep everything in
+  /// image instead of on every Newton iteration; the dense reference
+  /// assembly calls it back-to-back with stamp(). Linear devices keep everything in
   /// stamp() and leave this empty. The coordinate-sequence rule above
   /// applies here too.
   virtual void stamp_static(const StampContext& /*ctx*/, MnaView& /*a_mat*/,

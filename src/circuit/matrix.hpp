@@ -1,9 +1,9 @@
 // Dense linear algebra for MNA systems.
 //
-// The circuits in this library (macro-cell slices plus the measurement
-// structure) have tens to a few hundred unknowns, where a cache-friendly
-// dense LU with partial pivoting beats sparse bookkeeping. The factorization
-// is kept separate from the matrix so Newton iterations can reuse storage.
+// Newton solves run on the sparse engine (solver.hpp); this dense LU with
+// partial pivoting is the reference it is tested against, and the real
+// kernel the complex AC solver mirrors. The factorization is kept separate
+// from the matrix so repeated solves can reuse storage.
 #pragma once
 
 #include <cstddef>

@@ -35,11 +35,9 @@ void assemble(const Circuit& ckt, const StampContext& ctx, double gmin_ground,
 namespace {
 
 // Per-solve outcome accounting, shared by every return path of
-// newton_solve_impl. With symbolic/numeric factorization reuse on the
-// sparse backend, factorizations no longer equal iterations: the legacy
-// factorizations counter reports the sum of the real symbolic and numeric
-// counts (which on the dense backend still equals the iteration count —
-// one numeric factorization per iteration).
+// newton_solve_impl. With symbolic/numeric factorization reuse,
+// factorizations no longer equal iterations: the legacy factorizations
+// counter reports the sum of the real symbolic and numeric counts.
 void count_solve(const NewtonResult& res) {
   if (!obs::metrics_enabled()) return;
   ECMS_METRIC_COUNT("circuit.newton.solves", 1);
@@ -66,25 +64,23 @@ NewtonResult newton_solve_impl(const Circuit& ckt,
   const std::size_t nv = ckt.node_count() - 1;
 
   ws.prepare(ckt, opts.solver);
-  SparseEngine* eng = ws.sparse();
+  SparseEngine& eng = *ws.engine();
   NewtonResult res;
   // Engine counters are cumulative across the workspace lifetime; snapshot
   // them so the result reports this solve's share.
-  const std::uint64_t sym0 = eng ? eng->symbolic_factorizations() : 0;
-  const std::uint64_t num0 = eng ? eng->numeric_factorizations() : 0;
-  const std::uint64_t hit0 = eng ? eng->static_hits() : 0;
-  const std::uint64_t rst0 = eng ? eng->static_restamps() : 0;
+  const std::uint64_t sym0 = eng.symbolic_factorizations();
+  const std::uint64_t num0 = eng.numeric_factorizations();
+  const std::uint64_t hit0 = eng.static_hits();
+  const std::uint64_t rst0 = eng.static_restamps();
   auto finalize = [&]() {
-    if (eng != nullptr) {
-      res.symbolic_factorizations +=
-          static_cast<int>(eng->symbolic_factorizations() - sym0);
-      res.numeric_factorizations +=
-          static_cast<int>(eng->numeric_factorizations() - num0);
-      res.assemble_static_hits =
-          static_cast<std::size_t>(eng->static_hits() - hit0);
-      res.assemble_restamps =
-          static_cast<std::size_t>(eng->static_restamps() - rst0);
-    }
+    res.symbolic_factorizations =
+        static_cast<int>(eng.symbolic_factorizations() - sym0);
+    res.numeric_factorizations =
+        static_cast<int>(eng.numeric_factorizations() - num0);
+    res.assemble_static_hits =
+        static_cast<std::size_t>(eng.static_hits() - hit0);
+    res.assemble_restamps =
+        static_cast<std::size_t>(eng.static_restamps() - rst0);
     return res;
   };
 
@@ -94,47 +90,25 @@ NewtonResult newton_solve_impl(const Circuit& ckt,
     return finalize();
   }
 
-  if (eng != nullptr) eng->begin_point();
+  eng.begin_point();
 
   for (int iter = 0; iter < opts.max_iterations; ++iter) {
     StampContext ctx = ctx_proto;
     ctx.x = x;
-    bool singular = false;
-    if (eng == nullptr) {
-      assemble(ckt, ctx, opts.gmin_ground, ws.a_dense, ws.b.span());
-      if (opts.hooks != nullptr && opts.hooks->make_singular &&
-          opts.hooks->make_singular(ctx, opts)) {
-        for (std::size_t j = 0; j < n; ++j) ws.a_dense.at(0, j) = 0.0;
-      }
-      ++res.numeric_factorizations;  // dense: one per iteration, by design
-      try {
-        ws.lu_dense.refactor(ws.a_dense);
-      } catch (const SolverError&) {
-        singular = true;
-      }
-      if (!singular) {
-        ws.x_new.copy_from(ws.b.span());
-        ws.lu_dense.solve_in_place(ws.x_new.span(), ws.scratch);
-      }
-    } else {
-      eng->assemble(ckt, ctx, opts.gmin_ground);
-      if (opts.hooks != nullptr && opts.hooks->make_singular &&
-          opts.hooks->make_singular(ctx, opts)) {
-        eng->zero_row(0);
-      }
-      try {
-        eng->factor();
-      } catch (const SolverError&) {
-        singular = true;
-      }
-      if (!singular) eng->solve(ws.x_new.span());
+    eng.assemble(ckt, ctx, opts.gmin_ground);
+    if (opts.hooks != nullptr && opts.hooks->make_singular &&
+        opts.hooks->make_singular(ctx, opts)) {
+      eng.zero_row(0);
     }
-    if (singular) {
+    try {
+      eng.factor();
+    } catch (const SolverError&) {
       res.converged = false;
       res.singular = true;
       res.iterations = iter + 1;
       return finalize();
     }
+    eng.solve(ws.x_new.span());
     const std::span<const double> x_new(ws.x_new.span());
 
     // Voltage-part damping: clamp the update so no node moves more than

@@ -43,9 +43,9 @@ struct NewtonOptions {
   /// Fault-injection / instrumentation hooks; nullptr in production. The
   /// pointee must outlive every solve that sees this options object.
   const SolveHooks* hooks = nullptr;
-  /// Linear-solver backend choice (dense / sparse / auto-by-size). Rides
-  /// inside NewtonOptions so it threads through TranParams / ExtractOptions
-  /// to every solve without further plumbing.
+  /// Linear-solver configuration (the shared program cache). Rides inside
+  /// NewtonOptions so it threads through TranParams / ExtractOptions to
+  /// every solve without further plumbing.
   SolverConfig solver;
 };
 
@@ -60,23 +60,22 @@ struct NewtonResult {
   std::size_t worst_unknown = kNoUnknown;
   bool singular = false;  ///< the LU factorization found a singular system
   bool stalled = false;   ///< non-convergence was forced by a hook
-  /// Real factorization work done by this solve. On the dense backend every
-  /// iteration is one numeric factorization; on the sparse backend symbolic
-  /// (full Markowitz, pattern + pivot order) factorizations happen once per
-  /// pattern (plus re-pivots) and numeric ones cover the rest, so the sum
-  /// is typically far below `iterations`.
+  /// Real factorization work done by this solve: symbolic (full Markowitz,
+  /// pattern + pivot order) factorizations happen once per pattern (plus
+  /// re-pivots) and numeric ones cover the rest, so the sum is at most
+  /// `iterations` and typically equal to it minus the symbolic count.
   int symbolic_factorizations = 0;
   int numeric_factorizations = 0;
-  /// Sparse-backend assembly accounting: iterations served by restoring the
-  /// frozen static image vs. rebuilds of that image (0 on the dense path).
+  /// Assembly accounting: iterations served by restoring the frozen static
+  /// image vs. rebuilds of that image.
   std::size_t assemble_static_hits = 0;
   std::size_t assemble_restamps = 0;
 };
 
-/// Assembles the MNA system for the given context into (a_mat, b). The
-/// matrix is resized/cleared as needed; b must already have unknown_count()
-/// elements (it is zero-filled here) — callers with arena-backed buffers
-/// pass their carved span and pay no allocation.
+/// Assembles the MNA system for the given context into a dense (a_mat, b):
+/// the reference assembly that tests and layer probes check the solver
+/// against. The matrix is resized/cleared as needed; b must already have
+/// unknown_count() elements (it is zero-filled here).
 void assemble(const Circuit& ckt, const StampContext& ctx, double gmin_ground,
               Matrix& a_mat, std::span<double> b);
 

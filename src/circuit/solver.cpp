@@ -7,36 +7,6 @@
 
 namespace ecms::circuit {
 
-const char* solver_kind_name(SolverKind k) {
-  switch (k) {
-    case SolverKind::kDense:
-      return "dense";
-    case SolverKind::kSparse:
-      return "sparse";
-    case SolverKind::kAuto:
-      return "auto";
-  }
-  return "?";
-}
-
-bool parse_solver_kind(std::string_view s, SolverKind& out) {
-  if (s == "dense") {
-    out = SolverKind::kDense;
-  } else if (s == "sparse") {
-    out = SolverKind::kSparse;
-  } else if (s == "auto") {
-    out = SolverKind::kAuto;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-SolverKind resolve_solver_kind(const SolverConfig& cfg, std::size_t n) {
-  if (cfg.kind != SolverKind::kAuto) return cfg.kind;
-  return n >= cfg.sparse_crossover ? SolverKind::kSparse : SolverKind::kDense;
-}
-
 void SparseEngine::add(std::size_t row, std::size_t col, double v) {
   // Record pass only: replayed assemblies go through the inline ReplayTape
   // view (device.hpp), never this virtual sink.
@@ -80,11 +50,16 @@ void SparseEngine::discover(const Circuit& ckt, const StampContext& ctx,
   }
   phase_ = Phase::kIdle;
 
-  // The recorded coordinate streams are the topology: hash them and try to
-  // adopt a published program before deriving anything ourselves.
+  // The recorded coordinate streams are the topology: adopt the seeded
+  // program if it matches, else hash them and try the cache, before deriving
+  // anything ourselves.
   program_.reset();
   publish_pending_ = false;
-  if (cache_ != nullptr) {
+  const std::shared_ptr<const NetlistProgram> seed = std::move(seed_);
+  if (seed != nullptr && seed->symbolic != nullptr &&
+      seed->matches(n_, nv_, static_tape_.coords, dynamic_tape_.coords)) {
+    program_ = seed;
+  } else if (cache_ != nullptr) {
     program_key_ =
         program_key(n_, nv_, static_tape_.coords, dynamic_tape_.coords);
     auto prog = cache_->lookup(program_key_);
@@ -219,9 +194,7 @@ void SparseEngine::assemble(const Circuit& ckt, const StampContext& ctx,
   }
 }
 
-void SparseEngine::maybe_publish() {
-  if (!publish_pending_ || cache_ == nullptr) return;
-  publish_pending_ = false;
+std::shared_ptr<NetlistProgram> SparseEngine::compile_program() const {
   auto prog = std::make_shared<NetlistProgram>();
   prog->key = program_key_;
   prog->n = n_;
@@ -233,10 +206,24 @@ void SparseEngine::maybe_publish() {
   prog->diag_slots = diag_slots_;
   prog->pattern = mat_.pattern();
   prog->symbolic = lu_.symbolic();
+  return prog;
+}
+
+void SparseEngine::maybe_publish() {
+  if (!publish_pending_ || cache_ == nullptr) return;
+  publish_pending_ = false;
   // First insert wins: if a racing builder published first, keep using the
   // private compilation this engine already runs on (identical topology).
-  program_ = cache_->insert(program_key_, std::move(prog));
+  program_ = cache_->insert(program_key_, compile_program());
   ECMS_METRIC_COUNT("circuit.program.builds", 1);
+}
+
+std::shared_ptr<const NetlistProgram> SparseEngine::pivot_program() {
+  if (lu_.symbolic() == nullptr) return seed_;
+  if (program_ == nullptr || program_->symbolic != lu_.symbolic()) {
+    program_ = compile_program();
+  }
+  return program_;
 }
 
 void SparseEngine::factor() {
@@ -253,8 +240,7 @@ void SparseEngine::factor() {
     return;
   }
   // First use without an adopted program, or pivot degradation: full
-  // Markowitz (re-)pivot. A genuinely singular system throws here,
-  // matching the dense backend's behavior.
+  // Markowitz (re-)pivot. A genuinely singular system throws here.
   lu_.factor(mat_);
   ++symbolic_;
   maybe_publish();
@@ -278,28 +264,19 @@ void SparseEngine::zero_row(std::size_t r) {
 
 void NewtonWorkspace::prepare(const Circuit& ckt, const SolverConfig& cfg) {
   const std::size_t n = ckt.unknown_count();
-  const SolverKind want = resolve_solver_kind(cfg, n);
-  if (bound_ && n == bound_n_ && want == active_ &&
+  if (engine_ != nullptr && n == bound_n_ &&
       cfg.program_cache == bound_cache_) {
     return;
   }
-  bound_ = true;
   bound_n_ = n;
-  active_ = want;
   bound_cache_ = cfg.program_cache;
   // Recycle all arena-backed scratch before re-carving: the engine must go
   // first (its buffers point into the arena being reset).
-  sparse_.reset();
+  engine_.reset();
   arena_.reset();
-  b.bind(&arena_);
   x_new.bind(&arena_);
-  b.resize(n);
   x_new.resize(n);
-  if (want == SolverKind::kSparse) {
-    sparse_ = std::make_unique<SparseEngine>(n, cfg.program_cache, &arena_);
-  } else {
-    lu_dense = LuFactorization{};
-  }
+  engine_ = std::make_unique<SparseEngine>(n, cfg.program_cache, &arena_);
 }
 
 }  // namespace ecms::circuit

@@ -1,21 +1,18 @@
-// Linear-solver backend selection and per-solve workspaces.
+// The production linear solver and per-solve workspaces.
 //
 // newton_solve reduces every (time) point to repeated solves of the stamped
-// MNA system. Two backends implement that step:
+// MNA system. One engine implements that step: sparse.hpp's CSR matrix +
+// threshold-Markowitz LU with symbolic reuse, fed by a stamp-slot cache and
+// a static/dynamic assembly split (SparseEngine below). matrix.hpp's dense
+// LU remains only as a reference (AC analysis, test oracles).
 //
-//   dense  — matrix.hpp's Matrix + LuFactorization, byte-for-byte the seed
-//            arithmetic. Best below the crossover (small cells).
-//   sparse — sparse.hpp's CSR matrix + Markowitz LU with symbolic reuse,
-//            fed by a stamp-slot cache and a static/dynamic assembly split
-//            (SparseEngine below). Wins from array-scale netlists up.
-//
-// A NewtonWorkspace owns whichever backend is active plus the iteration
-// buffers, and lives for one transient()/dc_operating_point() call: one
-// workspace per solve means one per thread under parallel extraction. The
-// topology-dependent halves of the sparse caches are shared across
-// workspaces through a ProgramCache (program.hpp): the per-engine state
-// shrinks to values and cursors, and per-solve scratch is carved from the
-// workspace's bump arena instead of the heap.
+// A NewtonWorkspace owns the engine plus the iteration buffers, and lives
+// for one transient()/dc_operating_point() call: one workspace per solve
+// means one per thread under parallel extraction. The topology-dependent
+// halves of the engine's caches are shared across workspaces through a
+// ProgramCache (program.hpp): the per-engine state shrinks to values and
+// cursors, and per-solve scratch is carved from the workspace's bump arena
+// instead of the heap.
 #pragma once
 
 #include <cstddef>
@@ -23,10 +20,8 @@
 #include <limits>
 #include <memory>
 #include <span>
-#include <string_view>
 #include <vector>
 
-#include "circuit/matrix.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/program.hpp"
 #include "circuit/sparse.hpp"
@@ -34,38 +29,19 @@
 
 namespace ecms::circuit {
 
-enum class SolverKind { kDense, kSparse, kAuto };
-
-const char* solver_kind_name(SolverKind k);
-
-/// Parses "dense" | "sparse" | "auto"; returns false on anything else.
-bool parse_solver_kind(std::string_view s, SolverKind& out);
-
 struct SolverConfig {
-  SolverKind kind = SolverKind::kAuto;
-  /// kAuto switches to the sparse backend at or above this many unknowns.
-  /// EXT-A9 (bench_array_scale) shows the stamp-slot tapes and the
-  /// static/dynamic split win from ~28 unknowns up, but the crossover is
-  /// deliberately higher: the sparse pivot order is frozen from the values
-  /// the engine factors first, so a transient split at a checkpoint can
-  /// differ from the uninterrupted run in the last ulp — and the
-  /// checkpoint / adaptive-ramp flows, whose tile circuits all sit below
-  /// 64 unknowns, contractually require bit-exact resume. Dense re-pivots
-  /// every iteration and is immune. Above macro-cell scale nothing relies
-  /// on bit-exact splits and the sparse backend wins outright. (Program
-  /// sharing narrows the checkpoint hazard — a resumed run adopts the same
-  /// pivot order the uninterrupted run used — but the dense guarantee is
-  /// unconditional, so the crossover stays.)
-  std::size_t sparse_crossover = 64;
-  /// Shared topology-program registry for the sparse backend; the default
-  /// is the process-wide cache, so repeated and parallel solves of the
-  /// same netlist shape reuse one symbolic factorization. Set to nullptr
-  /// to force every engine to compile privately (A/B accounting, tests).
+  /// Shared topology-program registry; the default is the process-wide
+  /// cache, so repeated and parallel solves of the same netlist shape reuse
+  /// one symbolic factorization. Set to nullptr to force every engine to
+  /// compile privately (A/B accounting, tests).
   ProgramCache* program_cache = &ProgramCache::global();
 };
 
-/// The backend kAuto resolves to for an n-unknown system (never kAuto).
-SolverKind resolve_solver_kind(const SolverConfig& cfg, std::size_t n);
+// Named only by perfbench's layer probe; its next revision drops both.
+enum class SolverKind { kDense, kSparse };
+inline SolverKind resolve_solver_kind(const SolverConfig&, std::size_t) {
+  return SolverKind::kSparse;
+}
 
 /// Sparse assembly + factorization engine for one circuit and one solve
 /// mode. Holds three caches, all established on the first assembly:
@@ -123,9 +99,23 @@ class SparseEngine final : public StampSink {
 
   /// Zeroes row r of the assembled matrix (fault-injection hook support);
   /// forces a full factorization so the singular system is detected
-  /// deterministically, as on the dense path. The result of that forced
-  /// factorization is never published to the program cache.
+  /// deterministically. The result of that forced factorization is never
+  /// published to the program cache.
   void zero_row(std::size_t r);
+
+  /// Pins the program the next discovery adopts: when the recorded
+  /// topology matches `program`, the engine takes its pattern, slots and
+  /// pivot order ahead of any cache lookup. transient_resume seeds a fresh
+  /// engine with its checkpoint's program this way.
+  void seed_program(std::shared_ptr<const NetlistProgram> program) {
+    seed_ = std::move(program);
+  }
+
+  /// The topology plus the pivot order this engine factors with right now,
+  /// as one program: the adopted or published one while its pivot order is
+  /// current, otherwise (cache off, or after a re-pivot) a private snapshot.
+  /// Before the first factorization, the seeded program (or null).
+  std::shared_ptr<const NetlistProgram> pivot_program();
 
   std::span<const double> rhs() const { return b_work_.span(); }
   const SparseMatrix& matrix() const { return mat_; }
@@ -138,8 +128,8 @@ class SparseEngine final : public StampSink {
     return lu_.symbolic();
   }
 
-  /// The shared program this engine adopted or published (null when the
-  /// cache is disabled or nothing has been compiled yet).
+  /// The program this engine adopted, published or snapshotted (null when
+  /// nothing has been compiled yet).
   const std::shared_ptr<const NetlistProgram>& program() const {
     return program_;
   }
@@ -169,6 +159,8 @@ class SparseEngine final : public StampSink {
   void discover(const Circuit& ckt, const StampContext& ctx,
                 double gmin_ground);
   void resolve_slots(Tape& tape);
+  /// This engine's topology and current pivot order as a fresh program.
+  std::shared_ptr<NetlistProgram> compile_program() const;
   /// Publishes the locally compiled program after the first clean full
   /// factorization (no-op on the adopted path or with the cache disabled).
   void maybe_publish();
@@ -190,49 +182,41 @@ class SparseEngine final : public StampSink {
   SparseLu lu_;
   ProgramCache* cache_ = nullptr;
   std::shared_ptr<const NetlistProgram> program_;
+  std::shared_ptr<const NetlistProgram> seed_;
   std::uint64_t program_key_ = 0;
   bool publish_pending_ = false;
   std::uint64_t symbolic_ = 0, numeric_ = 0;
   std::uint64_t static_hits_ = 0, static_restamps_ = 0;
 };
 
-/// Per-solve scratch owned by the caller of newton_solve: the assembled
-/// system, the factorization and the iteration buffers are allocated once
-/// per transient/DC solve instead of once per Newton iteration, and the
-/// flat double buffers are carved from a bump arena that prepare() recycles
-/// on every rebind (util.arena.{bytes,resets}). The members are working
-/// storage for the solver implementation (and tests); treat them as opaque
-/// elsewhere. Single-threaded by design — parallel extraction gives each
-/// worker its own workspace.
+/// Per-solve scratch owned by the caller of newton_solve: the engine and
+/// the iteration buffer are allocated once per transient/DC solve instead
+/// of once per Newton iteration, and the flat double buffers are carved
+/// from a bump arena that prepare() recycles on every rebind
+/// (util.arena.{bytes,resets}). Single-threaded by design — parallel
+/// extraction gives each worker its own workspace.
 class NewtonWorkspace {
  public:
   NewtonWorkspace() = default;
 
-  /// Binds to a circuit + backend choice; re-binding to a different unknown
-  /// count, resolved backend, or program cache resets the cached state and
-  /// recycles the arena. newton_solve calls this itself — explicit calls
-  /// are allowed but not required.
+  /// Binds to a circuit + solver config; re-binding to a different unknown
+  /// count or program cache resets the cached state and recycles the arena.
+  /// newton_solve calls this itself — explicit calls are allowed but not
+  /// required.
   void prepare(const Circuit& ckt, const SolverConfig& cfg);
 
-  /// Resolved backend of the last prepare() (never kAuto).
-  SolverKind active() const { return active_; }
-  SparseEngine* sparse() { return sparse_.get(); }
+  /// The bound engine (null before the first prepare()).
+  SparseEngine* engine() { return engine_.get(); }
   util::Arena& arena() { return arena_; }
 
-  // Dense-backend state and shared iteration buffers.
-  Matrix a_dense;
-  LuFactorization lu_dense;
-  util::ArenaBuf<double> b;
+  /// Newton iterate buffer: the solution of the linearized system.
   util::ArenaBuf<double> x_new;
-  std::vector<double> scratch;
 
  private:
   util::Arena arena_;
-  SolverKind active_ = SolverKind::kDense;
   std::size_t bound_n_ = std::numeric_limits<std::size_t>::max();
   ProgramCache* bound_cache_ = nullptr;
-  bool bound_ = false;
-  std::unique_ptr<SparseEngine> sparse_;
+  std::unique_ptr<SparseEngine> engine_;
 };
 
 }  // namespace ecms::circuit

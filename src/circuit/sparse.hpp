@@ -6,8 +6,8 @@
 // factorization whose expensive part — choosing a pivot order and computing
 // the fill-in pattern — runs once (threshold-Markowitz), after which every
 // Newton iteration only re-runs the cheap numeric elimination on the frozen
-// pattern. The dense backend in matrix.hpp remains the default for small
-// systems; solver.hpp picks between the two.
+// pattern. solver.hpp's SparseEngine drives it for every Newton solve;
+// matrix.hpp's dense LU is only a reference.
 //
 // The structural halves are split out as immutable, shareable objects:
 // SparsePattern (the CSR skeleton) and LuSymbolic (pivot order + fill

@@ -26,7 +26,8 @@ void count_transient(const TranStats& stats, bool failed) {
 }
 
 void capture_checkpoint(const Circuit& ckt, double t, double dt, bool force_be,
-                        const std::vector<double>& x, SolverCheckpoint& out) {
+                        const std::vector<double>& x, SparseEngine& eng,
+                        SolverCheckpoint& out) {
   out.time = t;
   out.dt = dt;
   out.force_be = force_be;
@@ -34,6 +35,7 @@ void capture_checkpoint(const Circuit& ckt, double t, double dt, bool force_be,
   out.device_state.clear();
   for (const auto& d : ckt.devices()) d->save_state(out.device_state);
   out.device_count = ckt.devices().size();
+  out.pivot_order = eng.pivot_program();
 }
 
 // Shared integration core. A fresh run (`resume == nullptr`) initializes
@@ -140,6 +142,17 @@ TranResult run_transient(Circuit& ckt, const TranParams& params,
     if (params.adaptive) dt = params.dt;
   }
 
+  // One workspace for the whole run: buffers and the frozen pattern /
+  // stamp-slot caches persist across every step and Newton iteration of
+  // this transient. Owned here, not shared — parallel extraction runs one
+  // transient per worker, so workspaces stay per-thread. A resumed run
+  // factors with the pivot order its checkpoint carries, exactly as the
+  // uninterrupted run would have at this point.
+  NewtonWorkspace ws;
+  ws.prepare(ckt, params.newton.solver);
+  SparseEngine& eng = *ws.engine();
+  if (resume) eng.seed_program(resume->pivot_order);
+
   // Arm the checkpoint capture: a mid-run capture time becomes a breakpoint
   // so an accepted step lands exactly on it.
   double ckpt_at = params.checkpoint_at;
@@ -150,7 +163,7 @@ TranResult run_transient(Circuit& ckt, const TranParams& params,
     ECMS_REQUIRE(ckpt_at > t_start - kTimeEps,
                  "checkpoint_at lies before the start of this run");
     if (ckpt_at <= t_start + kTimeEps) {
-      capture_checkpoint(ckt, t_start, dt, force_be, x, res.checkpoint);
+      capture_checkpoint(ckt, t_start, dt, force_be, x, eng, res.checkpoint);
       captured = true;
     } else if (ckpt_at < params.t_stop - kTimeEps) {
       const auto it =
@@ -166,12 +179,6 @@ TranResult run_transient(Circuit& ckt, const TranParams& params,
 
   double t = t_start;
 
-  // One workspace for the whole run: buffers and (on the sparse backend)
-  // the frozen pattern / stamp-slot caches persist across every step and
-  // Newton iteration of this transient. Owned here, not shared — parallel
-  // extraction runs one transient per worker, so workspaces stay
-  // per-thread.
-  NewtonWorkspace ws;
   // Trial iterate, hoisted out of the step loop: the copy below reuses its
   // capacity (the accept path swaps rather than moves), so steady-state
   // stepping does no per-step allocation.
@@ -269,13 +276,13 @@ TranResult run_transient(Circuit& ckt, const TranParams& params,
     // Capture after step control settles, so the checkpoint holds exactly
     // the state the next loop iteration of an uninterrupted run would see.
     if (want_ckpt && !captured && t >= ckpt_at - kTimeEps) {
-      capture_checkpoint(ckt, t, dt, force_be, x, res.checkpoint);
+      capture_checkpoint(ckt, t, dt, force_be, x, eng, res.checkpoint);
       captured = true;
     }
   }
 
   if (want_ckpt && !captured) {
-    capture_checkpoint(ckt, t, dt, force_be, x, res.checkpoint);
+    capture_checkpoint(ckt, t, dt, force_be, x, eng, res.checkpoint);
   }
 
   res.final_x = std::move(x);

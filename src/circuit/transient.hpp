@@ -6,6 +6,7 @@
 // trapezoidal ringing at discontinuities.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,13 @@ struct SolverCheckpoint {
   std::vector<double> x;             ///< unknown vector at `time`
   std::vector<double> device_state;  ///< concatenated Device::save_state blobs
   std::size_t device_count = 0;
+  /// The topology and pivot order the capturing engine was factoring with
+  /// (null if it had not factored yet). Markowitz derives its pivot order
+  /// from the first values it factors, so a resumed engine deriving its own
+  /// from checkpoint-time values would differ from the uninterrupted run in
+  /// the last ulp; adopting this one keeps the resume bit-exact with the
+  /// program cache off and after mid-run re-pivots.
+  std::shared_ptr<const NetlistProgram> pivot_order;
 
   bool valid() const { return time >= 0.0 && !x.empty(); }
 };
@@ -97,8 +105,9 @@ TranResult transient(Circuit& ckt, const TranParams& params,
 /// `params.checkpoint_at` may be set to capture again. Source waves may have
 /// been reprogrammed since capture — stepping follows the circuit's current
 /// breakpoints — but the topology (unknown and device counts) must be
-/// unchanged, which is validated. An uninterrupted run and a
-/// capture-at-breakpoint + resume pair take bit-identical steps.
+/// unchanged, which is validated. The resumed engine factors with
+/// `from.pivot_order`, so an uninterrupted run and a capture-at-breakpoint
+/// + resume pair take bit-identical steps.
 TranResult transient_resume(Circuit& ckt, const SolverCheckpoint& from,
                             const TranParams& params, const ProbeSet& probes);
 

@@ -66,8 +66,7 @@ std::vector<double> probe_row(const Slot& s, double t,
 
 bool batch_engageable(const ExtractPlan& plan) {
   const circuit::NewtonOptions& no = plan.options.newton;
-  return no.hooks == nullptr && no.solver.program_cache != nullptr &&
-         no.solver.kind != circuit::SolverKind::kDense;
+  return no.hooks == nullptr && no.solver.program_cache != nullptr;
 }
 
 std::size_t resolved_batch_width(int batch_width) {

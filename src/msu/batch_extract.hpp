@@ -15,11 +15,8 @@
 namespace ecms::msu {
 
 /// Whether `plan` can run on the lockstep batch path at all: no solve hooks
-/// (fault injection runs scalar), a shared program cache (segment-stable
-/// pivot order is what makes the lockstep run bit-identical to resumed
-/// scalar segments), and not the dense backend (the batch kernels are the
-/// sparse path; kAuto engages and relies on the dense==sparse code identity
-/// the EXT-A9 gate enforces).
+/// (fault injection runs scalar) and a shared program cache (lanes share
+/// one pivot order only through a published program).
 bool batch_engageable(const ExtractPlan& plan);
 
 /// Lane count for a requested ExtractPlan::batch_width (0 = auto by host

@@ -98,8 +98,8 @@ struct ExtractPlan {
   /// Lockstep batch width (DESIGN.md §14): 1 = scalar per-cell measurement
   /// (default), 0 = auto (lane count picked by the host's vector ISA),
   /// N >= 2 = exactly N lanes. Only engages when the plan is batchable (no
-  /// solve hooks, a shared program cache, non-dense solver); otherwise the
-  /// scalar path runs regardless. Batched results are bit-identical to the
+  /// solve hooks, a shared program cache); otherwise the scalar path runs
+  /// regardless. Batched results are bit-identical to the
   /// scalar path by construction.
   int batch_width = 1;
 };

@@ -37,7 +37,9 @@ namespace ecms::serve {
 // v2: ExtractSpec grew the `batch` field (lockstep batch width). The
 // handshake hash covers struct sizes, so a v1 peer is refused at kHello
 // rather than silently misreading the wider spec.
-inline constexpr std::uint32_t kProtocolVersion = 2;
+// v3: the `solver` field is gone (one linear solver); its slot is padding,
+// so only the version tells v2 and v3 apart.
+inline constexpr std::uint32_t kProtocolVersion = 3;
 inline constexpr std::uint32_t kFrameMagic = 0x45565253;  // "SRVE"
 /// A metrics/trace export or a result frame larger than this is
 /// structurally impossible at supported array sizes; treat it as corruption
@@ -102,12 +104,12 @@ struct ExtractSpec {
   std::uint32_t engine = 0;  ///< 0 = fast model, 1 = circuit
   std::uint32_t tile_rows = 4, tile_cols = 4;
   std::uint32_t adaptive = 1;       ///< circuit engine: adaptive scheduling
-  std::uint32_t solver = 2;         ///< circuit::SolverKind (0/1/2 = dense/sparse/auto)
   std::uint32_t retries = 2;        ///< per-cell attempt budget
   std::uint32_t share_programs = 1; ///< adopt the process-wide ProgramCache
   std::uint32_t batch = 0;          ///< lockstep width: 0 = auto, 1 = off, n = lanes
   std::uint32_t want_progress = 0;  ///< stream per-tile Progress frames
   std::uint32_t deadline_ms = 0;    ///< queue deadline from admission; 0 = none
+  std::uint32_t pad = 0;
 };
 
 /// Admission acknowledgement for an accepted request.

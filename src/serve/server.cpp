@@ -49,7 +49,6 @@ std::string validate(const ExtractSpec& s) {
   if (s.tile_cols != 0 && s.cols % s.tile_cols != 0)
     return "cols not divisible by tile_cols";
   if (s.engine > 1) return "unknown engine";
-  if (s.solver > 2) return "unknown solver kind";
   if (s.batch > 64) return "batch width too large (limit 64 lanes)";
   return {};
 }

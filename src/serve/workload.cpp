@@ -49,8 +49,6 @@ extraction::ExtractRequest request_of(const ExtractSpec& spec) {
   req.contain = true;
   req.retry.max_attempts = static_cast<int>(std::max<std::uint32_t>(1, spec.retries));
   req.options.adaptive.enabled = spec.adaptive != 0;
-  req.options.newton.solver.kind = static_cast<circuit::SolverKind>(
-      std::min<std::uint32_t>(spec.solver, 2));
   req.share_programs = spec.share_programs != 0;
   req.batch_width = static_cast<int>(spec.batch);
   return req;

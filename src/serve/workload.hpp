@@ -35,7 +35,7 @@ edram::MacroCell build_array(const ArraySpec& spec);
 ArraySpec array_spec_of(const ExtractSpec& spec);
 
 /// Translates a wire-level request into a unified extraction request:
-/// robust, containing, with the spec's engine/tiling/solver/retry shape.
+/// robust, containing, with the spec's engine/tiling/batch/retry shape.
 /// The dispatcher still owns `jobs`/`pool` (worker count is supervision,
 /// not identity — codes are bit-identical at any jobs).
 extraction::ExtractRequest request_of(const ExtractSpec& spec);

@@ -17,10 +17,20 @@ std::byte* Arena::allocate(std::size_t bytes, std::size_t align) {
   if (bytes == 0) bytes = 1;  // distinct non-null result, keeps spans simple
   if (blocks_.empty()) grow(std::max(bytes + align, kMinBlockBytes));
 
-  std::size_t off = (cursor_ + align - 1) & ~(align - 1);
+  // Align the absolute address, not the offset: blocks only carry the
+  // allocator's alignof(max_align_t) guarantee, so an aligned offset could
+  // still put a 64-byte request at 48 mod 64. The padding stays below
+  // `align`, which grow(bytes + align) always leaves room for.
+  auto aligned_offset = [&] {
+    const auto base =
+        reinterpret_cast<std::uintptr_t>(blocks_.back().data.get());
+    return static_cast<std::size_t>(
+        ((base + cursor_ + align - 1) & ~(std::uintptr_t{align} - 1)) - base);
+  };
+  std::size_t off = aligned_offset();
   if (off + bytes > blocks_.back().size) {
     grow(bytes + align);
-    off = (cursor_ + align - 1) & ~(align - 1);
+    off = aligned_offset();
   }
   cursor_ = off + bytes;
   in_use_ += bytes;

@@ -24,7 +24,6 @@ namespace {
 
 SolverConfig sparse_with(ProgramCache* cache) {
   SolverConfig cfg;
-  cfg.kind = SolverKind::kSparse;
   cfg.program_cache = cache;
   return cfg;
 }

@@ -3,6 +3,9 @@
 // itself against known theory before it is trusted as the digital baseline.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "march/runner.hpp"
 #include "util/error.hpp"
 
@@ -57,10 +60,20 @@ TEST(FaultMemT, InjectionValidation) {
 
 // Detection-property sweeps: each named test must catch each fault class it
 // is known to cover, at several fault locations.
+//
+// gtest names each case after the raw bytes of its parameter, so the struct
+// carries its alignment gap as an explicit zeroed member: with implicit
+// padding the names would embed whatever garbage sat in those bytes and
+// change from build to build.
 struct DetectCase {
+  DetectCase(FaultModel m, std::size_t row, std::size_t col)
+      : model(m), r(row), c(col) {}
   FaultModel model;
+  std::uint32_t zero_pad = 0;
   std::size_t r, c;
 };
+static_assert(std::has_unique_object_representations_v<DetectCase>,
+              "DetectCase must have no padding bytes");
 
 class MarchCMinusDetects : public ::testing::TestWithParam<DetectCase> {};
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "circuit/mosfet.hpp"
+#include "circuit/program.hpp"
 #include "fault/fault.hpp"
 #include "msu/adaptive.hpp"
 #include "msu/extract.hpp"
@@ -106,17 +107,26 @@ edram::MacroCell mc2x2(double cap = 30e-15) {
                                    cap);
 }
 
-ExtractOptions adaptive_opts() {
+ExtractOptions adaptive_opts(
+    circuit::ProgramCache* cache = &circuit::ProgramCache::global()) {
   ExtractOptions o;
   o.record_trace = false;
   o.adaptive.enabled = true;
+  o.newton.solver.program_cache = cache;
   return o;
 }
 
-ExtractOptions exhaustive_opts() {
+ExtractOptions exhaustive_opts(
+    circuit::ProgramCache* cache = &circuit::ProgramCache::global()) {
   ExtractOptions o;
   o.record_trace = false;
+  o.newton.solver.program_cache = cache;
   return o;
+}
+
+// Shared programs and private compilation (program cache off).
+std::vector<circuit::ProgramCache*> cache_modes() {
+  return {&circuit::ProgramCache::global(), nullptr};
 }
 
 TEST(AdaptiveExtractT, EveryCodeBitIdenticalToExhaustiveRamp) {
@@ -130,32 +140,42 @@ TEST(AdaptiveExtractT, EveryCodeBitIdenticalToExhaustiveRamp) {
       mc.tech().vdd / 2.0);
   ASSERT_GT(i_sink, 0.0);
 
+  // Each LSB is measured with programs shared and compiled privately: with
+  // the cache off only the checkpoint carries the pivot order across each
+  // adaptive restart.
   auto codes_at = [&](double delta_i) {
-    ExtractOptions fast = adaptive_opts();
-    fast.delta_i = delta_i;
-    ExtractOptions slow = exhaustive_opts();
-    slow.delta_i = delta_i;
-    const ExtractionResult a = extract_cell(mc, 0, 0, sp, {}, fast);
-    const ExtractionResult e = extract_cell(mc, 0, 0, sp, {}, slow);
-    EXPECT_EQ(a.code, e.code) << "delta_i=" << delta_i;
-    EXPECT_EQ(a.t_out_rise.has_value(), e.t_out_rise.has_value())
-        << "delta_i=" << delta_i;
-    if (a.t_out_rise && e.t_out_rise) {
-      EXPECT_DOUBLE_EQ(*a.t_out_rise, *e.t_out_rise) << "delta_i=" << delta_i;
-    }
-    EXPECT_TRUE(a.adaptive.attempted);
-    if (a.adaptive.used) {
-      // The simulated staircase stops at the flip, so the conversion never
-      // costs more than the exhaustive ramp and is strictly cheaper except
-      // at (near-)full-scale codes where the flip sits at the very end.
-      EXPECT_LE(a.conversion_steps(), e.conversion_steps())
+    int code = -1;
+    for (circuit::ProgramCache* cache : cache_modes()) {
+      ExtractOptions fast = adaptive_opts(cache);
+      fast.delta_i = delta_i;
+      ExtractOptions slow = exhaustive_opts(cache);
+      slow.delta_i = delta_i;
+      const ExtractionResult a = extract_cell(mc, 0, 0, sp, {}, fast);
+      const ExtractionResult e = extract_cell(mc, 0, 0, sp, {}, slow);
+      EXPECT_EQ(a.code, e.code) << "delta_i=" << delta_i;
+      EXPECT_EQ(a.t_out_rise.has_value(), e.t_out_rise.has_value())
           << "delta_i=" << delta_i;
-      if (a.code < sp.ramp_steps - 1) {
-        EXPECT_LT(a.conversion_steps(), e.conversion_steps())
-            << "delta_i=" << delta_i;
+      if (a.t_out_rise && e.t_out_rise) {
+        EXPECT_EQ(*a.t_out_rise, *e.t_out_rise) << "delta_i=" << delta_i;
       }
+      EXPECT_TRUE(a.adaptive.attempted);
+      if (a.adaptive.used) {
+        // The simulated staircase stops at the flip, so the conversion
+        // never costs more than the exhaustive ramp and is strictly cheaper
+        // except at (near-)full-scale codes where the flip sits at the end.
+        EXPECT_LE(a.conversion_steps(), e.conversion_steps())
+            << "delta_i=" << delta_i;
+        if (a.code < sp.ramp_steps - 1) {
+          EXPECT_LT(a.conversion_steps(), e.conversion_steps())
+              << "delta_i=" << delta_i;
+        }
+      }
+      if (code >= 0) {
+        EXPECT_EQ(a.code, code) << "delta_i=" << delta_i;
+      }
+      code = a.code;
     }
-    return a.code;
+    return code;
   };
 
   std::map<int, double> lsb_of_code;
@@ -212,6 +232,14 @@ TEST(AdaptiveExtractT, CapacitanceSweepBitIdenticalAndCheaper) {
         extract_cell(mc, 1, 1, sp, {}, exhaustive_opts());
     ASSERT_EQ(a.code, e.code) << "cap=" << cap;
     EXPECT_EQ(a.prefix_steps, e.prefix_steps) << "cap=" << cap;
+    // Private compilation: the same codes and flip times, bit for bit.
+    const ExtractionResult a_off =
+        extract_cell(mc, 1, 1, sp, {}, adaptive_opts(nullptr));
+    const ExtractionResult e_off =
+        extract_cell(mc, 1, 1, sp, {}, exhaustive_opts(nullptr));
+    EXPECT_EQ(a_off.code, e.code) << "cap=" << cap;
+    EXPECT_EQ(e_off.code, e.code) << "cap=" << cap;
+    EXPECT_EQ(a_off.t_out_rise, e_off.t_out_rise) << "cap=" << cap;
     adaptive_steps += a.conversion_steps();
     exhaustive_steps += e.conversion_steps();
     if (a.adaptive.used) ++cells_used_adaptive;

@@ -2,8 +2,8 @@
 // extract_array with batch_width > 1 produces results bit-identical to the
 // scalar per-cell path — exhaustive and adaptive flows, forced-scalar
 // kernels, fault-injected cells retiring to the scalar path, and the
-// engagement predicate that keeps hooked / cache-less / dense plans off the
-// batch entirely.
+// engagement predicate that keeps hooked / cache-less plans off the batch
+// entirely.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -24,15 +24,11 @@ edram::MacroCell mc2x2(double cap = 30e-15) {
                                    cap);
 }
 
-// Bit-identity is claimed against the scalar *sparse* path (the batch
-// kernels are the sparse backend across lanes). kAuto picks the dense
-// backend below the crossover on these small arrays, which agrees on codes
-// (the EXT-A9 contract) but not on last bits, so the bitwise tests pin the
-// solver; AutoSolverEngagesAndCodesMatch covers the kAuto pairing.
+// Bit-identity is claimed against the scalar sparse engine (the batch
+// kernels are that engine's refactor/solve across lanes).
 ExtractPlan sparse_plan() {
   ExtractPlan plan;
   plan.retry.max_attempts = 1;
-  plan.options.newton.solver.kind = circuit::SolverKind::kSparse;
   return plan;
 }
 
@@ -73,10 +69,6 @@ class BatchEngineT : public ::testing::Test {
 TEST_F(BatchEngineT, EngagementPredicateGatesTheBatchPath) {
   ExtractPlan plan;
   EXPECT_TRUE(batch_engageable(plan));
-
-  ExtractPlan dense = plan;
-  dense.options.newton.solver.kind = circuit::SolverKind::kDense;
-  EXPECT_FALSE(batch_engageable(dense));
 
   ExtractPlan uncached = plan;
   uncached.options.newton.solver.program_cache = nullptr;
@@ -192,9 +184,8 @@ TEST_F(BatchEngineT, UnmeasurableCellsAreContainedIdentically) {
 }
 
 TEST_F(BatchEngineT, AutoSolverEngagesAndCodesMatch) {
-  // Under kAuto the scalar path may run the dense backend below the
-  // crossover while the batch lanes are always sparse: codes and statuses
-  // must still pair up exactly (the EXT-A9 dense==sparse code contract).
+  // The default plan, with the solver left to the library, engages the
+  // batch and matches the scalar path bit for bit.
   const auto mc = mc2x2();
   ExtractPlan scalar_plan;
   scalar_plan.retry.max_attempts = 1;
@@ -203,12 +194,7 @@ TEST_F(BatchEngineT, AutoSolverEngagesAndCodesMatch) {
 
   ExtractPlan plan = scalar_plan;
   plan.batch_width = 4;
-  const auto batched = extract_array(mc, {}, plan);
-  ASSERT_EQ(batched.results.size(), scalar.results.size());
-  EXPECT_EQ(batched.status, scalar.status);
-  for (std::size_t i = 0; i < scalar.results.size(); ++i) {
-    EXPECT_EQ(batched.results[i].code, scalar.results[i].code) << "cell " << i;
-  }
+  expect_identical(extract_array(mc, {}, plan), scalar);
 }
 
 TEST_F(BatchEngineT, NonSquareArrayChunksCoverEveryCell) {

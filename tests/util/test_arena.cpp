@@ -58,6 +58,23 @@ TEST(ArenaT, ResetRecyclesAndCoalesces) {
   EXPECT_EQ(a.resets(), 2u);
 }
 
+TEST(ArenaT, OverAlignedCarvesHoldAfterCoalescing) {
+  // Blocks come from the heap with only alignof(max_align_t); alignment
+  // above that must be honored on the absolute address, including in the
+  // fresh block reset() coalesces a growth chain into.
+  Arena a;
+  for (std::size_t n = 1; n <= 1u << 12; n *= 4) a.allocate_span<double>(n);
+  a.reset();
+  for (const std::size_t align : {32u, 64u, 128u, 4096u}) {
+    a.allocate(3, 1);  // knock the cursor off every alignment
+    std::byte* p = a.allocate(100, align);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % align, 0u)
+        << "align " << align;
+    std::memset(p, 0xEF, 100);
+    EXPECT_EQ(std::to_integer<int>(p[99]), 0xEF);
+  }
+}
+
 TEST(ArenaT, SteadyStateCapacityIsStable) {
   Arena a;
   std::size_t cap_after_first = 0;

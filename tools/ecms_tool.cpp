@@ -28,7 +28,6 @@
 #include "bitmap/diagnosis.hpp"
 #include "bitmap/extraction.hpp"
 #include "circuit/kernels.hpp"
-#include "circuit/solver.hpp"
 #include "circuit/spice_io.hpp"
 #include "edram/behavioral.hpp"
 #include "edram/netlister.hpp"
@@ -44,6 +43,7 @@
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
 #include "tech/tech.hpp"
+#include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
@@ -167,10 +167,6 @@ struct CliRunConfig {
   double fault_rate = 0.0;
   std::uint64_t fault_seed = 1;
   bool adaptive = false;  ///< --adaptive / --no-adaptive
-  /// --solver dense|sparse|auto: linear-solver backend for every circuit
-  /// solve of the run. auto picks by system size (dense below the
-  /// crossover, sparse at transistor-array scale).
-  circuit::SolverConfig solver;
   /// --no-program-cache: compile every netlist program privately instead
   /// of sharing through the process-wide topology cache (the A/B switch
   /// for cache-accounting runs; codes are bit-identical either way).
@@ -206,11 +202,6 @@ CliRunConfig run_config_of(const Args& args, bool adaptive_default) {
   cfg.adaptive = adaptive_default;
   if (args.flag("adaptive")) cfg.adaptive = true;
   if (args.flag("no-adaptive")) cfg.adaptive = false;
-  const std::string solver = args.str("solver", "auto");
-  if (!circuit::parse_solver_kind(solver, cfg.solver.kind)) {
-    throw UsageError("--solver must be dense, sparse or auto (got '" +
-                     solver + "')");
-  }
   cfg.program_cache = !args.flag("no-program-cache");
   if (args.flag("no-batch") &&
       (args.flag("batch") || args.flag("batch-width"))) {
@@ -241,7 +232,6 @@ void apply_run_config(extraction::ExtractRequest& req, const CliRunConfig& cfg,
   req.retry.max_attempts = cfg.retries;
   req.contain = !cfg.fail_fast;
   req.options.adaptive.enabled = cfg.adaptive;
-  req.options.newton.solver = cfg.solver;
   req.share_programs = cfg.program_cache;
   req.batch_width = cfg.batch_width;
   if (cfg.fault_rate > 0.0) req.cell_hook = plan.hook();
@@ -338,7 +328,6 @@ int cmd_extract(const Args& args) {
 
   msu::ExtractOptions options;
   options.adaptive.enabled = cfg.adaptive;
-  options.newton.solver = cfg.solver;
   if (!cfg.program_cache) options.newton.solver.program_cache = nullptr;
   const auto res = msu::extract_cell(mc, r, c, {}, {}, options);
   std::printf("cell (%zu,%zu): code %d / %d\n", r, c, res.code,
@@ -456,6 +445,12 @@ int cmd_array(const Args& args) {
 
   std::printf("analog bitmap (codes 0..20, transistor level):\n%s\n",
               report::render_code_heatmap(result.bitmap).c_str());
+  // Same digest a served request reports, so one-shot and served runs of
+  // one array compare by a single line.
+  const std::vector<int>& codes = result.bitmap.codes();
+  std::printf("code hash %016llx\n\n",
+              static_cast<unsigned long long>(
+                  util::fnv1a64(codes.data(), codes.size() * sizeof(int))));
 
   const auto& t = result.telemetry;
   std::printf("measurement cost:\n");
@@ -692,16 +687,13 @@ serve::ExtractSpec extract_spec_of(const Args& args) {
   } else {
     throw UsageError("unknown --engine '" + engine + "' (want fast|circuit)");
   }
-  spec.tile_rows = static_cast<std::uint32_t>(args.num("tile-rows", 0));
-  spec.tile_cols = static_cast<std::uint32_t>(args.num("tile-cols", 0));
+  // Tiling defaults to the spec's own 4x4, the same as a one-shot `array`
+  // run, so a default request returns that run's codes.
+  spec.tile_rows =
+      static_cast<std::uint32_t>(args.num("tile-rows", spec.tile_rows));
+  spec.tile_cols =
+      static_cast<std::uint32_t>(args.num("tile-cols", spec.tile_cols));
   spec.adaptive = args.flag("no-adaptive") ? 0 : 1;
-  circuit::SolverKind kind = circuit::SolverKind::kAuto;
-  const std::string solver = args.str("solver", "auto");
-  if (!circuit::parse_solver_kind(solver, kind)) {
-    throw UsageError("unknown --solver '" + solver +
-                     "' (want dense|sparse|auto)");
-  }
-  spec.solver = static_cast<std::uint32_t>(kind);
   spec.retries = static_cast<std::uint32_t>(args.integer("retries", 2));
   // Same spelling as the one-shot run shape: --no-batch pins scalar,
   // --batch-width pins a lane count, the default lets the server pick by
@@ -940,7 +932,7 @@ int usage() {
       "           extract mode (default): array flags as bitmap, plus\n"
       "           --engine fast|circuit --tile-rows N --tile-cols N\n"
       "           --count N (submit N pipelined requests) --progress\n"
-      "           --deadline-ms MS --retries N --no-adaptive --solver K\n"
+      "           --deadline-ms MS --retries N --no-adaptive\n"
       "           --batch | --batch-width N | --no-batch\n"
       "           --metrics | --trace   print the server's JSON export\n"
       "           --calibrate [--rows N --cols N --steps N --points N]\n"
@@ -963,11 +955,7 @@ int usage() {
       "                  (circuit engine; codes identical, fewer steps;\n"
       "                  default on for array, off for extract)\n"
       "  --no-adaptive   force the exhaustive linear ramp\n"
-      "  --solver K      linear-solver backend: dense|sparse|auto\n"
-      "                  (default auto: dense for small systems, sparse\n"
-      "                  Markowitz LU with pattern reuse at array scale;\n"
-      "                  extraction codes are identical across backends)\n"
-      "  --no-program-cache  compile sparse netlist programs privately\n"
+      "  --no-program-cache  compile netlist programs privately\n"
       "                  instead of sharing the process-wide topology\n"
       "                  cache (A/B switch for cache accounting; codes\n"
       "                  are bit-identical either way)\n"
