@@ -126,7 +126,7 @@ void run_scaling() {
                 " codes usable at 16x16 (21 at 4x4)",
             codes16 < 21);
   exp.note("consequence: array-scale analog bitmaps use plate segmentation "
-           "(AnalogBitmap::extract_tiled), one structure per 4x4 tile");
+           "(extraction::extract), one structure per 4x4 tile");
   std::cout << exp << "\n";
 
   // Throughput summary for the fast model at array scale.
@@ -135,7 +135,7 @@ void run_scaling() {
     const auto mc = edram::MacroCell::uniform(
         {.rows = n, .cols = n}, tech::tech018(), 30_fF);
     const auto t0 = std::chrono::steady_clock::now();
-    const auto bm = bitmap::AnalogBitmap::extract_tiled(mc, {});
+    const auto bm = extraction::extract(mc, {}).bitmap;
     const double s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -184,15 +184,14 @@ void run_parallel_acceptance(std::size_t jobs, JsonSink& json) {
   report::Experiment exp("EXT-A6", "parallel extraction determinism + speedup");
   const edram::MacroCell mc = varied_array64();
 
-  bitmap::AnalogBitmap serial = bitmap::AnalogBitmap::extract_tiled(mc, {});
+  bitmap::AnalogBitmap serial = extraction::extract(mc, {}).bitmap;
   const double t_serial =
-      best_of_3_seconds([&] { serial = bitmap::AnalogBitmap::extract_tiled(mc, {}); });
+      best_of_3_seconds([&] { serial = extraction::extract(mc, {}).bitmap; });
 
   util::ThreadPool pool(jobs);
-  bitmap::AnalogBitmap par =
-      bitmap::AnalogBitmap::extract_tiled(mc, {}, 4, 4, &pool);
+  bitmap::AnalogBitmap par = extraction::extract(mc, {.pool = &pool}).bitmap;
   const double t_par = best_of_3_seconds(
-      [&] { par = bitmap::AnalogBitmap::extract_tiled(mc, {}, 4, 4, &pool); });
+      [&] { par = extraction::extract(mc, {.pool = &pool}).bitmap; });
 
   const bool clean_identical = serial.codes() == par.codes();
   exp.check("parallel codes are bit-identical to serial (clean extraction)",
@@ -205,9 +204,11 @@ void run_parallel_acceptance(std::size_t jobs, JsonSink& json) {
   noise.vgs_sigma = 2e-3;
   Rng rng_serial(7), rng_par(7);
   const auto noisy_serial =
-      bitmap::AnalogBitmap::extract_tiled(mc, {}, noise, rng_serial);
+      extraction::extract(mc, {.noise = &noise, .rng = &rng_serial}).bitmap;
   const auto noisy_par =
-      bitmap::AnalogBitmap::extract_tiled(mc, {}, noise, rng_par, 4, 4, &pool);
+      extraction::extract(mc,
+                          {.pool = &pool, .noise = &noise, .rng = &rng_par})
+          .bitmap;
   const bool noisy_identical = noisy_serial.codes() == noisy_par.codes();
   exp.check("noisy codes are bit-identical to serial (per-tile RNG fork)",
             noisy_identical ? "identical" : "MISMATCH", noisy_identical);
@@ -242,13 +243,13 @@ void run_obs_overhead(JsonSink& json) {
 
   obs::set_metrics_enabled(false);
   const double t_off = best_of_3_seconds([&] {
-    auto bm = bitmap::AnalogBitmap::extract_tiled(mc, {});
+    auto bm = extraction::extract(mc, {}).bitmap;
     benchmark::DoNotOptimize(bm);
   });
   obs::set_metrics_enabled(true);
   obs::Registry::global().reset();
   const double t_on = best_of_3_seconds([&] {
-    auto bm = bitmap::AnalogBitmap::extract_tiled(mc, {});
+    auto bm = extraction::extract(mc, {}).bitmap;
     benchmark::DoNotOptimize(bm);
   });
   obs::set_metrics_enabled(false);
@@ -494,7 +495,7 @@ void run_solver_acceptance(std::size_t jobs, JsonSink& json,
     req.engine = extraction::Engine::kCircuit;
     req.jobs = workers;
     req.options.adaptive.enabled = true;
-    req.share_programs = share_programs;
+    if (!share_programs) req.options.newton.solver.program_cache = nullptr;
     return req;
   };
   const auto shared_1 = extraction::extract(sample, array_req(1, true));
@@ -551,8 +552,7 @@ void run_program_cache_acceptance(std::size_t jobs, JsonSink& json) {
     extraction::ExtractRequest req;
     req.engine = extraction::Engine::kCircuit;
     req.jobs = workers;
-    req.share_programs = cache != nullptr;
-    if (cache != nullptr) req.options.newton.solver.program_cache = cache;
+    req.options.newton.solver.program_cache = cache;
     return req;
   };
   // One serial extraction of `mc` with the metrics registry to itself.
@@ -816,8 +816,9 @@ void run_serve_acceptance(std::size_t jobs, JsonSink& json) {
     const serve::ExtractSpec s = spec_of(id, id % 2 == 0 ? 2 : 4);
     const edram::MacroCell mc = serve::build_array(serve::array_spec_of(s));
     extraction::ExtractRequest req = serve::request_of(s);
-    req.share_programs = false;  // private compile: no cross-talk with the
-                                 // server's global cache accounting below
+    // Private compile: no cross-talk with the server's global cache
+    // accounting below.
+    req.options.newton.solver.program_cache = nullptr;
     want_codes[id - 1] = extraction::extract(mc, req).bitmap.codes();
   }
 
@@ -1119,7 +1120,7 @@ void BM_TiledBitmap64(benchmark::State& state) {
   const auto mc = edram::MacroCell::uniform({.rows = 64, .cols = 64},
                                             tech::tech018(), 30_fF);
   for (auto _ : state) {
-    auto bm = bitmap::AnalogBitmap::extract_tiled(mc, {});
+    auto bm = extraction::extract(mc, {}).bitmap;
     benchmark::DoNotOptimize(bm.count_code(0));
   }
 }
@@ -1130,7 +1131,7 @@ void BM_TiledBitmap64Parallel(benchmark::State& state) {
                                             tech::tech018(), 30_fF);
   util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    auto bm = bitmap::AnalogBitmap::extract_tiled(mc, {}, 4, 4, &pool);
+    auto bm = extraction::extract(mc, {.pool = &pool}).bitmap;
     benchmark::DoNotOptimize(bm.count_code(0));
   }
   state.SetLabel(std::to_string(state.range(0)) + " threads");

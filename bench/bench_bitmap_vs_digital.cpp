@@ -14,6 +14,7 @@
 #include <iostream>
 
 #include "bitmap/compare.hpp"
+#include "bitmap/extraction.hpp"
 #include "edram/behavioral.hpp"
 #include "march/runner.hpp"
 #include "report/experiment.hpp"
@@ -49,7 +50,7 @@ void severity_sweep(report::Experiment& exp) {
     auto mc = fresh_array(1);
     mc.set_defect(7, 7, tech::make_partial(scale));
     const auto digital = digital_of(mc);
-    const auto analog = bitmap::AnalogBitmap::extract_tiled(mc, {});
+    const auto analog = extraction::extract(mc, {}).bitmap;
     const auto sig = bitmap::SignatureMap::categorize(analog);
     const bool dig = digital.fails(7, 7);
     const bool ana = sig.at(7, 7) != bitmap::CellSignature::kNominal;
@@ -86,7 +87,7 @@ void population_comparison(report::Experiment& exp) {
     for (std::size_t r = 0; r < kN; ++r)
       for (std::size_t c = 0; c < kN; ++c) mc.set_defect(r, c, defects.at(r, c));
     const auto rep = bitmap::compare_bitmaps(
-        mc, bitmap::AnalogBitmap::extract_tiled(mc, {}), digital_of(mc));
+        mc, extraction::extract(mc, {}).bitmap, digital_of(mc));
     table.add_row({Table::num(static_cast<long long>(i)),
                    Table::num(static_cast<long long>(rep.truth_defects)),
                    Table::num(static_cast<long long>(rep.defects_seen_digital)),
@@ -131,7 +132,7 @@ void run_claim() {
 void BM_TiledBitmap32(benchmark::State& state) {
   const auto mc = fresh_array(5);
   for (auto _ : state) {
-    auto bm = bitmap::AnalogBitmap::extract_tiled(mc, {});
+    auto bm = extraction::extract(mc, {}).bitmap;
     benchmark::DoNotOptimize(bm.count_out_of_range());
   }
 }

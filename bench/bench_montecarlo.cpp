@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "bitmap/analog_bitmap.hpp"
+#include "bitmap/extraction.hpp"
 #include "report/experiment.hpp"
 #include "tech/tech.hpp"
 #include "util/stats.hpp"
@@ -50,7 +51,7 @@ RunningStats lot_codes(double offset_rel, std::uint64_t seed,
                               tech::DefectMap(kArray, kArray));
     Rng noise_rng = arr_rng.split();
     const auto bm =
-        bitmap::AnalogBitmap::extract_tiled(mc, {}, noise, noise_rng);
+        extraction::extract(mc, {.noise = &noise, .rng = &noise_rng}).bitmap;
     means[i] = bm.mean_in_range_code();
   });
   RunningStats stats;
@@ -99,7 +100,7 @@ void BM_LotExtraction(benchmark::State& state) {
   const edram::MacroCell mc({.rows = kArray, .cols = kArray}, tech::tech018(),
                             std::move(field), tech::DefectMap(kArray, kArray));
   for (auto _ : state) {
-    auto bm = bitmap::AnalogBitmap::extract_tiled(mc, {});
+    auto bm = extraction::extract(mc, {}).bitmap;
     benchmark::DoNotOptimize(bm.mean_in_range_code());
   }
 }

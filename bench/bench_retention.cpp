@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "bitmap/analog_bitmap.hpp"
+#include "bitmap/extraction.hpp"
 #include "bitmap/signature.hpp"
 #include "edram/retention.hpp"
 #include "report/experiment.hpp"
@@ -42,7 +43,7 @@ edram::MacroCell spread_array(std::uint64_t seed) {
 void run_retention() {
   std::printf("EXT-A6: analog bitmap as a retention predictor (32x32)\n\n");
   const auto mc = spread_array(31);
-  const auto analog = bitmap::AnalogBitmap::extract_tiled(mc, {});
+  const auto analog = extraction::extract(mc, {}).bitmap;
 
   // Part 1 — the capacitance-limited world (no leakage spread): retention is
   // a function of C alone and codes must explain it almost entirely.

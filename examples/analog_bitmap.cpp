@@ -14,6 +14,7 @@
 
 #include "bitmap/compare.hpp"
 #include "bitmap/diagnosis.hpp"
+#include "bitmap/extraction.hpp"
 #include "edram/behavioral.hpp"
 #include "march/runner.hpp"
 #include "report/heatmap.hpp"
@@ -41,7 +42,7 @@ int main() {
               report::render_defect_truth(mc.defects()).c_str());
 
   // --- analog bitmap (plate-segmented measurement) ---
-  const bitmap::AnalogBitmap analog = bitmap::AnalogBitmap::extract_tiled(mc, {});
+  const bitmap::AnalogBitmap analog = extraction::extract(mc, {}).bitmap;
   std::printf("analog bitmap (code heatmap, dark = low capacitance):\n%s\n",
               report::render_code_heatmap(analog).c_str());
 

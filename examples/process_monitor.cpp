@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "bitmap/analog_bitmap.hpp"
+#include "bitmap/extraction.hpp"
 #include "bitmap/spatial.hpp"
 #include "edram/behavioral.hpp"
 #include "march/runner.hpp"
@@ -42,7 +43,7 @@ LotResult run_lot(const tech::CapProcessParams& cp, std::uint64_t seed,
   Rng rng(seed);
   for (std::size_t i = 0; i < arrays; ++i) {
     const auto mc = make_lot_array(cp, rng.next_u64());
-    const auto bm = bitmap::AnalogBitmap::extract_tiled(mc, {});
+    const auto bm = extraction::extract(mc, {}).bitmap;
     res.mean_codes.add(bm.mean_in_range_code());
 
     std::vector<double> field(bm.codes().begin(), bm.codes().end());

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "bitmap/extraction.hpp"
 #include "edram/behavioral.hpp"
 #include "march/runner.hpp"
 #include "msu/fastmodel.hpp"
@@ -80,7 +81,7 @@ YieldReport estimate_repair_yield(const YieldExperiment& exp,
     // Analog bitmap (plate-segmented: one structure per 4x4 tile).
     const msu::StructureParams sp;
     const bitmap::AnalogBitmap analog =
-        bitmap::AnalogBitmap::extract_tiled(mc, sp);
+        extraction::extract(mc, {.params = sp}).bitmap;
 
     // Allocate both repairs.
     const RepairSolution rep_digital =

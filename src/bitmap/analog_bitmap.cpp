@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <utility>
 
-#include "bitmap/extraction.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
 
@@ -46,84 +44,6 @@ AnalogBitmap AnalogBitmap::extract(const msu::FastModel& model,
     for (std::size_t c = 0; c < mc.cols(); ++c)
       bm.set(r, c, model.code_of_cell(r, c, noise, rng));
   return bm;
-}
-
-namespace {
-
-// All four tiled entry points are thin wrappers over the unified
-// ecms::extraction API; the per-tile fan-out, noise-stream assignment and
-// containment semantics live in bitmap/extraction.cpp.
-extraction::ExtractRequest base_request(const msu::StructureParams& params,
-                                        std::size_t tile_rows,
-                                        std::size_t tile_cols,
-                                        util::ThreadPool* pool) {
-  extraction::ExtractRequest req;
-  req.engine = extraction::Engine::kFastModel;
-  req.params = params;
-  req.tile_rows = tile_rows;
-  req.tile_cols = tile_cols;
-  req.pool = pool;
-  return req;
-}
-
-void apply_policy(extraction::ExtractRequest& req,
-                  const ExtractPolicy& policy) {
-  req.robust = true;
-  req.retry = policy.retry;
-  req.contain = policy.contain;
-  req.unmeasurable_code = policy.unmeasurable_code;
-  req.cell_hook = policy.cell_hook;
-}
-
-}  // namespace
-
-AnalogBitmap AnalogBitmap::extract_tiled(const edram::MacroCell& mc,
-                                         const msu::StructureParams& params,
-                                         std::size_t tile_rows,
-                                         std::size_t tile_cols,
-                                         util::ThreadPool* pool) {
-  return std::move(
-      extraction::extract(mc, base_request(params, tile_rows, tile_cols, pool))
-          .bitmap);
-}
-
-AnalogBitmap AnalogBitmap::extract_tiled(const edram::MacroCell& mc,
-                                         const msu::StructureParams& params,
-                                         const msu::MeasureNoise& noise,
-                                         Rng& rng, std::size_t tile_rows,
-                                         std::size_t tile_cols,
-                                         util::ThreadPool* pool) {
-  extraction::ExtractRequest req =
-      base_request(params, tile_rows, tile_cols, pool);
-  req.noise = &noise;
-  req.rng = &rng;
-  return std::move(extraction::extract(mc, req).bitmap);
-}
-
-TiledExtraction AnalogBitmap::extract_tiled_robust(
-    const edram::MacroCell& mc, const msu::StructureParams& params,
-    const ExtractPolicy& policy, std::size_t tile_rows, std::size_t tile_cols,
-    util::ThreadPool* pool) {
-  extraction::ExtractRequest req =
-      base_request(params, tile_rows, tile_cols, pool);
-  apply_policy(req, policy);
-  extraction::ExtractReport rep = extraction::extract(mc, req);
-  return {std::move(rep.bitmap), std::move(rep.status),
-          std::move(rep.report)};
-}
-
-TiledExtraction AnalogBitmap::extract_tiled_robust(
-    const edram::MacroCell& mc, const msu::StructureParams& params,
-    const msu::MeasureNoise& noise, Rng& rng, const ExtractPolicy& policy,
-    std::size_t tile_rows, std::size_t tile_cols, util::ThreadPool* pool) {
-  extraction::ExtractRequest req =
-      base_request(params, tile_rows, tile_cols, pool);
-  apply_policy(req, policy);
-  req.noise = &noise;
-  req.rng = &rng;
-  extraction::ExtractReport rep = extraction::extract(mc, req);
-  return {std::move(rep.bitmap), std::move(rep.status),
-          std::move(rep.report)};
 }
 
 double AnalogBitmap::mean_in_range_code() const {

@@ -9,40 +9,13 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <optional>
 #include <vector>
 
 #include "edram/macrocell.hpp"
 #include "msu/abacus.hpp"
 #include "msu/fastmodel.hpp"
-#include "util/retry.hpp"
-#include "util/status.hpp"
-#include "util/threadpool.hpp"
 
 namespace ecms::bitmap {
-
-/// Containment policy of the robust tiled extraction.
-struct ExtractPolicy {
-  /// Optional per-attempt hook called as hook(row, col, attempt) right
-  /// before each cell's measurement; throwing marks the attempt failed.
-  /// This is the fault-injection point (see ecms::fault::CellFaultPlan) and
-  /// doubles as a progress/audit tap. Called from worker threads — must be
-  /// thread-safe.
-  std::function<void(std::size_t, std::size_t, int)> cell_hook;
-  /// Per-cell attempt budget before the cell is declared unmeasurable. The
-  /// noisy path redraws its noise from a fresh per-attempt stream, so
-  /// retries are not doomed to repeat a transient failure.
-  util::RetryPolicy retry;
-  /// When false, the first cell failure propagates out of the extraction
-  /// (fail-fast) instead of degrading to a CellStatus (keep-going).
-  bool contain = true;
-  /// Code recorded for unmeasurable cells (0 keeps them in the code-0
-  /// diagnosis funnel, where CellStatus distinguishes them structurally).
-  int unmeasurable_code = 0;
-};
-
-struct TiledExtraction;
 
 /// Grid of measurement codes (0..ramp_steps), row-major.
 class AnalogBitmap {
@@ -62,49 +35,6 @@ class AnalogBitmap {
   static AnalogBitmap extract(const msu::FastModel& model,
                               const msu::MeasureNoise& noise, Rng& rng);
 
-  /// Array-scale extraction with plate segmentation: the array is split into
-  /// tile_rows x tile_cols macro-cells, each measured by its own structure
-  /// (the structure's dynamic range only covers macro-cell-sized plate
-  /// loads — the reason the paper scopes it to a macro-cell). Array
-  /// dimensions must be divisible by the tile dimensions.
-  ///
-  /// Tiles are independent by construction, so a non-null `pool` fans them
-  /// out across its workers. The noisy overload draws each tile's noise
-  /// from `rng.fork(tile_index)` (the caller's generator is not advanced),
-  /// which makes the result a pure function of (array, params, noise, rng
-  /// state) — bit-identical for any worker count, including serial.
-  static AnalogBitmap extract_tiled(const edram::MacroCell& mc,
-                                    const msu::StructureParams& params,
-                                    std::size_t tile_rows = 4,
-                                    std::size_t tile_cols = 4,
-                                    util::ThreadPool* pool = nullptr);
-  static AnalogBitmap extract_tiled(const edram::MacroCell& mc,
-                                    const msu::StructureParams& params,
-                                    const msu::MeasureNoise& noise, Rng& rng,
-                                    std::size_t tile_rows = 4,
-                                    std::size_t tile_cols = 4,
-                                    util::ThreadPool* pool = nullptr);
-
-  /// Self-recovering variants: per-cell exceptions (from the policy's
-  /// cell_hook or the measurement itself) are retried per `policy.retry`
-  /// and then contained as CellStatus::kUnmeasurable instead of aborting
-  /// the run, so the result is always a complete array plus a failure
-  /// report. Healthy cells carry exactly the codes a zero-fault run
-  /// produces, at any worker count. The noisy overload draws each cell's
-  /// noise from `rng.fork(tile).fork(cell).fork(attempt)` — per-cell
-  /// streams, so a failed neighbour never shifts another cell's draws
-  /// (this is a different, equally deterministic stream assignment than
-  /// the plain noisy extract_tiled).
-  static TiledExtraction extract_tiled_robust(
-      const edram::MacroCell& mc, const msu::StructureParams& params,
-      const ExtractPolicy& policy = {}, std::size_t tile_rows = 4,
-      std::size_t tile_cols = 4, util::ThreadPool* pool = nullptr);
-  static TiledExtraction extract_tiled_robust(
-      const edram::MacroCell& mc, const msu::StructureParams& params,
-      const msu::MeasureNoise& noise, Rng& rng,
-      const ExtractPolicy& policy = {}, std::size_t tile_rows = 4,
-      std::size_t tile_cols = 4, util::ThreadPool* pool = nullptr);
-
   /// Mean / stddev of in-range codes (code 0 and full-scale excluded).
   double mean_in_range_code() const;
   double stddev_in_range_code() const;
@@ -120,18 +50,6 @@ class AnalogBitmap {
   std::size_t rows_, cols_;
   int steps_;
   std::vector<int> codes_;
-};
-
-/// A complete, possibly degraded extraction: the bitmap always has a code
-/// for every cell; `status` says which codes are real measurements.
-struct TiledExtraction {
-  AnalogBitmap bitmap;
-  std::vector<CellStatus> status;  ///< row-major, same shape as the bitmap
-  FailureReport report;
-
-  CellStatus status_at(std::size_t r, std::size_t c) const {
-    return status[r * bitmap.cols() + c];
-  }
 };
 
 /// Grid of pass/fail bits from functional test (true = fail), row-major.

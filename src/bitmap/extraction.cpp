@@ -59,7 +59,7 @@ ExtractReport extract(const edram::MacroCell& mc, const ExtractRequest& req) {
   ECMS_REQUIRE(req.noise == nullptr || req.engine == Engine::kFastModel,
                "measurement noise applies to the fast-model engine only");
 
-  obs::ScopedSpan span(req.robust ? "extract_tiled_robust" : "extract_tiled");
+  obs::ScopedSpan span(req.robust ? "extract_robust" : "extract");
   span.arg("rows", static_cast<double>(mc.rows()));
   span.arg("cols", static_cast<double>(mc.cols()));
 
@@ -81,7 +81,6 @@ ExtractReport extract(const edram::MacroCell& mc, const ExtractRequest& req) {
 
   // The only cross-tile state; guarded and merged deterministically below.
   std::mutex merge_mutex;
-  std::size_t recovered = 0;
   std::vector<CellFailure> failures;
   ExtractReport::Telemetry tally;
 
@@ -98,11 +97,8 @@ ExtractReport extract(const edram::MacroCell& mc, const ExtractRequest& req) {
       msu::ExtractPlan plan;
       plan.timing = req.timing;
       plan.options = req.options;
-      if (!req.share_programs) {
-        plan.options.newton.solver.program_cache = nullptr;
-      }
-      // batch_engageable() re-checks the preconditions (cache, hooks), so a
-      // cache-less request degrades to scalar here.
+      // extract_array re-checks the batching preconditions (cache, hooks),
+      // so a cache-less request degrades to scalar there.
       plan.batch_width = req.batch_width;
       plan.retry = req.robust ? req.retry : util::RetryPolicy{.max_attempts = 1};
       plan.contain = req.robust && req.contain;
@@ -117,18 +113,12 @@ ExtractReport extract(const edram::MacroCell& mc, const ExtractRequest& req) {
           msu::extract_array(tile, req.params, plan);
 
       ExtractReport::Telemetry local;
-      std::size_t n_ok = 0, n_recovered = 0, n_unmeasurable = 0;
       for (std::size_t r = 0; r < tile_rows; ++r) {
         for (std::size_t c = 0; c < tile_cols; ++c) {
           const std::size_t i = r * tile_cols + c;
           const msu::ExtractionResult& cell = rx.results[i];
           out.bitmap.set(tr + r, tc + c, cell.code);
           out.status[(tr + r) * mc.cols() + (tc + c)] = rx.status[i];
-          switch (rx.status[i]) {
-            case CellStatus::kOk: ++n_ok; break;
-            case CellStatus::kRecovered: ++n_recovered; break;
-            case CellStatus::kUnmeasurable: ++n_unmeasurable; break;
-          }
           local.transient_steps += cell.stats.accepted_steps;
           local.prefix_steps += cell.prefix_steps;
           if (cell.adaptive.used) ++local.adaptive_used;
@@ -137,12 +127,7 @@ ExtractReport extract(const edram::MacroCell& mc, const ExtractRequest& req) {
               static_cast<std::size_t>(std::max(cell.adaptive.probes, 0));
         }
       }
-      ECMS_METRIC_COUNT("bitmap.cells.ok", n_ok);
-      ECMS_METRIC_COUNT("bitmap.cells.recovered", n_recovered);
-      ECMS_METRIC_COUNT("bitmap.cells.unmeasurable", n_unmeasurable);
-
       const std::lock_guard<std::mutex> lock(merge_mutex);
-      recovered += n_recovered;
       for (const CellFailure& f : rx.report.failures)
         failures.push_back({tr + f.row, tc + f.col, f.reason});
       tally.transient_steps += local.transient_steps;
@@ -170,7 +155,6 @@ ExtractReport extract(const edram::MacroCell& mc, const ExtractRequest& req) {
           for (std::size_t c = 0; c < tile_cols; ++c)
             out.bitmap.set(tr + r, tc + c, model.code_of_cell(r, c));
       }
-      ECMS_METRIC_COUNT("bitmap.cells.measured", tile_rows * tile_cols);
       return;
     }
 
@@ -179,7 +163,6 @@ ExtractReport extract(const edram::MacroCell& mc, const ExtractRequest& req) {
     // containment of one cell's failure cannot shift another cell's noise.
     std::optional<Rng> tile_rng;
     if (req.noise != nullptr) tile_rng.emplace(req.rng->fork(t));
-    std::size_t n_ok = 0, n_recovered = 0, n_unmeasurable = 0;
     for (std::size_t r = 0; r < tile_rows; ++r) {
       for (std::size_t c = 0; c < tile_cols; ++c) {
         const std::size_t ar = tr + r;
@@ -199,10 +182,7 @@ ExtractReport extract(const edram::MacroCell& mc, const ExtractRequest& req) {
         if (rr.ok) {
           out.bitmap.set(ar, ac, code);
           if (rr.recovered()) {
-            ++n_recovered;
             out.status[ar * mc.cols() + ac] = CellStatus::kRecovered;
-          } else {
-            ++n_ok;
           }
         } else {
           if (!req.contain) {
@@ -210,20 +190,12 @@ ExtractReport extract(const edram::MacroCell& mc, const ExtractRequest& req) {
                                std::to_string(ac) +
                                ") unmeasurable: " + rr.last_error);
           }
-          ++n_unmeasurable;
           out.bitmap.set(ar, ac, filler);
           out.status[ar * mc.cols() + ac] = CellStatus::kUnmeasurable;
           const std::lock_guard<std::mutex> lock(merge_mutex);
           failures.push_back({ar, ac, rr.last_error});
         }
       }
-    }
-    ECMS_METRIC_COUNT("bitmap.cells.ok", n_ok);
-    ECMS_METRIC_COUNT("bitmap.cells.recovered", n_recovered);
-    ECMS_METRIC_COUNT("bitmap.cells.unmeasurable", n_unmeasurable);
-    if (n_recovered > 0) {
-      const std::lock_guard<std::mutex> lock(merge_mutex);
-      recovered += n_recovered;
     }
   };
 
@@ -239,7 +211,18 @@ ExtractReport extract(const edram::MacroCell& mc, const ExtractRequest& req) {
             [](const CellFailure& a, const CellFailure& b) {
               return a.row != b.row ? a.row < b.row : a.col < b.col;
             });
-  out.report.recovered = recovered;
+  // Each cell counts once, by its final status, whichever engine ran it.
+  std::size_t n_ok = 0, n_unmeasurable = 0;
+  for (const CellStatus s : out.status) {
+    switch (s) {
+      case CellStatus::kOk: ++n_ok; break;
+      case CellStatus::kRecovered: ++out.report.recovered; break;
+      case CellStatus::kUnmeasurable: ++n_unmeasurable; break;
+    }
+  }
+  ECMS_METRIC_COUNT("bitmap.cells.ok", n_ok);
+  ECMS_METRIC_COUNT("bitmap.cells.recovered", out.report.recovered);
+  ECMS_METRIC_COUNT("bitmap.cells.unmeasurable", n_unmeasurable);
   out.report.failures = std::move(failures);
   tally.cells = out.telemetry.cells;
   out.telemetry = tally;

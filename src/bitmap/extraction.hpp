@@ -1,23 +1,22 @@
-// The unified array-extraction API.
+// The array-extraction API: the one entry point for measuring a whole
+// array, on either engine.
 //
-// Historically the repo grew four entry points — msu::extract_all_cells,
-// msu::extract_all_cells_robust, AnalogBitmap::extract_tiled and
-// AnalogBitmap::extract_tiled_robust — each with its own option plumbing.
-// ExtractRequest → extract() → ExtractReport subsumes all of them: one
-// struct carries the engine choice (fast model vs. transistor level), the
-// solver knobs (dt / newton / recovery / adaptive), the tiling and worker
-// count, the retry/containment policy and the measurement noise. The old
-// signatures remain as thin wrappers over this function; the msu-level pair
-// shares the same per-tile engine (msu::extract_array) underneath.
+// ExtractRequest → extract() → ExtractReport: one struct carries the engine
+// choice (fast model vs. transistor level), the solver knobs (dt / newton /
+// recovery / adaptive), the tiling and worker count, the retry/containment
+// policy and the measurement noise. The circuit engine measures each tile
+// through msu::extract_array.
 //
-// Semantics are inherited unchanged from the paths this replaces:
+// Semantics:
 //   * tiles are independent structures, fanned out across workers; results
 //     are bit-identical at any worker count (per-tile / per-cell forked
 //     noise streams, deterministic row-major merge);
 //   * the non-robust path lets the first cell failure escape (fail-fast),
 //     the robust path retries then contains failures as kUnmeasurable;
 //   * the circuit engine honours adaptive ramp scheduling and reports the
-//     aggregate transient-step telemetry the benches assert on.
+//     aggregate transient-step telemetry the benches assert on;
+//   * every cell is counted once, from its final status, into
+//     bitmap.cells.{ok,recovered,unmeasurable}.
 #pragma once
 
 #include <cstddef>
@@ -26,6 +25,9 @@
 
 #include "bitmap/analog_bitmap.hpp"
 #include "msu/extract.hpp"
+#include "util/retry.hpp"
+#include "util/status.hpp"
+#include "util/threadpool.hpp"
 
 namespace ecms::extraction {
 
@@ -41,22 +43,19 @@ struct ExtractRequest {
   msu::StructureParams params = {};
   msu::MeasurementTiming timing = {};
   /// Solver + adaptive knobs; the fast-model engine ignores them (except
-  /// delta_i, which both engines design per tile when left at 0).
+  /// delta_i, which both engines design per tile when left at 0). The
+  /// circuit engine shares compiled NetlistPrograms (sparsity pattern,
+  /// stamp tapes, pivot order) across tiles and workers through
+  /// `options.newton.solver.program_cache`; clearing that pointer makes
+  /// every cell compile privately (codes are bit-identical either way).
   msu::ExtractOptions options = {.dt = 20e-12, .record_trace = false};
-
-  /// Circuit engine only: share compiled NetlistPrograms (sparsity pattern,
-  /// stamp tapes, pivot order) through `options.newton.solver.program_cache`
-  /// across tiles and workers. When false, the cache pointer is cleared so
-  /// every worker compiles privately — the A/B switch the cache-accounting
-  /// bench and tests use. Codes are bit-identical either way.
-  bool share_programs = true;
 
   /// Circuit engine only: lockstep batch width per tile (DESIGN.md §14).
   /// 0 = auto (lane count picked by the host's vector ISA), 1 = scalar
-  /// per-cell measurement, N >= 2 = exactly N lanes. Batching needs shared
-  /// programs (`share_programs`) and no solve hooks, and
-  /// silently runs scalar when those preconditions fail; codes are
-  /// bit-identical either way, at any width and worker count.
+  /// per-cell measurement, N >= 2 = exactly N lanes. Batching needs a
+  /// program cache and no solve hooks, and silently runs scalar when those
+  /// preconditions fail; codes are bit-identical either way, at any width
+  /// and worker count.
   int batch_width = 0;
 
   /// The array is measured tile-by-tile, each tile by its own structure
@@ -82,7 +81,7 @@ struct ExtractRequest {
   /// coordinates, called right before each cell's measurement; throwing
   /// marks the attempt failed (the fault-injection point). Called from
   /// worker threads — must be thread-safe.
-  std::function<void(std::size_t, std::size_t, int)> cell_hook;
+  std::function<void(std::size_t, std::size_t, int)> cell_hook = {};
 
   /// Measurement noise (fast-model engine only); both or neither.
   const msu::MeasureNoise* noise = nullptr;
@@ -93,7 +92,7 @@ struct ExtractRequest {
   /// tile indices — tiles finish in any order under a pool. Called from
   /// worker threads with no lock held — must be thread-safe; the serve
   /// layer streams its per-tile progress frames from here.
-  std::function<void(std::size_t, std::size_t)> tile_hook;
+  std::function<void(std::size_t, std::size_t)> tile_hook = {};
 };
 
 /// A complete, possibly degraded extraction plus aggregate telemetry.

@@ -10,10 +10,6 @@
 
 namespace ecms::circuit {
 
-namespace {
-constexpr double kTimeEps = 1e-18;  // matches transient.cpp
-}
-
 BatchEngine::BatchEngine(std::span<Circuit* const> lanes, const Options& opts)
     : opts_(opts) {
   ECMS_REQUIRE(!lanes.empty(), "batch engine needs at least one lane");
@@ -152,7 +148,7 @@ void BatchEngine::advance(
   // are the same netlist with the same stimulus timing, so their breakpoint
   // sets agree. A lane that disagrees (a reprogrammed wave, an exotic
   // defect model) cannot share the time grid and is retired.
-  const std::vector<double> bps = lanes_[ref].ckt->breakpoints(t_stop);
+  std::vector<double> bps = lanes_[ref].ckt->breakpoints(t_stop);
   for (std::size_t li = ref + 1; li < lanes_.size(); ++li) {
     Lane& L = lanes_[li];
     if (L.state != LaneState::kActive) continue;
@@ -162,13 +158,8 @@ void BatchEngine::advance(
     }
   }
 
-  std::size_t next_bp = 0;
-  bool start_on_bp = false;
-  while (next_bp < bps.size() && bps[next_bp] <= t_ + kTimeEps) {
-    if (bps[next_bp] >= t_ - kTimeEps) start_on_bp = true;
-    ++next_bp;
-  }
-  if (!first_advance_ && start_on_bp) {
+  StepGrid grid(std::move(bps), t_);
+  if (!first_advance_ && grid.starts_on_breakpoint()) {
     // transient_resume applies breakpoint handling when it starts on a
     // corner (the uninterrupted run saw it when landing here).
     force_be_ = opts_.be_after_breakpoint;
@@ -178,16 +169,8 @@ void BatchEngine::advance(
   const double dt = opts_.dt;  // fixed: any lane needing a halving retires
 
   while (t < t_stop - kTimeEps) {
-    double step = std::min(dt, t_stop - t);
-    bool hits_bp = false;
-    if (next_bp < bps.size() && t + step >= bps[next_bp] - kTimeEps) {
-      step = bps[next_bp] - t;
-      hits_bp = true;
-      if (step <= kTimeEps) {  // already on the breakpoint
-        ++next_bp;
-        continue;
-      }
-    }
+    const StepGrid::Step next = grid.next(t, dt, t_stop);
+    const double step = next.size;
 
     StampContext proto;
     proto.time = t + step;
@@ -221,8 +204,8 @@ void BatchEngine::advance(
     }
     t += step;
 
-    if (hits_bp) {
-      ++next_bp;
+    grid.accept(next);
+    if (next.on_breakpoint) {
       force_be_ = opts_.be_after_breakpoint;
     } else {
       force_be_ = false;
@@ -267,35 +250,17 @@ bool BatchEngine::solve_point(const StampContext& ctx_proto) {
     return true;
   };
 
-  // Replica of newton_solve_impl's damped update + convergence test, per
-  // lane over its own x_new (from the vector scatter or the scalar solve).
+  // newton_solve's damped update + convergence test, per lane over its own
+  // x_new (from the vector scatter or the scalar solve).
   auto newton_update = [&](std::size_t li, int iter) {
     Lane& L = lanes_[li];
-    const NewtonOptions& no = opts_.newton;
-    double max_dv = 0.0;
-    for (std::size_t i = 0; i < nv_; ++i) {
-      const double dv = std::abs(L.x_new[i] - L.x_try[i]);
-      if (dv > max_dv) max_dv = dv;
-    }
-    double scale = 1.0;
-    if (max_dv > no.max_delta_v) scale = no.max_delta_v / max_dv;
-    double max_x = 0.0;
-    for (std::size_t i = 0; i < nv_; ++i) {
-      max_x = std::max(max_x, std::abs(L.x_try[i]));
-    }
-    for (std::size_t i = 0; i < n_; ++i) {
-      L.x_try[i] += scale * (L.x_new[i] - L.x_try[i]);
-    }
+    const NewtonUpdate up = damped_update(L.x_try, L.x_new, nv_, opts_.newton);
     L.point_iters = iter + 1;
-    const double final_delta = max_dv * scale;
-    if (!std::isfinite(final_delta)) {
+    if (!std::isfinite(up.final_delta)) {
       retire(li, "non-finite newton update", /*divergence=*/true);
       return;
     }
-    if (scale == 1.0 &&
-        max_dv < no.tol_abs_v + no.tol_rel * std::max(max_x, 1.0)) {
-      L.unfinished = false;  // converged
-    }
+    if (up.converged) L.unfinished = false;
   };
 
   // Adopts lane li's pivot order as the batch's shared symbolic and sizes
@@ -389,8 +354,8 @@ bool BatchEngine::solve_point(const StampContext& ctx_proto) {
     kk.refactor(sy, a_soa_.data(), l_soa_.data(), u_soa_.data(),
                 work_soa_.data(), W);
 
-    // Pivot health per lane (scalar replica of refactor()'s early return).
-    // A degraded lane re-pivots through its engine, exactly as the scalar
+    // Pivot health per lane, by SparseLu::refactor()'s own predicate. A
+    // degraded lane re-pivots through its engine, exactly as the scalar
     // path's refactor-failure -> full-factor sequence does; its new private
     // order routes it to the scalar solve from the next iteration on.
     std::size_t kept = 0;

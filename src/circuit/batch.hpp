@@ -13,10 +13,10 @@
 // accounting are inherited rather than re-implemented.
 //
 // Identity: with a fixed base step (no adaptive growth) and no rejected
-// steps, run_transient's schedule is value-independent — time points are a
+// steps, the transient's StepGrid is value-independent — time points are a
 // pure function of (dt, breakpoints) — so lanes genuinely share one (t,
 // step, force_be) sequence. Per-lane Newton damping and convergence
-// decisions are scalar replicas of newton_solve_impl over the SoA results.
+// decisions run newton_solve's own damped_update over the SoA results.
 // Anything that would make a lane's scalar trajectory diverge from the
 // lockstep grid (a rejected step, pivot degradation, a non-finite update,
 // tape divergence, a private pivot order that later disagrees) retires the
@@ -104,9 +104,9 @@ class BatchEngine {
   /// causes (counted as circuit.batch.divergences).
   void retire(std::size_t lane, std::string reason, bool divergence = false);
 
-  /// Advances every active lane in lockstep to t_stop, replicating
-  /// run_transient's stepping (breakpoint landing, post-breakpoint backward
-  /// Euler, fixed base step). `on_sample(lane, t, x)` fires per active lane
+  /// Advances every active lane in lockstep to t_stop on the transient's
+  /// StepGrid (breakpoint landing, post-breakpoint backward Euler, fixed
+  /// base step). `on_sample(lane, t, x)` fires per active lane
   /// once at entry — the boundary sample a resumed scalar segment records —
   /// and once per accepted step. Lanes that cannot keep lockstep are
   /// retired, never stalled.

@@ -5,11 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#if defined(__aarch64__) && defined(__ARM_NEON)
-#include <arm_neon.h>
-#define ECMS_HAVE_NEON 1
-#endif
-
 namespace ecms::circuit::kernels {
 
 namespace {
@@ -17,8 +12,8 @@ namespace {
 // ---------------------------------------------------------------------------
 // Scalar backend: the reference implementation. Per lane this is literally
 // SparseLu::refactor()/solve_in_place() with an extra inner lane loop; the
-// vector backends below replicate the identical op order 4 (AVX2) or 2
-// (NEON) lanes at a time.
+// AVX2 backend (kernels_avx2.cpp) performs the identical op order 4 lanes
+// at a time.
 // ---------------------------------------------------------------------------
 
 void refactor_scalar(const LuSymbolic& sy, const double* a, double* l,
@@ -97,118 +92,18 @@ void diag_add_scalar(double* values, const std::uint32_t* slots,
 constexpr Kernels kScalar = {"scalar", refactor_scalar, solve_scalar,
                              copy_scalar, diag_add_scalar};
 
-#ifdef ECMS_HAVE_NEON
-
-// NEON backend: 2 lanes per op, scalar remainder for odd widths. Same op
-// order as the scalar loops above; vdivq_f64/vsubq_f64/vmulq_f64 are
-// lanewise IEEE-754 (no fused multiply here — bit-parity with scalar).
-
-void refactor_neon(const LuSymbolic& sy, const double* a, double* l,
-                   double* u, double* work, std::size_t w) {
-  const std::size_t n = sy.n;
-  const std::size_t wv = w & ~std::size_t{1};
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::uint32_t s = sy.l_ptr[i]; s < sy.l_ptr[i + 1]; ++s) {
-      double* row = work + static_cast<std::size_t>(sy.l_cols[s]) * w;
-      for (std::size_t k = 0; k < w; ++k) row[k] = 0.0;
-    }
-    for (std::uint32_t s = sy.u_ptr[i]; s < sy.u_ptr[i + 1]; ++s) {
-      double* row = work + static_cast<std::size_t>(sy.u_cols[s]) * w;
-      for (std::size_t k = 0; k < w; ++k) row[k] = 0.0;
-    }
-    for (std::uint32_t s = sy.a_ptr[i]; s < sy.a_ptr[i + 1]; ++s) {
-      double* row = work + static_cast<std::size_t>(sy.a_pcol[s]) * w;
-      const double* av = a + static_cast<std::size_t>(sy.a_slot[s]) * w;
-      for (std::size_t k = 0; k < wv; k += 2)
-        vst1q_f64(row + k, vaddq_f64(vld1q_f64(row + k), vld1q_f64(av + k)));
-      for (std::size_t k = wv; k < w; ++k) row[k] += av[k];
-    }
-    for (std::uint32_t s = sy.l_ptr[i]; s < sy.l_ptr[i + 1]; ++s) {
-      const std::uint32_t j = sy.l_cols[s];
-      const double* wj = work + static_cast<std::size_t>(j) * w;
-      const double* upiv = u + static_cast<std::size_t>(sy.u_ptr[j]) * w;
-      double* ls = l + static_cast<std::size_t>(s) * w;
-      for (std::size_t k = 0; k < wv; k += 2)
-        vst1q_f64(ls + k, vdivq_f64(vld1q_f64(wj + k), vld1q_f64(upiv + k)));
-      for (std::size_t k = wv; k < w; ++k) ls[k] = wj[k] / upiv[k];
-      for (std::uint32_t t = sy.u_ptr[j] + 1; t < sy.u_ptr[j + 1]; ++t) {
-        double* row = work + static_cast<std::size_t>(sy.u_cols[t]) * w;
-        const double* ut = u + static_cast<std::size_t>(t) * w;
-        for (std::size_t k = 0; k < wv; k += 2)
-          vst1q_f64(row + k,
-                    vsubq_f64(vld1q_f64(row + k),
-                              vmulq_f64(vld1q_f64(ls + k), vld1q_f64(ut + k))));
-        for (std::size_t k = wv; k < w; ++k) row[k] -= ls[k] * ut[k];
-      }
-    }
-    for (std::uint32_t s = sy.u_ptr[i]; s < sy.u_ptr[i + 1]; ++s) {
-      const double* row = work + static_cast<std::size_t>(sy.u_cols[s]) * w;
-      double* us = u + static_cast<std::size_t>(s) * w;
-      for (std::size_t k = 0; k < w; ++k) us[k] = row[k];
-    }
-  }
-}
-
-void solve_neon(const LuSymbolic& sy, const double* l, const double* u,
-                double* pb, std::size_t w) {
-  const std::size_t n = sy.n;
-  const std::size_t wv = w & ~std::size_t{1};
-  for (std::size_t i = 0; i < n; ++i) {
-    double* acc = pb + i * w;
-    for (std::uint32_t s = sy.l_ptr[i]; s < sy.l_ptr[i + 1]; ++s) {
-      const double* ls = l + static_cast<std::size_t>(s) * w;
-      const double* pj = pb + static_cast<std::size_t>(sy.l_cols[s]) * w;
-      for (std::size_t k = 0; k < wv; k += 2)
-        vst1q_f64(acc + k,
-                  vsubq_f64(vld1q_f64(acc + k),
-                            vmulq_f64(vld1q_f64(ls + k), vld1q_f64(pj + k))));
-      for (std::size_t k = wv; k < w; ++k) acc[k] -= ls[k] * pj[k];
-    }
-  }
-  for (std::size_t ii = n; ii > 0; --ii) {
-    const std::size_t i = ii - 1;
-    double* acc = pb + i * w;
-    for (std::uint32_t s = sy.u_ptr[i] + 1; s < sy.u_ptr[i + 1]; ++s) {
-      const double* us = u + static_cast<std::size_t>(s) * w;
-      const double* pj = pb + static_cast<std::size_t>(sy.u_cols[s]) * w;
-      for (std::size_t k = 0; k < wv; k += 2)
-        vst1q_f64(acc + k,
-                  vsubq_f64(vld1q_f64(acc + k),
-                            vmulq_f64(vld1q_f64(us + k), vld1q_f64(pj + k))));
-      for (std::size_t k = wv; k < w; ++k) acc[k] -= us[k] * pj[k];
-    }
-    const double* upiv = u + static_cast<std::size_t>(sy.u_ptr[i]) * w;
-    for (std::size_t k = 0; k < wv; k += 2)
-      vst1q_f64(acc + k, vdivq_f64(vld1q_f64(acc + k), vld1q_f64(upiv + k)));
-    for (std::size_t k = wv; k < w; ++k) acc[k] /= upiv[k];
-  }
-}
-
-constexpr Kernels kNeon = {"neon", refactor_neon, solve_neon, copy_scalar,
-                           diag_add_scalar};
-
-#endif  // ECMS_HAVE_NEON
-
 bool env_forces_scalar() {
   const char* v = std::getenv("ECMS_FORCE_SCALAR_KERNELS");
   return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
 }
 
 const Kernels* detect_vector() {
-#if defined(ECMS_FORCE_SCALAR_KERNELS_BUILD)
-  return nullptr;
-#else
 #if defined(__x86_64__) || defined(_M_X64)
   if (avx2_kernels() != nullptr && __builtin_cpu_supports("avx2")) {
     return avx2_kernels();
   }
 #endif
-#ifdef ECMS_HAVE_NEON
-  return &kNeon;
-#else
   return nullptr;
-#endif
-#endif
 }
 
 // -1 = undecided (consult env at first use), 0 = dispatch, 1 = scalar.
@@ -266,10 +161,8 @@ long first_degraded_row(const LuSymbolic& sy, const double* u,
       const double v = u[static_cast<std::size_t>(s) * width + lane];
       rmax = std::max(rmax, std::abs(v));
     }
-    const double piv =
-        u[static_cast<std::size_t>(sy.u_ptr[i]) * width + lane];
-    const double mag = std::abs(piv);
-    if (!std::isfinite(piv) || mag == 0.0 || mag < kRepivotThreshold * rmax) {
+    if (pivot_degraded(u[static_cast<std::size_t>(sy.u_ptr[i]) * width + lane],
+                       rmax)) {
       return static_cast<long>(i);
     }
   }

@@ -10,14 +10,15 @@
 // floating-point operations of the scalar SparseLu path in exactly the same
 // order. Only lanewise IEEE-754 arithmetic (+, -, *, /) is vectorized —
 // never comparisons, max-reductions or anything with NaN-sensitive
-// semantics; pivot-health and convergence decisions stay in scalar replica
-// code that reads the SoA arrays. No FMA contraction on either side (the
-// build forces -ffp-contract=off), so scalar and vector lanes agree to the
-// last ulp on every host, and the scalar fallback is not a degraded mode
-// but the same function computed 1 lane at a time.
+// semantics; pivot-health and convergence decisions run the scalar path's
+// own predicates (pivot_degraded, damped_update) per lane. No FMA
+// contraction on either side (the build forces -ffp-contract=off), so
+// scalar and vector lanes agree to the last ulp on every host, and the
+// scalar fallback is not a degraded mode but the same function computed 1
+// lane at a time.
 //
 // Dispatch: resolved once at first use from the host CPU (AVX2 on x86-64,
-// NEON on aarch64, scalar otherwise), overridable for tests and benches via
+// scalar otherwise), overridable for tests and benches via
 // set_force_scalar() or the ECMS_FORCE_SCALAR_KERNELS environment variable
 // (any non-empty value other than "0").
 #pragma once
@@ -31,7 +32,7 @@ namespace ecms::circuit::kernels {
 
 /// One kernel backend. All array arguments are SoA unless noted.
 struct Kernels {
-  const char* name;  ///< "scalar", "avx2", "neon"
+  const char* name;  ///< "scalar" or "avx2"
 
   /// Numeric refactorization of all `width` lanes over the frozen pivot
   /// order: per permuted row, scatter A, eliminate against finished rows in
@@ -80,17 +81,12 @@ const char* isa_summary();
 /// Default lane count for batch_width = auto on this host.
 std::size_t preferred_width();
 
-/// Scalar replica of SparseLu::refactor()'s pivot-health early return for
-/// one lane of a vector-refactored U: the first permuted row whose pivot is
-/// non-finite, exactly zero, or below kRepivotThreshold times the row max,
-/// or -1 when every row is healthy. A lane with a degraded row must be
-/// retired (its L/U rows past that point are garbage).
+/// The first permuted row of one lane of a vector-refactored U whose pivot
+/// fails pivot_degraded() (the predicate SparseLu::refactor() applies), or
+/// -1 when every row is healthy. A degraded lane must re-pivot (its L/U
+/// rows past that point are garbage).
 long first_degraded_row(const LuSymbolic& sy, const double* u,
                         std::size_t width, std::size_t lane);
-
-/// The refactor-time pivot-health threshold; mirrors the scalar engine's
-/// (sparse.cpp) so batch retirement decisions match scalar re-pivots.
-inline constexpr double kRepivotThreshold = 1e-10;
 
 /// Internal: the AVX2 backend (kernels_avx2.cpp; null on non-x86-64 hosts).
 /// Callers use active() — this exists only for the dispatch layer.

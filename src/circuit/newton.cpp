@@ -32,6 +32,31 @@ void assemble(const Circuit& ckt, const StampContext& ctx, double gmin_ground,
   assemble(ckt, ctx, gmin_ground, a_mat, std::span<double>(b_vec));
 }
 
+NewtonUpdate damped_update(std::span<double> x, std::span<const double> x_new,
+                           std::size_t nv, const NewtonOptions& opts) {
+  NewtonUpdate up;
+  double max_dv = 0.0;
+  for (std::size_t i = 0; i < nv; ++i) {
+    const double dv = std::abs(x_new[i] - x[i]);
+    if (dv > max_dv) {
+      max_dv = dv;
+      up.worst_unknown = i;
+    }
+  }
+  // Voltage-part damping: branch currents are left free.
+  double scale = 1.0;
+  if (max_dv > opts.max_delta_v) scale = opts.max_delta_v / max_dv;
+
+  double max_x = 0.0;
+  for (std::size_t i = 0; i < nv; ++i) max_x = std::max(max_x, std::abs(x[i]));
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] += scale * (x_new[i] - x[i]);
+
+  up.final_delta = max_dv * scale;
+  up.converged = scale == 1.0 &&
+                 max_dv < opts.tol_abs_v + opts.tol_rel * std::max(max_x, 1.0);
+  return up;
+}
+
 namespace {
 
 // Per-solve outcome accounting, shared by every return path of
@@ -109,33 +134,15 @@ NewtonResult newton_solve_impl(const Circuit& ckt,
       return finalize();
     }
     eng.solve(ws.x_new.span());
-    const std::span<const double> x_new(ws.x_new.span());
-
-    // Voltage-part damping: clamp the update so no node moves more than
-    // max_delta_v per iteration (branch currents are left free).
-    double max_dv = 0.0;
-    for (std::size_t i = 0; i < nv; ++i) {
-      const double dv = std::abs(x_new[i] - x[i]);
-      if (dv > max_dv) {
-        max_dv = dv;
-        res.worst_unknown = i;
-      }
-    }
-    double scale = 1.0;
-    if (max_dv > opts.max_delta_v) scale = opts.max_delta_v / max_dv;
-
-    double max_x = 0.0;
-    for (std::size_t i = 0; i < nv; ++i) max_x = std::max(max_x, std::abs(x[i]));
-    for (std::size_t i = 0; i < n; ++i) x[i] += scale * (x_new[i] - x[i]);
-
+    const NewtonUpdate up = damped_update(x, ws.x_new.span(), nv, opts);
+    if (up.worst_unknown != kNoUnknown) res.worst_unknown = up.worst_unknown;
     res.iterations = iter + 1;
-    res.final_delta = max_dv * scale;
+    res.final_delta = up.final_delta;
     if (!std::isfinite(res.final_delta)) {
       res.converged = false;
       return finalize();
     }
-    if (scale == 1.0 &&
-        max_dv < opts.tol_abs_v + opts.tol_rel * std::max(max_x, 1.0)) {
+    if (up.converged) {
       res.converged = true;
       return finalize();
     }

@@ -72,6 +72,22 @@ struct NewtonResult {
   std::size_t assemble_restamps = 0;
 };
 
+/// Outcome of one damped Newton update (see damped_update).
+struct NewtonUpdate {
+  double final_delta = 0.0;  ///< largest voltage change actually applied
+  /// Voltage unknown with the largest undamped change (kNoUnknown if none).
+  std::size_t worst_unknown = kNoUnknown;
+  bool converged = false;
+};
+
+/// The damped Newton update of every solve, scalar or lockstep: moves x to
+/// x_new, scaled down so no voltage unknown (the first `nv`) moves more
+/// than opts.max_delta_v, and reports convergence when the update was
+/// undamped and below tol_abs_v + tol_rel * max(|x|, 1) on the voltages.
+/// A non-finite final_delta means the iteration diverged.
+NewtonUpdate damped_update(std::span<double> x, std::span<const double> x_new,
+                           std::size_t nv, const NewtonOptions& opts);
+
 /// Assembles the MNA system for the given context into a dense (a_mat, b):
 /// the reference assembly that tests and layer probes check the solver
 /// against. The matrix is resized/cleared as needed; b must already have

@@ -68,16 +68,6 @@ void SparseMatrix::multiply(std::span<const double> x,
   }
 }
 
-namespace {
-
-// Refactor-time pivot health check: looser than the factor-time Markowitz
-// threshold (which already admits pivots rel_pivot_threshold below their
-// row max), so healthy value drift between Newton iterations does not
-// trigger spurious re-pivots, but a genuinely collapsed pivot does.
-constexpr double kRepivotThreshold = 1e-10;
-
-}  // namespace
-
 void SparseLu::bind_arena(util::Arena* arena) {
   work_.bind(arena);
   solve_scratch_.bind(arena);
@@ -311,10 +301,10 @@ bool SparseLu::refactor(const SparseMatrix& a) {
       rmax = std::max(rmax, std::abs(v));
     }
     const double piv = u_vals_[sy.u_ptr[i]];
-    const double mag = std::abs(piv);
-    if (!std::isfinite(piv) || mag == 0.0 || mag < kRepivotThreshold * rmax) {
+    if (pivot_degraded(piv, rmax)) {
       return false;  // degraded: caller must re-pivot via factor()
     }
+    const double mag = std::abs(piv);
     if (i == 0) {
       min_piv = max_piv = mag;
     } else {

@@ -17,6 +17,7 @@
 // L/U factors, scratch) always stay per-owner.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -37,6 +38,22 @@ inline std::uint64_t pack_coord(std::size_t row, std::size_t col) {
 /// Sentinel for "coordinate not in the pattern".
 inline constexpr std::uint32_t kNoSlot =
     std::numeric_limits<std::uint32_t>::max();
+
+/// Refactor-time pivot health threshold: looser than the factor-time
+/// Markowitz threshold (which already admits pivots rel_pivot_threshold
+/// below their row max), so healthy value drift between Newton iterations
+/// does not trigger spurious re-pivots, but a genuinely collapsed pivot does.
+inline constexpr double kRepivotThreshold = 1e-10;
+
+/// The pivot-health predicate of every numeric refactorization (SparseLu
+/// and the lockstep kernels): a pivot is degraded when it is non-finite,
+/// exactly zero, or below kRepivotThreshold times its U row's largest
+/// magnitude, and the pivot order must then be recomputed.
+inline bool pivot_degraded(double pivot, double row_max) {
+  const double mag = std::abs(pivot);
+  return !std::isfinite(pivot) || mag == 0.0 ||
+         mag < kRepivotThreshold * row_max;
+}
 
 /// The CSR skeleton of an n x n matrix: row extents plus sorted column ids.
 /// Purely structural, hence immutable-after-build and shareable read-only

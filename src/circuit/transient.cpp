@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "circuit/dc.hpp"
 #include "obs/metrics.hpp"
@@ -11,8 +12,56 @@
 
 namespace ecms::circuit {
 
-namespace {
-constexpr double kTimeEps = 1e-18;
+StepGrid::StepGrid(std::vector<double> bps, double t_start)
+    : bps_(std::move(bps)) {
+  while (next_ < bps_.size() && bps_[next_] <= t_start + kTimeEps) {
+    if (bps_[next_] >= t_start - kTimeEps) start_on_bp_ = true;
+    ++next_;
+  }
+}
+
+void StepGrid::add(double t) {
+  const auto first = bps_.begin() + static_cast<std::ptrdiff_t>(next_);
+  const auto it = std::lower_bound(first, bps_.end(), t);
+  const bool present = (it != bps_.end() && *it - t <= kTimeEps) ||
+                       (it != first && t - *(it - 1) <= kTimeEps);
+  if (!present) bps_.insert(it, t);
+}
+
+StepGrid::Step StepGrid::next(double t, double dt, double t_stop) {
+  for (;;) {
+    const double step = std::min(dt, t_stop - t);
+    if (next_ >= bps_.size() || t + step < bps_[next_] - kTimeEps) {
+      return {step, false};
+    }
+    const double to_bp = bps_[next_] - t;
+    if (to_bp > kTimeEps) return {to_bp, true};
+    ++next_;  // already on this breakpoint
+  }
+}
+
+ProbeRecorder::ProbeRecorder(const Circuit& ckt, const ProbeSet& probes) {
+  for (const auto& n : probes.nodes) {
+    nodes_.push_back(ckt.find_node(n));
+    channels_.push_back(n);
+  }
+  for (const auto& dn : probes.device_currents) {
+    const Device* d = ckt.find(dn);
+    if (d == nullptr) throw NetlistError("no device named " + dn);
+    devices_.push_back(d);
+    channels_.push_back("I(" + dn + ")");
+  }
+  row_.reserve(channels_.size());
+}
+
+void ProbeRecorder::record(Trace& trace, double t, std::span<const double> x) {
+  StampContext ctx;
+  ctx.x = x;
+  ctx.time = t;
+  row_.clear();
+  for (NodeId n : nodes_) row_.push_back(ctx.v(n));
+  for (const Device* d : devices_) row_.push_back(d->probe_current(ctx));
+  trace.append(t, row_);
 }
 
 namespace {
@@ -57,23 +106,9 @@ TranResult run_transient(Circuit& ckt, const TranParams& params,
   }
   ckt.finalize();
 
-  // Resolve probes up front.
-  std::vector<NodeId> probe_nodes;
-  std::vector<std::string> channel_names;
-  for (const auto& n : probes.nodes) {
-    probe_nodes.push_back(ckt.find_node(n));
-    channel_names.push_back(n);
-  }
-  std::vector<const Device*> probe_devs;
-  for (const auto& dn : probes.device_currents) {
-    const Device* d = ckt.find(dn);
-    if (d == nullptr) throw NetlistError("no device named " + dn);
-    probe_devs.push_back(d);
-    channel_names.push_back("I(" + dn + ")");
-  }
-
+  ProbeRecorder probe(ckt, probes);
   TranResult res;
-  res.trace = Trace(channel_names);
+  res.trace = probe.make_trace();
 
   std::vector<double> x;
   double dt = params.dt;
@@ -113,26 +148,10 @@ TranResult run_transient(Circuit& ckt, const TranParams& params,
     for (const auto& d : ckt.devices()) d->init_state(ctx);
   }
 
-  auto record = [&](double t, std::span<const double> xs) {
-    StampContext ctx;
-    ctx.x = xs;
-    ctx.time = t;
-    std::vector<double> row;
-    row.reserve(channel_names.size());
-    for (NodeId n : probe_nodes) row.push_back(ctx.v(n));
-    for (const Device* d : probe_devs) row.push_back(d->probe_current(ctx));
-    res.trace.append(t, row);
-  };
-  record(t_start, x);
+  probe.record(res.trace, t_start, x);
 
-  std::vector<double> bps = ckt.breakpoints(params.t_stop);
-  std::size_t next_bp = 0;
-  bool start_on_bp = false;
-  while (next_bp < bps.size() && bps[next_bp] <= t_start + kTimeEps) {
-    if (bps[next_bp] >= t_start - kTimeEps) start_on_bp = true;
-    ++next_bp;
-  }
-  if (resume && start_on_bp) {
+  StepGrid grid(ckt.breakpoints(params.t_stop), t_start);
+  if (resume && grid.starts_on_breakpoint()) {
     // The uninterrupted run applies breakpoint handling when it lands here —
     // a prefix stopping exactly on a corner never saw it (breakpoints at
     // t >= t_stop are filtered), and reprogrammed waves may have introduced
@@ -166,14 +185,7 @@ TranResult run_transient(Circuit& ckt, const TranParams& params,
       capture_checkpoint(ckt, t_start, dt, force_be, x, eng, res.checkpoint);
       captured = true;
     } else if (ckpt_at < params.t_stop - kTimeEps) {
-      const auto it =
-          std::lower_bound(bps.begin() + static_cast<std::ptrdiff_t>(next_bp),
-                           bps.end(), ckpt_at);
-      const bool present =
-          (it != bps.end() && *it - ckpt_at <= kTimeEps) ||
-          (it != bps.begin() + static_cast<std::ptrdiff_t>(next_bp) &&
-           ckpt_at - *(it - 1) <= kTimeEps);
-      if (!present) bps.insert(it, ckpt_at);
+      grid.add(ckpt_at);
     }
   }
 
@@ -185,17 +197,8 @@ TranResult run_transient(Circuit& ckt, const TranParams& params,
   std::vector<double> x_try;
 
   while (t < params.t_stop - kTimeEps) {
-    double step = std::min(dt, params.t_stop - t);
-    // Land exactly on the next breakpoint.
-    bool hits_bp = false;
-    if (next_bp < bps.size() && t + step >= bps[next_bp] - kTimeEps) {
-      step = bps[next_bp] - t;
-      hits_bp = true;
-      if (step <= kTimeEps) {  // already on the breakpoint
-        ++next_bp;
-        continue;
-      }
-    }
+    const StepGrid::Step next = grid.next(t, dt, params.t_stop);
+    const double step = next.size;
 
     StampContext ctx;
     ctx.time = t + step;
@@ -251,10 +254,10 @@ TranResult run_transient(Circuit& ckt, const TranParams& params,
     for (const auto& d : ckt.devices()) d->accept_step(ctx);
     t += step;
     ++res.stats.accepted_steps;
-    record(t, x);
+    probe.record(res.trace, t, x);
 
-    if (hits_bp) {
-      ++next_bp;
+    grid.accept(next);
+    if (next.on_breakpoint) {
       force_be = params.be_after_breakpoint;
       if (params.adaptive) dt = params.dt;  // restart cautiously after edges
     } else {

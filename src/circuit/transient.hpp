@@ -7,6 +7,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,46 @@
 #include "circuit/waveform.hpp"
 
 namespace ecms::circuit {
+
+/// Time tolerance of the step grid: instants closer than this are one grid
+/// point (a step landing on a breakpoint, a checkpoint at a corner).
+inline constexpr double kTimeEps = 1e-18;
+
+/// The breakpoint-landing step grid of every transient, scalar or
+/// lockstep: steps of the base size, shortened so one lands exactly on
+/// each stimulus breakpoint. The sizes are a pure function of (breakpoints,
+/// start, base step), which is what lets BatchEngine lanes share one time
+/// grid and a resumed segment continue on the uninterrupted run's grid.
+class StepGrid {
+ public:
+  struct Step {
+    double size = 0.0;
+    bool on_breakpoint = false;  ///< the step ends exactly on a breakpoint
+  };
+
+  /// `bps` ascending; breakpoints at or before t_start are already passed.
+  StepGrid(std::vector<double> bps, double t_start);
+
+  /// Whether t_start itself sat on a breakpoint.
+  bool starts_on_breakpoint() const { return start_on_bp_; }
+
+  /// Adds a breakpoint at t (after t_start) unless one already lies within
+  /// kTimeEps of it.
+  void add(double t);
+
+  /// The step from t toward t_stop with base step dt.
+  Step next(double t, double dt, double t_stop);
+
+  /// Records an accepted step (moves past the breakpoint it landed on).
+  void accept(const Step& step) {
+    if (step.on_breakpoint) ++next_;
+  }
+
+ private:
+  std::vector<double> bps_;
+  std::size_t next_ = 0;
+  bool start_on_bp_ = false;
+};
 
 /// Complete solver state at one accepted time point: everything needed to
 /// continue the integration bit-identically in a later transient_resume()
@@ -74,6 +115,26 @@ struct TranParams {
 struct ProbeSet {
   std::vector<std::string> nodes;            ///< node voltages
   std::vector<std::string> device_currents;  ///< Device::probe_current()
+};
+
+/// A ProbeSet resolved against one circuit: the trace channels (nodes
+/// first, then "I(<device>)" entries) and the row each sample appends.
+/// The circuit must outlive the recorder.
+class ProbeRecorder {
+ public:
+  /// Throws NetlistError for an unknown node or device name.
+  ProbeRecorder(const Circuit& ckt, const ProbeSet& probes);
+
+  /// An empty trace with this recorder's channels.
+  Trace make_trace() const { return Trace(channels_); }
+  /// Appends the probed values of solution x at time t to `trace`.
+  void record(Trace& trace, double t, std::span<const double> x);
+
+ private:
+  std::vector<NodeId> nodes_;
+  std::vector<const Device*> devices_;
+  std::vector<std::string> channels_;
+  std::vector<double> row_;
 };
 
 struct TranStats {

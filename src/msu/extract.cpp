@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <stdexcept>
+#include <utility>
 
-#include "msu/batch_extract.hpp"
-
+#include "circuit/batch.hpp"
+#include "circuit/kernels.hpp"
 #include "circuit/mosfet.hpp"
 #include "circuit/sources.hpp"
 #include "edram/netlister.hpp"
@@ -18,6 +21,38 @@ namespace ecms::msu {
 
 namespace {
 
+// Builds cell (row, col)'s measurement netlist into `ckt` — the whole
+// macro-cell array plus the MSU — programs the five-step flow for it, and
+// starts `res` with the schedule and ramp LSB. Every measurement, scalar
+// or lockstep lane, simulates one of these.
+StructureNet build_cell(circuit::Circuit& ckt, const edram::MacroCell& mc,
+                        std::size_t row, std::size_t col,
+                        const StructureParams& params,
+                        const MeasurementTiming& timing, double delta_i,
+                        ExtractionResult& res) {
+  const edram::ArrayNet array = edram::build_array(ckt, mc);
+  StructureNet msu = build_structure(ckt, array.plate, mc.tech(), params);
+  res.delta_i = delta_i;
+  res.schedule = program_measurement(ckt, array, msu, mc, row, col, delta_i,
+                                     params, timing);
+  return msu;
+}
+
+// The channels of a full measurement trace.
+circuit::ProbeSet cell_probes(const StructureNet& msu) {
+  circuit::ProbeSet probes;
+  probes.nodes = {"plate", "msu_vgs", "msu_sense", "msu_out"};
+  probes.device_currents = {msu.irefp_source};
+  return probes;
+}
+
+// The single channel a ramp segment records.
+circuit::ProbeSet out_probe() {
+  circuit::ProbeSet probes;
+  probes.nodes = {"msu_out"};
+  return probes;
+}
+
 // Accepted steps recorded in `trace` up to and including time `t` (the
 // t = 0 sample is not a step). Valid because the solver records exactly one
 // sample per accepted step.
@@ -28,13 +63,91 @@ std::size_t steps_until(const circuit::Trace& trace, double t) {
   return n > 0 ? n - 1 : 0;
 }
 
+// End of ramp level k's dwell.
+double level_end(const Schedule& s, const MeasurementTiming& timing, int k) {
+  const double level = timing.step / static_cast<double>(s.ramp_steps);
+  return s.t_ramp_start + static_cast<double>(k) * level;
+}
+
+// Readings of the charge/share prefix: the plate at the end of step 2 and
+// V_GS, which settles by the end of step 4, just before the ramp starts.
+void read_prefix(const circuit::Trace& trace, ExtractionResult& res) {
+  res.v_plate_charged = trace.value_at("plate", res.schedule.t_charge_end);
+  res.vgs_shared =
+      trace.value_at("msu_vgs", res.schedule.t_ramp_start - 0.2e-9);
+}
+
+// The code is the ramp step at which OUT flipped (full scale if it never
+// did).
+void decode_flip(std::optional<double> t_flip, ExtractionResult& res) {
+  res.t_out_rise = t_flip;
+  res.code = t_flip.has_value() ? res.schedule.code_of_flip_time(*t_flip)
+                                : res.schedule.code_no_flip();
+}
+
+// Decodes a full-flow trace (the exhaustive ramp).
+void decode_trace(const circuit::Trace& trace, double vdd_half,
+                  ExtractionResult& res) {
+  res.prefix_steps = steps_until(trace, res.schedule.t_ramp_start);
+  read_prefix(trace, res);
+  decode_flip(circuit::first_crossing(trace, "msu_out", vdd_half,
+                                      circuit::Edge::kRising,
+                                      res.schedule.t_ramp_start - 0.1e-9),
+              res);
+}
+
+// Model-guided first guess: the reference transistor sinks
+// mos_ids(vgs_shared) — the flip boundary sits where k * delta_i crosses
+// it. The guess only seeds the search; correctness never depends on it.
+int adaptive_guess(const edram::MacroCell& mc, const StructureParams& params,
+                   const ExtractionResult& res) {
+  const circuit::MosParams ref_params =
+      mc.tech().nmos(params.ref_w, params.ref_l);
+  const double i_sink = circuit::mos_ids(
+      ref_params, std::max(res.vgs_shared, 0.0), mc.tech().vdd / 2.0);
+  return std::clamp(static_cast<int>(std::floor(i_sink / res.delta_i)), 0,
+                    res.schedule.ramp_steps);
+}
+
+// The adaptive ramp search of one cell: schedule_ramp_search over probe(k)
+// = "has OUT flipped by the end of ramp level k?", where reach(k) first
+// simulates far enough to answer (the scalar path extends its staircase
+// lazily; the lockstep path already knows the flip time and passes a
+// no-op). Returns false when the probe budget ran out before the bracket
+// closed.
+bool search_ramp(ExtractionResult& res, const MeasurementTiming& timing,
+                 int max_probes, const std::optional<double>& t_flip,
+                 const std::function<void(int)>& reach) {
+  const Schedule& s = res.schedule;
+  return schedule_ramp_search(
+             s.ramp_steps, res.adaptive.guess, max_probes, [&](int k) {
+               obs::ScopedSpan probe_span("adaptive_probe");
+               probe_span.arg("level", static_cast<double>(k));
+               ++res.adaptive.probes;
+               reach(k);
+               return t_flip.has_value() &&
+                      *t_flip <= level_end(s, timing, k) + 1e-15;
+             }) >= 0;
+}
+
+// Decides a cell the adaptive search bracketed (the tail already run when
+// OUT never flipped on the staircase).
+void conclude_adaptive(std::optional<double> t_flip, ExtractionResult& res) {
+  decode_flip(t_flip, res);
+  res.status = CellStatus::kOk;
+  res.adaptive.used = true;
+  ECMS_METRIC_COUNT("msu.adaptive.cells", 1);
+  ECMS_METRIC_COUNT("msu.adaptive.probes", res.adaptive.probes);
+  ECMS_METRIC_OBSERVE("msu.adaptive.probes_per_cell",
+                      static_cast<double>(res.adaptive.probes));
+}
+
 // Runs the adaptive scheduler for one cell: charge/share prefix once with a
-// checkpoint at the ramp start, then binary-search "has OUT flipped by the
-// end of ramp level k" over checkpoint restarts that lazily extend the
-// simulated staircase, stopping at the flip. Returns true with `res` fully
-// decided, or false with `why` set — in which case the caller runs the
-// exhaustive ramp and `res` is left untouched except for the accumulated
-// adaptive probe count.
+// checkpoint at the ramp start, then binary-search the flip level over
+// checkpoint restarts that lazily extend the simulated staircase, stopping
+// at the flip. Returns true with `res` fully decided, or false with `why`
+// set — in which case the caller runs the exhaustive ramp and `res` is left
+// untouched except for the accumulated adaptive probe count.
 bool try_adaptive(circuit::Circuit& ckt, const edram::MacroCell& mc,
                   const StructureNet& msu_net, const StructureParams& params,
                   const MeasurementTiming& timing,
@@ -42,7 +155,7 @@ bool try_adaptive(circuit::Circuit& ckt, const edram::MacroCell& mc,
                   std::string& why) {
   obs::ScopedSpan span("adaptive_extract");
   const Schedule& s = res.schedule;
-  const double vdd = mc.tech().vdd;
+  const double vdd_half = mc.tech().vdd / 2.0;
 
   // Steps 1-4 once, snapshotting the solver where the ramp would begin.
   circuit::TranParams tp;
@@ -51,19 +164,15 @@ bool try_adaptive(circuit::Circuit& ckt, const edram::MacroCell& mc,
   tp.newton = options.newton;
   tp.uic = true;
   tp.checkpoint_at = s.t_ramp_start;
-  circuit::ProbeSet probes;
-  probes.nodes = {"plate", "msu_vgs", "msu_sense", "msu_out"};
-  probes.device_currents = {msu_net.irefp_source};
 
   circuit::TranResult pre;
   try {
-    pre = circuit::transient(ckt, tp, probes);
+    pre = circuit::transient(ckt, tp, cell_probes(msu_net));
   } catch (const SolverError&) {
     why = "prefix transient did not converge (recovery ladder takes over)";
     return false;
   }
 
-  const double vdd_half = vdd / 2.0;
   if (pre.trace.final_value("msu_out") > vdd_half) {
     why = "OUT already high before the ramp (monotone threshold violated)";
     return false;
@@ -71,23 +180,8 @@ bool try_adaptive(circuit::Circuit& ckt, const edram::MacroCell& mc,
 
   res.prefix_steps = pre.stats.accepted_steps;
   res.stats = pre.stats;
-  res.v_plate_charged = pre.trace.value_at("plate", s.t_charge_end);
-  res.vgs_shared = pre.trace.value_at("msu_vgs", s.t_ramp_start - 0.2e-9);
-
-  // Model-guided first guess: the reference transistor sinks
-  // mos_ids(vgs_shared) — the flip boundary sits where k * delta_i crosses
-  // it. The guess only seeds the search; correctness never depends on it.
-  const circuit::MosParams ref_params =
-      mc.tech().nmos(params.ref_w, params.ref_l);
-  const double i_sink =
-      circuit::mos_ids(ref_params, std::max(res.vgs_shared, 0.0), vdd_half);
-  const int guess = std::clamp(
-      static_cast<int>(std::floor(i_sink / res.delta_i)), 0, s.ramp_steps);
-  res.adaptive.guess = guess;
-
-  const double step_duration = timing.step / static_cast<double>(s.ramp_steps);
-  circuit::ProbeSet out_probe;
-  out_probe.nodes = {"msu_out"};
+  read_prefix(pre.trace, res);
+  res.adaptive.guess = adaptive_guess(mc, params, res);
 
   // The staircase is never reprogrammed: each restart resumes it from the
   // last snapshot, so the chained trajectory is bit-identical to the
@@ -103,7 +197,8 @@ bool try_adaptive(circuit::Circuit& ckt, const edram::MacroCell& mc,
     circuit::TranParams pp = tp;
     pp.t_stop = target;
     pp.checkpoint_at = target;
-    circuit::TranResult tr = circuit::transient_resume(ckt, at, pp, out_probe);
+    circuit::TranResult tr =
+        circuit::transient_resume(ckt, at, pp, out_probe());
     res.stats.accepted_steps += tr.stats.accepted_steps;
     res.stats.rejected_steps += tr.stats.rejected_steps;
     res.stats.newton_iterations += tr.stats.newton_iterations;
@@ -114,56 +209,250 @@ bool try_adaptive(circuit::Circuit& ckt, const edram::MacroCell& mc,
     at = std::move(tr.checkpoint);
   };
 
-  // probe(k): has OUT flipped by the end of ramp level k's dwell? Extends
-  // the simulated staircase one level-restart at a time and stops the
-  // moment the flip appears; levels at or below the deepest one already
-  // simulated are answered from the recorded trajectory for free.
-  auto probe = [&](int k) {
-    obs::ScopedSpan probe_span("adaptive_probe");
-    probe_span.arg("level", static_cast<double>(k));
-    ++res.adaptive.probes;
+  // Levels at or below the deepest one already simulated are answered from
+  // the recorded trajectory for free.
+  const auto reach = [&](int k) {
     while (!t_flip && level_done < k) {
       ++level_done;
-      extend_to(s.t_ramp_start +
-                static_cast<double>(level_done) * step_duration);
+      extend_to(level_end(s, timing, level_done));
     }
-    return t_flip.has_value() &&
-           *t_flip <= s.t_ramp_start +
-                          static_cast<double>(k) * step_duration + 1e-15;
   };
 
-  int bracket = -1;
   try {
-    bracket = schedule_ramp_search(s.ramp_steps, guess,
-                                   options.adaptive.max_probes, probe);
-    if (bracket >= 0 && !t_flip) {
-      // No flip during the staircase proper: run the tail so a late flip
-      // (or full-scale code) decodes exactly as the exhaustive run would.
-      extend_to(s.t_end);
+    if (!search_ramp(res, timing, options.adaptive.max_probes, t_flip,
+                     reach)) {
+      why = "probe budget exhausted before the bracket closed";
+      return false;
     }
+    // No flip during the staircase proper: run the tail so a late flip (or
+    // full-scale code) decodes exactly as the exhaustive run would.
+    if (!t_flip) extend_to(s.t_end);
   } catch (const SolverError&) {
     why = "probe transient did not converge";
     return false;
   }
-  if (bracket < 0) {
-    why = "probe budget exhausted before the bracket closed";
-    return false;
-  }
-
-  res.code = t_flip.has_value() ? s.code_of_flip_time(*t_flip)
-                                : s.code_no_flip();
-  res.t_out_rise = t_flip;
-  res.status = CellStatus::kOk;
-  res.adaptive.used = true;
-  ECMS_METRIC_COUNT("msu.adaptive.cells", 1);
-  ECMS_METRIC_COUNT("msu.adaptive.probes", res.adaptive.probes);
-  ECMS_METRIC_OBSERVE("msu.adaptive.probes_per_cell",
-                      static_cast<double>(res.adaptive.probes));
+  conclude_adaptive(t_flip, res);
   if (options.record_trace) res.trace = std::move(pre.trace);
   return true;
 }
 
+// One cell of a row-major chunk. On the lockstep path it carries the
+// lane's netlist, probes and trace, and the decoded result when the batch
+// completed the cell.
+struct Slot {
+  std::size_t row = 0, col = 0;
+  bool lockstep = false;     ///< went through measure_lockstep
+  bool hook_failed = false;  ///< its attempt-0 cell_hook threw
+  std::string hook_error;
+  bool completed = false;  ///< `res` fully decided by the batch
+  std::unique_ptr<circuit::Circuit> ckt;
+  StructureNet msu;
+  std::optional<circuit::ProbeRecorder> probe, seg_probe;
+  circuit::Trace trace;  ///< full 5-channel trace (prefix when adaptive)
+  circuit::Trace seg;    ///< OUT-only trace of the current ramp segment
+  std::optional<double> t_flip;
+  ExtractionResult res;
+};
+
+// Measures a chunk of cells in lockstep through circuit::BatchEngine: the
+// exhaustive flow in one pass, or the charge/share prefix then the ramp
+// staircase level by level, each lane stopping at the level where its OUT
+// crossing appears (the search is then replayed against the known flip
+// time — probe-by-probe identical to the scalar path's lazy search).
+// Lanes the engine retires are left incomplete for the scalar path.
+void measure_lockstep(const edram::MacroCell& mc,
+                      const StructureParams& params, const ExtractPlan& plan,
+                      const ExtractOptions& opts, std::vector<Slot>& slots) {
+  // Attempt-0 fault hooks run before the chunk simulates, in cell order —
+  // valid because the hook is a pure function of (row, col, attempt). A
+  // throwing hook marks its cell failed without joining the batch.
+  std::vector<circuit::Circuit*> lane_ckts;
+  std::vector<Slot*> lanes;
+  for (Slot& s : slots) {
+    s.lockstep = true;
+    if (plan.cell_hook != nullptr) {
+      try {
+        plan.cell_hook(s.row, s.col, 0);
+      } catch (const std::exception& e) {
+        s.hook_failed = true;
+        s.hook_error = e.what();
+        continue;
+      }
+    }
+    s.ckt = std::make_unique<circuit::Circuit>();
+    s.msu = build_cell(*s.ckt, mc, s.row, s.col, params, plan.timing,
+                       opts.delta_i, s.res);
+    s.probe.emplace(*s.ckt, cell_probes(s.msu));
+    s.trace = s.probe->make_trace();
+    lane_ckts.push_back(s.ckt.get());
+    lanes.push_back(&s);
+  }
+  if (lanes.empty()) return;
+
+  circuit::BatchEngine::Options bo;
+  bo.dt = opts.dt;
+  bo.newton = opts.newton;  // method / be_after_breakpoint: TranParams
+                            // defaults, as the scalar flow uses
+  circuit::BatchEngine eng(
+      std::span<circuit::Circuit* const>(lane_ckts.data(), lane_ckts.size()),
+      bo);
+  auto active = [&](std::size_t li) {
+    return eng.state(li) == circuit::BatchEngine::LaneState::kActive;
+  };
+  // The schedule is a pure function of (timing, delta_i, params); every
+  // cell of the chunk shares it.
+  const Schedule& sch = lanes[0]->res.schedule;
+  const double vdd_half = mc.tech().vdd / 2.0;
+
+  auto complete = [&](std::size_t li) {
+    Slot& s = *lanes[li];
+    s.res.stats.accepted_steps = eng.stats(li).accepted_steps;
+    s.res.stats.newton_iterations = eng.stats(li).newton_iterations;
+    if (opts.record_trace) s.res.trace = std::move(s.trace);
+    eng.finish(li);
+    s.completed = true;
+  };
+  const auto record_full = [&](std::size_t li, double t,
+                               std::span<const double> x) {
+    lanes[li]->probe->record(lanes[li]->trace, t, x);
+  };
+
+  if (!opts.adaptive.enabled) {
+    eng.advance(sch.t_end, record_full);
+    for (std::size_t li = 0; li < lanes.size(); ++li) {
+      if (!active(li)) continue;
+      decode_trace(lanes[li]->trace, vdd_half, lanes[li]->res);
+      lanes[li]->res.status = CellStatus::kOk;
+      complete(li);
+    }
+  } else {
+    eng.advance(sch.t_ramp_start, record_full);
+    for (std::size_t li = 0; li < lanes.size(); ++li) {
+      Slot& s = *lanes[li];
+      if (!active(li)) continue;
+      s.res.adaptive.attempted = true;
+      if (s.trace.final_value("msu_out") > vdd_half) {
+        eng.retire(li, "adaptive fallback: OUT already high before the ramp");
+        continue;
+      }
+      s.res.prefix_steps = eng.stats(li).accepted_steps;
+      read_prefix(s.trace, s.res);
+      s.res.adaptive.guess = adaptive_guess(mc, params, s.res);
+      s.seg_probe.emplace(*s.ckt, out_probe());
+    }
+
+    const auto record_out = [&](std::size_t li, double t,
+                                std::span<const double> x) {
+      lanes[li]->seg_probe->record(lanes[li]->seg, t, x);
+    };
+    // Advances every active lane to t_stop, noting each lane's first OUT
+    // crossing; lanes that flipped (or, at the tail, all) are concluded.
+    auto segment = [&](double t_stop, bool tail) {
+      for (std::size_t li = 0; li < lanes.size(); ++li) {
+        if (active(li)) lanes[li]->seg = lanes[li]->seg_probe->make_trace();
+      }
+      eng.advance(t_stop, record_out);
+      for (std::size_t li = 0; li < lanes.size(); ++li) {
+        Slot& s = *lanes[li];
+        if (!active(li)) continue;
+        if (!s.t_flip) {
+          s.t_flip = circuit::first_crossing(s.seg, "msu_out", vdd_half,
+                                             circuit::Edge::kRising);
+        }
+        if (!s.t_flip && !tail) continue;
+        if (search_ramp(s.res, plan.timing, opts.adaptive.max_probes,
+                        s.t_flip, [](int) {})) {
+          conclude_adaptive(s.t_flip, s.res);
+          complete(li);
+        } else {
+          eng.retire(li, "adaptive fallback: probe budget exhausted before "
+                         "the bracket closed");
+        }
+      }
+    };
+    for (int level = 1; level <= sch.ramp_steps && eng.active_lanes() > 0;
+         ++level) {
+      segment(level_end(sch, plan.timing, level), false);
+    }
+    // No flip during the staircase proper: run the tail so a late flip (or
+    // full-scale code) decodes exactly as the exhaustive run would.
+    if (eng.active_lanes() > 0) segment(sch.t_end, true);
+  }
+
+  for (std::size_t li = 0; li < lanes.size(); ++li) {
+    if (!lanes[li]->completed &&
+        eng.state(li) == circuit::BatchEngine::LaneState::kRetired) {
+      ECMS_LOG(LogLevel::kDebug)
+          << "batch: cell (" << lanes[li]->row << "," << lanes[li]->col
+          << ") retired to the scalar path: " << eng.retire_reason(li);
+    }
+  }
+}
+
+// Settles one cell under the plan's retry/containment policy and appends
+// it to `out`. Attempts run extract_cell; a cell the lockstep batch already
+// decided consumes that result as attempt 0 (its attempt-0 hook ran before
+// the batch and is not re-run). With no containment, retries or hook the
+// cell's own exception escapes unchanged.
+void settle_cell(const edram::MacroCell& mc, const StructureParams& params,
+                 const ExtractPlan& plan, const ExtractOptions& opts,
+                 Slot& s, RobustExtraction& out) {
+  auto measure = [&](int attempt) {
+    if (attempt == 0 && s.lockstep) {
+      if (s.hook_failed) throw std::runtime_error(s.hook_error);
+      if (s.completed) return std::move(s.res);
+    } else if (plan.cell_hook) {
+      plan.cell_hook(s.row, s.col, attempt);
+    }
+    return extract_cell(mc, s.row, s.col, params, plan.timing, opts);
+  };
+
+  ExtractionResult res;
+  if (!plan.contain && plan.retry.max_attempts <= 1 &&
+      plan.cell_hook == nullptr) {
+    res = measure(0);
+  } else {
+    const util::RetryResult rr = util::run_with_retry(
+        plan.retry, [&](int attempt) { res = measure(attempt); });
+    if (!rr.ok) {
+      if (!plan.contain) {
+        throw MeasureError("cell (" + std::to_string(s.row) + "," +
+                           std::to_string(s.col) +
+                           ") unmeasurable: " + rr.last_error);
+      }
+      ECMS_LOG(LogLevel::kInfo) << "cell (" << s.row << "," << s.col
+                                << ") unmeasurable: " << rr.last_error;
+      ExtractionResult placeholder;
+      placeholder.delta_i = opts.delta_i;
+      placeholder.code =
+          std::clamp(plan.unmeasurable_code, 0, params.ramp_steps);
+      placeholder.status = CellStatus::kUnmeasurable;
+      out.results.push_back(std::move(placeholder));
+      out.status.push_back(CellStatus::kUnmeasurable);
+      out.report.failures.push_back({s.row, s.col, rr.last_error});
+      return;
+    }
+    // A later attempt succeeding counts as a recovery even when the
+    // winning solve itself never climbed the ladder.
+    if (rr.recovered() && res.status == CellStatus::kOk)
+      res.status = CellStatus::kRecovered;
+  }
+  if (res.status == CellStatus::kRecovered) ++out.report.recovered;
+  out.status.push_back(res.status);
+  out.results.push_back(std::move(res));
+}
+
 }  // namespace
+
+bool batch_engageable(const ExtractPlan& plan) {
+  const circuit::NewtonOptions& no = plan.options.newton;
+  return no.hooks == nullptr && no.solver.program_cache != nullptr;
+}
+
+std::size_t resolved_batch_width(int batch_width) {
+  if (batch_width <= 0) return circuit::kernels::preferred_width();
+  return static_cast<std::size_t>(batch_width);
+}
 
 ExtractionResult extract_cell(const edram::MacroCell& mc, std::size_t row,
                               std::size_t col, const StructureParams& params,
@@ -174,20 +463,15 @@ ExtractionResult extract_cell(const edram::MacroCell& mc, std::size_t row,
   span.arg("row", static_cast<double>(row));
   span.arg("col", static_cast<double>(col));
 
-  circuit::Circuit ckt;
-  const edram::ArrayNet array = edram::build_array(ckt, mc);
-  const StructureNet msu =
-      build_structure(ckt, array.plate, mc.tech(), params);
-
   double delta_i = options.delta_i;
   if (delta_i <= 0.0) {
     const FastModel design(mc, params);
     delta_i = design.delta_i();
   }
+  circuit::Circuit ckt;
   ExtractionResult res;
-  res.delta_i = delta_i;
-  res.schedule = program_measurement(ckt, array, msu, mc, row, col, delta_i,
-                                     params, timing);
+  const StructureNet msu =
+      build_cell(ckt, mc, row, col, params, timing, delta_i, res);
 
   if (options.adaptive.enabled) {
     res.adaptive.attempted = true;
@@ -199,7 +483,6 @@ ExtractionResult extract_cell(const edram::MacroCell& mc, std::size_t row,
           << "extract (" << row << "," << col << "): code=" << res.code
           << " adaptive probes=" << res.adaptive.probes
           << " steps=" << res.stats.accepted_steps;
-      ECMS_METRIC_COUNT("msu.cells.ok", 1);
       return res;
     }
     res.adaptive.used = false;
@@ -220,36 +503,12 @@ ExtractionResult extract_cell(const edram::MacroCell& mc, std::size_t row,
   tp.newton = options.newton;
   tp.uic = true;  // the flow's own step 1 establishes the real initial state
 
-  circuit::ProbeSet probes;
-  probes.nodes = {"plate", "msu_vgs", "msu_sense", "msu_out"};
-  probes.device_currents = {msu.irefp_source};
-
   circuit::TranResult tr = circuit::transient_with_recovery(
-      ckt, tp, probes, options.recovery, &res.recovery);
+      ckt, tp, cell_probes(msu), options.recovery, &res.recovery);
   res.status = res.recovery.recovered() ? CellStatus::kRecovered
                                         : CellStatus::kOk;
   res.stats = tr.stats;
-  res.prefix_steps = steps_until(tr.trace, res.schedule.t_ramp_start);
-  if (res.status == CellStatus::kRecovered) {
-    ECMS_METRIC_COUNT("msu.cells.recovered", 1);
-  } else {
-    ECMS_METRIC_COUNT("msu.cells.ok", 1);
-  }
-
-  res.v_plate_charged =
-      tr.trace.value_at("plate", res.schedule.t_charge_end);
-  // V_GS settles by the end of step 4; sample just before the ramp starts.
-  res.vgs_shared =
-      tr.trace.value_at("msu_vgs", res.schedule.t_ramp_start - 0.2e-9);
-
-  const double vdd_half = mc.tech().vdd / 2.0;
-  const auto flip =
-      circuit::first_crossing(tr.trace, "msu_out", vdd_half,
-                              circuit::Edge::kRising,
-                              res.schedule.t_ramp_start - 0.1e-9);
-  res.t_out_rise = flip;
-  res.code = flip.has_value() ? res.schedule.code_of_flip_time(*flip)
-                              : res.schedule.code_no_flip();
+  decode_trace(tr.trace, mc.tech().vdd / 2.0, res);
 
   ECMS_LOG(LogLevel::kDebug)
       << "extract (" << row << "," << col << "): code=" << res.code
@@ -273,88 +532,28 @@ RobustExtraction extract_array(const edram::MacroCell& mc,
     opts.delta_i = design.delta_i();
   }
   // Lockstep batching measures chunks of cells through one shared compiled
-  // program; lanes that cannot keep lockstep fall back to the scalar path
-  // below per cell, so results are identical either way.
-  if (plan.batch_width != 1 && batch_engageable(plan)) {
-    const std::size_t w = resolved_batch_width(plan.batch_width);
-    if (w >= 2) return extract_array_batched(mc, params, plan, opts, w);
-  }
-  // With no containment, no retries and no hook there is nothing between
-  // the caller and the per-cell solve: let the original exception escape.
-  const bool plain = !plan.contain && plan.retry.max_attempts <= 1 &&
-                     plan.cell_hook == nullptr;
+  // program; lanes that cannot keep lockstep are re-measured on the scalar
+  // path by settle_cell, so results are identical either way.
+  const std::size_t width = plan.batch_width != 1 && batch_engageable(plan)
+                                ? resolved_batch_width(plan.batch_width)
+                                : 1;
+  const bool lockstep = width >= 2;
+  span.arg("width", static_cast<double>(width));
 
   RobustExtraction out;
   out.results.reserve(mc.cell_count());
   out.status.reserve(mc.cell_count());
   out.report.cells_total = mc.cell_count();
-  for (std::size_t r = 0; r < mc.rows(); ++r) {
-    for (std::size_t c = 0; c < mc.cols(); ++c) {
-      ExtractionResult res;
-      if (plain) {
-        res = extract_cell(mc, r, c, params, plan.timing, opts);
-      } else {
-        const util::RetryResult rr =
-            util::run_with_retry(plan.retry, [&](int attempt) {
-              if (plan.cell_hook) plan.cell_hook(r, c, attempt);
-              res = extract_cell(mc, r, c, params, plan.timing, opts);
-            });
-        if (!rr.ok) {
-          if (!plan.contain) {
-            throw MeasureError("cell (" + std::to_string(r) + "," +
-                               std::to_string(c) +
-                               ") unmeasurable: " + rr.last_error);
-          }
-          ECMS_METRIC_COUNT("msu.cells.unmeasurable", 1);
-          ECMS_LOG(LogLevel::kInfo) << "cell (" << r << "," << c
-                                    << ") unmeasurable: " << rr.last_error;
-          ExtractionResult placeholder;
-          placeholder.delta_i = opts.delta_i;
-          placeholder.code =
-              std::clamp(plan.unmeasurable_code, 0, params.ramp_steps);
-          placeholder.status = CellStatus::kUnmeasurable;
-          out.results.push_back(std::move(placeholder));
-          out.status.push_back(CellStatus::kUnmeasurable);
-          out.report.failures.push_back({r, c, rr.last_error});
-          continue;
-        }
-        // A later attempt succeeding counts as a recovery even when the
-        // winning solve itself never climbed the ladder.
-        if (rr.recovered() && res.status == CellStatus::kOk)
-          res.status = CellStatus::kRecovered;
-      }
-      if (res.status == CellStatus::kRecovered) ++out.report.recovered;
-      out.status.push_back(res.status);
-      out.results.push_back(std::move(res));
+  for (std::size_t base = 0; base < mc.cell_count(); base += width) {
+    std::vector<Slot> slots(std::min(width, mc.cell_count() - base));
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      slots[i].row = (base + i) / mc.cols();
+      slots[i].col = (base + i) % mc.cols();
     }
+    if (lockstep) measure_lockstep(mc, params, plan, opts, slots);
+    for (Slot& s : slots) settle_cell(mc, params, plan, opts, s, out);
   }
   return out;
-}
-
-std::vector<ExtractionResult> extract_all_cells(
-    const edram::MacroCell& mc, const StructureParams& params,
-    const MeasurementTiming& timing, const ExtractOptions& options) {
-  ExtractPlan plan;
-  plan.timing = timing;
-  plan.options = options;
-  plan.contain = false;
-  plan.retry.max_attempts = 1;
-  return std::move(extract_array(mc, params, plan).results);
-}
-
-RobustExtraction extract_all_cells_robust(const edram::MacroCell& mc,
-                                          const StructureParams& params,
-                                          const MeasurementTiming& timing,
-                                          const ExtractOptions& options) {
-  obs::ScopedSpan span("extract_all_cells_robust");
-  span.arg("rows", static_cast<double>(mc.rows()));
-  span.arg("cols", static_cast<double>(mc.cols()));
-  ExtractPlan plan;
-  plan.timing = timing;
-  plan.options = options;
-  plan.contain = true;
-  plan.retry.max_attempts = 1;
-  return extract_array(mc, params, plan);
 }
 
 }  // namespace ecms::msu

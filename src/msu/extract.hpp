@@ -79,8 +79,8 @@ struct RobustExtraction {
 
 /// How an array-level circuit extraction should run: one struct carrying
 /// the timing, per-cell solver options (dt / newton / recovery / adaptive),
-/// retry budget and containment policy. This is the single engine behind
-/// extract_all_cells{,_robust} and the unified ecms::extraction API.
+/// retry budget and containment policy. This is the per-tile engine behind
+/// the unified ecms::extraction API.
 struct ExtractPlan {
   MeasurementTiming timing = {};
   ExtractOptions options = {.dt = 20e-12, .record_trace = false};
@@ -94,7 +94,7 @@ struct ExtractPlan {
   /// Optional per-attempt hook called as hook(row, col, attempt) right
   /// before each cell's measurement; throwing marks the attempt failed
   /// (the fault-injection point, see ecms::fault::CellFaultPlan).
-  std::function<void(std::size_t, std::size_t, int)> cell_hook;
+  std::function<void(std::size_t, std::size_t, int)> cell_hook = {};
   /// Lockstep batch width (DESIGN.md §14): 1 = scalar per-cell measurement
   /// (default), 0 = auto (lane count picked by the host's vector ISA),
   /// N >= 2 = exactly N lanes. Only engages when the plan is batchable (no
@@ -104,9 +104,21 @@ struct ExtractPlan {
   int batch_width = 1;
 };
 
-/// Measures every cell of the macro-cell at transistor level under `plan`.
-/// Results are row-major; the ramp LSB is designed once for the whole array
-/// unless plan.options.delta_i is set.
+/// Whether `plan` can run on the lockstep batch path at all: no solve hooks
+/// (fault injection runs scalar) and a shared program cache (lanes share
+/// one pivot order only through a published program).
+bool batch_engageable(const ExtractPlan& plan);
+
+/// Lane count for a requested ExtractPlan::batch_width (0 = auto by host
+/// ISA, otherwise the request).
+std::size_t resolved_batch_width(int batch_width);
+
+/// Measures every cell of the macro-cell at transistor level under `plan`
+/// (one transient per cell — the hardware would do exactly this, 50 ns per
+/// cell). Results are row-major; the ramp LSB is designed once for the
+/// whole array unless plan.options.delta_i is set. Batched plans measure
+/// row-major chunks of cells in lockstep (circuit::BatchEngine) and
+/// re-measure any lane that leaves the batch on the scalar path.
 RobustExtraction extract_array(const edram::MacroCell& mc,
                                const StructureParams& params,
                                const ExtractPlan& plan);
@@ -117,27 +129,5 @@ ExtractionResult extract_cell(const edram::MacroCell& mc, std::size_t row,
                               std::size_t col, const StructureParams& params,
                               const MeasurementTiming& timing = {},
                               const ExtractOptions& options = {});
-
-/// Measures every cell of the macro-cell at transistor level (one transient
-/// per cell — the hardware would do exactly this, 50 ns per cell). Returns
-/// results in row-major order. Practical for macro-cell sizes (~0.1 s/cell
-/// on a 4x4); use the calibrated fast model for array scale.
-/// Thin wrapper over extract_array (contain = false, single attempt); new
-/// code should prefer ExtractPlan / extract_array or the unified
-/// ecms::extraction::extract API.
-std::vector<ExtractionResult> extract_all_cells(
-    const edram::MacroCell& mc, const StructureParams& params,
-    const MeasurementTiming& timing = {},
-    const ExtractOptions& options = {.dt = 20e-12, .record_trace = false});
-
-/// Like extract_all_cells, but never throws on a per-cell solve failure:
-/// the failed cell is recorded as kUnmeasurable (code 0 placeholder) in the
-/// failure report and extraction continues, so a complete array always
-/// comes back. Cells the recovery ladder rescued are kRecovered.
-/// Thin wrapper over extract_array (contain = true, single attempt).
-RobustExtraction extract_all_cells_robust(
-    const edram::MacroCell& mc, const StructureParams& params,
-    const MeasurementTiming& timing = {},
-    const ExtractOptions& options = {.dt = 20e-12, .record_trace = false});
 
 }  // namespace ecms::msu

@@ -49,7 +49,9 @@ extraction::ExtractRequest request_of(const ExtractSpec& spec) {
   req.contain = true;
   req.retry.max_attempts = static_cast<int>(std::max<std::uint32_t>(1, spec.retries));
   req.options.adaptive.enabled = spec.adaptive != 0;
-  req.share_programs = spec.share_programs != 0;
+  if (spec.share_programs == 0) {
+    req.options.newton.solver.program_cache = nullptr;
+  }
   req.batch_width = static_cast<int>(spec.batch);
   return req;
 }

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "bitmap/extraction.hpp"
 #include "tech/tech.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
@@ -28,7 +29,7 @@ TEST(AnalogBitmapT, ShapeAndAccess) {
 
 TEST(AnalogBitmapT, ExtractUniformArrayIsFlat) {
   const auto mc = mc8();
-  const AnalogBitmap bm = AnalogBitmap::extract_tiled(mc, {});
+  const AnalogBitmap bm = extraction::extract(mc, {}).bitmap;
   // Every healthy 30 fF cell gets (nearly) the same code; allow corner-cell
   // offset differences of one step.
   const int ref = bm.at(4, 4);
@@ -43,7 +44,7 @@ TEST(AnalogBitmapT, DefectsShowAsCodeZero) {
   auto mc = mc8();
   mc.set_defect(2, 3, tech::make_short());
   mc.set_defect(5, 6, tech::make_open());
-  const AnalogBitmap bm = AnalogBitmap::extract_tiled(mc, {});
+  const AnalogBitmap bm = extraction::extract(mc, {}).bitmap;
   EXPECT_EQ(bm.at(2, 3), 0);
   EXPECT_EQ(bm.at(5, 6), 0);
   EXPECT_EQ(bm.count_code(0), 2u);
@@ -69,14 +70,14 @@ TEST(AnalogBitmapT, AllOutOfRangeThrowsOnMean) {
 
 TEST(AnalogBitmapT, NoiseChangesSomeCodes) {
   const auto mc = mc8();
-  const AnalogBitmap clean = AnalogBitmap::extract_tiled(mc, {});
+  const AnalogBitmap clean = extraction::extract(mc, {}).bitmap;
   const msu::FastModel tile_model(mc.tile(0, 0, 4, 4), {});
   msu::MeasureNoise noise;
   noise.enabled = true;
   noise.comparator_sigma_i = 2.0 * tile_model.delta_i();
   Rng rng(3);
   const AnalogBitmap noisy =
-      AnalogBitmap::extract_tiled(mc, {}, noise, rng);
+      extraction::extract(mc, {.noise = &noise, .rng = &rng}).bitmap;
   std::size_t diffs = 0;
   for (std::size_t r = 0; r < 8; ++r)
     for (std::size_t c = 0; c < 8; ++c)
@@ -90,7 +91,7 @@ TEST(AnalogBitmapT, CapacitanceMapThroughAbacus) {
   const msu::FastModel m(mc.tile(0, 0, 4, 4), {});
   const msu::Abacus ab = msu::Abacus::build(
       [&](double cm) { return m.code_of_cap(cm); }, 20, 1e-15, 70e-15, 300);
-  const AnalogBitmap bm = AnalogBitmap::extract_tiled(mc, {});
+  const AnalogBitmap bm = extraction::extract(mc, {}).bitmap;
   const auto caps = bm.capacitance_map(ab);
   ASSERT_EQ(caps.size(), 64u);
   // Healthy cells decode to within the abacus bin of 30 fF.
@@ -104,7 +105,7 @@ TEST(AnalogBitmapT, CapacitanceMapNanForOutOfRange) {
   const msu::Abacus ab = msu::Abacus::build(
       [&](double cm) { return m.code_of_cap(cm); }, 20, 1e-15, 70e-15, 300);
   const auto caps =
-      AnalogBitmap::extract_tiled(mc, {}).capacitance_map(ab);
+      extraction::extract(mc, {}).bitmap.capacitance_map(ab);
   EXPECT_TRUE(std::isnan(caps[0]));
 }
 

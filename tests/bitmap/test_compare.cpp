@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bitmap/extraction.hpp"
 #include "edram/behavioral.hpp"
 #include "march/runner.hpp"
 #include "tech/tech.hpp"
@@ -20,7 +21,7 @@ struct Scenario {
 
   explicit Scenario(edram::MacroCell cell)
       : mc(std::move(cell)),
-        analog(AnalogBitmap::extract_tiled(mc, {})),
+        analog(extraction::extract(mc, {}).bitmap),
         digital(1, 1) {
     edram::BehavioralArray array(mc);
     march::EdramMemory mem(array);

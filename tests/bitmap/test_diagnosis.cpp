@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bitmap/extraction.hpp"
 #include "tech/tech.hpp"
 #include "util/units.hpp"
 
@@ -17,7 +18,7 @@ edram::MacroCell base_mc(std::size_t n = 16) {
 
 std::vector<Finding> run(const edram::MacroCell& mc,
                          std::optional<double> expected_mean = std::nullopt) {
-  const AnalogBitmap bm = AnalogBitmap::extract_tiled(mc, {});
+  const AnalogBitmap bm = extraction::extract(mc, {}).bitmap;
   return diagnose(bm, make_tiled_disambiguator(mc, {}), expected_mean);
 }
 
@@ -105,7 +106,7 @@ TEST(DiagnosisT, LotDriftDetected) {
                                  std::move(field), tech::DefectMap(16, 16));
   // Expected mean from a healthy reference.
   const double expected =
-      AnalogBitmap::extract_tiled(base_mc(), {}).mean_in_range_code();
+      extraction::extract(base_mc(), {}).bitmap.mean_in_range_code();
   const auto findings = run(drifted, expected);
   ASSERT_TRUE(has_kind(findings, DiagnosisKind::kLotDrift));
   for (const auto& f : findings) {
@@ -118,7 +119,7 @@ TEST(DiagnosisT, LotDriftDetected) {
 TEST(DiagnosisT, NoDriftWhenMeanMatches) {
   const auto mc = base_mc();
   const double expected =
-      AnalogBitmap::extract_tiled(mc, {}).mean_in_range_code();
+      extraction::extract(mc, {}).bitmap.mean_in_range_code();
   const auto findings = run(mc, expected);
   EXPECT_FALSE(has_kind(findings, DiagnosisKind::kLotDrift));
 }
@@ -126,7 +127,7 @@ TEST(DiagnosisT, NoDriftWhenMeanMatches) {
 TEST(DiagnosisT, WithoutModelNoDisambiguation) {
   auto mc = base_mc();
   mc.set_defect(5, 5, tech::make_short());
-  const AnalogBitmap bm = AnalogBitmap::extract_tiled(mc, {});
+  const AnalogBitmap bm = extraction::extract(mc, {}).bitmap;
   const auto findings = diagnose(bm, DisambiguateFn{}, std::nullopt);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_FALSE(findings[0].zero_cause.has_value());

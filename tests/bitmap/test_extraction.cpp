@@ -1,8 +1,12 @@
-// Contracts of the unified ExtractRequest -> ExtractReport API: it subsumes
-// the legacy wrappers bit-for-bit, the circuit engine's tile fan-out is
-// job-count-invariant, and adaptive ramp scheduling changes cost — never
-// codes — including when fault injection forces the fallback path.
+// Contracts of the unified ExtractRequest -> ExtractReport API: the fast
+// model reproduces a per-tile FastModel bit-for-bit, the circuit engine's
+// tile fan-out is job-count-invariant, and adaptive ramp scheduling changes
+// cost — never codes — including when fault injection forces the fallback
+// path.
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <vector>
 
 #include "bitmap/extraction.hpp"
 #include "fault/fault.hpp"
@@ -27,14 +31,37 @@ edram::MacroCell varied(std::size_t n, std::uint64_t seed) {
                           std::move(field), std::move(defects));
 }
 
-TEST(UnifiedExtractT, FastModelPathsMatchLegacyWrappers) {
-  const auto mc = varied(8, 7);
+// The fast-model oracle: every 4x4 tile measured by its own FastModel in
+// row-major cell order, drawing noise from rng.fork(tile index).
+bitmap::AnalogBitmap per_tile_model(const edram::MacroCell& mc,
+                                    const msu::MeasureNoise* noise = nullptr,
+                                    Rng* rng = nullptr) {
+  constexpr std::size_t kTile = 4;
+  bitmap::AnalogBitmap bm(mc.rows(), mc.cols(),
+                          msu::StructureParams{}.ramp_steps);
+  for (std::size_t t = 0; t < mc.cell_count() / (kTile * kTile); ++t) {
+    const std::size_t tr = (t / (mc.cols() / kTile)) * kTile;
+    const std::size_t tc = (t % (mc.cols() / kTile)) * kTile;
+    const msu::FastModel model(mc.tile(tr, tc, kTile, kTile), {});
+    std::optional<Rng> tile_rng;
+    if (rng != nullptr) tile_rng.emplace(rng->fork(t));
+    for (std::size_t r = 0; r < kTile; ++r) {
+      for (std::size_t c = 0; c < kTile; ++c) {
+        bm.set(tr + r, tc + c,
+               tile_rng ? model.code_of_cell(r, c, *noise, *tile_rng)
+                        : model.code_of_cell(r, c));
+      }
+    }
+  }
+  return bm;
+}
 
-  ExtractRequest plain;
-  const ExtractReport direct = extract(mc, plain);
-  const bitmap::AnalogBitmap legacy =
-      bitmap::AnalogBitmap::extract_tiled(mc, {});
-  EXPECT_EQ(direct.bitmap.codes(), legacy.codes());
+TEST(UnifiedExtractT, FastModelPathsMatchPerTileModel) {
+  const auto mc = varied(8, 7);
+  const bitmap::AnalogBitmap oracle = per_tile_model(mc);
+
+  const ExtractReport direct = extract(mc, {});
+  EXPECT_EQ(direct.bitmap.codes(), oracle.codes());
   EXPECT_TRUE(direct.complete());
   EXPECT_EQ(direct.telemetry.transient_steps, 0u);
 
@@ -46,16 +73,13 @@ TEST(UnifiedExtractT, FastModelPathsMatchLegacyWrappers) {
   noisy.noise = &noise;
   noisy.rng = &rng_a;
   const ExtractReport nd = extract(mc, noisy);
-  const bitmap::AnalogBitmap nl =
-      bitmap::AnalogBitmap::extract_tiled(mc, {}, noise, rng_b);
-  EXPECT_EQ(nd.bitmap.codes(), nl.codes());
+  EXPECT_EQ(nd.bitmap.codes(), per_tile_model(mc, &noise, &rng_b).codes());
 
   ExtractRequest robust;
   robust.robust = true;
   const ExtractReport rd = extract(mc, robust);
-  const auto rl = bitmap::AnalogBitmap::extract_tiled_robust(mc, {});
-  EXPECT_EQ(rd.bitmap.codes(), rl.bitmap.codes());
-  EXPECT_EQ(rd.status, rl.status);
+  EXPECT_EQ(rd.bitmap.codes(), oracle.codes());
+  EXPECT_EQ(rd.status, std::vector<CellStatus>(64, CellStatus::kOk));
 }
 
 TEST(UnifiedExtractT, CircuitEngineJobCountInvariantAndAdaptiveIdentity) {

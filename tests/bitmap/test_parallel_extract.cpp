@@ -4,7 +4,7 @@
 // derived via Rng::fork(tile_index) rather than a shared sequential stream.
 #include <gtest/gtest.h>
 
-#include "bitmap/analog_bitmap.hpp"
+#include "bitmap/extraction.hpp"
 #include "tech/tech.hpp"
 #include "util/threadpool.hpp"
 #include "util/units.hpp"
@@ -30,10 +30,10 @@ edram::MacroCell varied16() {
 
 TEST(ParallelExtractT, CleanCodesIdenticalAtAnyJobCount) {
   const auto mc = varied16();
-  const AnalogBitmap serial = AnalogBitmap::extract_tiled(mc, {});
+  const AnalogBitmap serial = extraction::extract(mc, {}).bitmap;
   for (std::size_t jobs : {1u, 2u, 8u}) {
     util::ThreadPool pool(jobs);
-    const AnalogBitmap par = AnalogBitmap::extract_tiled(mc, {}, 4, 4, &pool);
+    const AnalogBitmap par = extraction::extract(mc, {.pool = &pool}).bitmap;
     EXPECT_EQ(serial.codes(), par.codes()) << "jobs = " << jobs;
   }
 }
@@ -45,12 +45,13 @@ TEST(ParallelExtractT, NoisyCodesIdenticalAtAnyJobCount) {
   noise.vgs_sigma = 3e-3;
   Rng serial_rng(7);
   const AnalogBitmap serial =
-      AnalogBitmap::extract_tiled(mc, {}, noise, serial_rng);
+      extraction::extract(mc, {.noise = &noise, .rng = &serial_rng}).bitmap;
   for (std::size_t jobs : {1u, 2u, 8u}) {
     util::ThreadPool pool(jobs);
     Rng rng(7);
     const AnalogBitmap par =
-        AnalogBitmap::extract_tiled(mc, {}, noise, rng, 4, 4, &pool);
+        extraction::extract(mc, {.pool = &pool, .noise = &noise, .rng = &rng})
+            .bitmap;
     EXPECT_EQ(serial.codes(), par.codes()) << "jobs = " << jobs;
   }
 }
@@ -63,21 +64,24 @@ TEST(ParallelExtractT, NoisyExtractionIsAPureFunctionOfRngState) {
   noise.enabled = true;
   noise.vgs_sigma = 3e-3;
   Rng r1(21), r2(21);
-  const AnalogBitmap a = AnalogBitmap::extract_tiled(mc, {}, noise, r1);
-  const AnalogBitmap b = AnalogBitmap::extract_tiled(mc, {}, noise, r2);
+  const AnalogBitmap a =
+      extraction::extract(mc, {.noise = &noise, .rng = &r1}).bitmap;
+  const AnalogBitmap b =
+      extraction::extract(mc, {.noise = &noise, .rng = &r2}).bitmap;
   EXPECT_EQ(a.codes(), b.codes());
 }
 
 TEST(ParallelExtractT, NoiseStillPerturbsCodes) {
   const auto mc = varied16();
-  const AnalogBitmap clean = AnalogBitmap::extract_tiled(mc, {});
+  const AnalogBitmap clean = extraction::extract(mc, {}).bitmap;
   msu::MeasureNoise noise;
   noise.enabled = true;
   noise.vgs_sigma = 5e-3;
   util::ThreadPool pool(4);
   Rng rng(3);
   const AnalogBitmap noisy =
-      AnalogBitmap::extract_tiled(mc, {}, noise, rng, 4, 4, &pool);
+      extraction::extract(mc, {.pool = &pool, .noise = &noise, .rng = &rng})
+          .bitmap;
   std::size_t diffs = 0;
   for (std::size_t i = 0; i < clean.codes().size(); ++i)
     if (clean.codes()[i] != noisy.codes()[i]) ++diffs;
@@ -87,9 +91,11 @@ TEST(ParallelExtractT, NoiseStillPerturbsCodes) {
 TEST(ParallelExtractT, NonSquareTilingWorksInParallel) {
   const auto mc = varied16();
   util::ThreadPool pool(3);
-  const AnalogBitmap serial = AnalogBitmap::extract_tiled(mc, {}, 2, 8);
+  const AnalogBitmap serial =
+      extraction::extract(mc, {.tile_rows = 2, .tile_cols = 8}).bitmap;
   const AnalogBitmap par =
-      AnalogBitmap::extract_tiled(mc, {}, 2, 8, &pool);
+      extraction::extract(mc, {.tile_rows = 2, .tile_cols = 8, .pool = &pool})
+          .bitmap;
   EXPECT_EQ(serial.codes(), par.codes());
 }
 

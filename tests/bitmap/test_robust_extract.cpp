@@ -4,14 +4,14 @@
 // bit-identical to a zero-fault run at any worker count.
 #include <gtest/gtest.h>
 
-#include "bitmap/analog_bitmap.hpp"
+#include "bitmap/extraction.hpp"
 #include "fault/fault.hpp"
 #include "tech/tech.hpp"
 #include "util/error.hpp"
 #include "util/threadpool.hpp"
 #include "util/units.hpp"
 
-namespace ecms::bitmap {
+namespace ecms::extraction {
 namespace {
 
 // Array with process variation and a few defects, so codes actually vary
@@ -30,29 +30,36 @@ edram::MacroCell varied(std::size_t n, std::uint64_t seed) {
                           std::move(field), std::move(defects));
 }
 
+// A robust fast-model request over 4x4 tiles.
+ExtractRequest robust(util::ThreadPool* pool = nullptr) {
+  ExtractRequest req;
+  req.robust = true;
+  req.pool = pool;
+  return req;
+}
+
 TEST(RobustExtractT, ZeroFaultRobustMatchesPlainExtraction) {
   const auto mc = varied(16, 99);
-  const AnalogBitmap plain = AnalogBitmap::extract_tiled(mc, {});
-  const auto robust = AnalogBitmap::extract_tiled_robust(mc, {});
-  EXPECT_EQ(plain.codes(), robust.bitmap.codes());
-  EXPECT_TRUE(robust.report.complete());
-  EXPECT_EQ(robust.report.cells_total, 256u);
-  for (const CellStatus s : robust.status) EXPECT_EQ(s, CellStatus::kOk);
+  const ExtractReport plain = extract(mc, {});
+  const ExtractReport res = extract(mc, robust());
+  EXPECT_EQ(plain.bitmap.codes(), res.bitmap.codes());
+  EXPECT_TRUE(res.report.complete());
+  EXPECT_EQ(res.report.cells_total, 256u);
+  for (const CellStatus s : res.status) EXPECT_EQ(s, CellStatus::kOk);
 }
 
 TEST(RobustExtractT, ThrowingCellContainedAtAnyJobCount) {
   // Satellite: a throwing cell inside a pool worker must poison only its
   // own cell — every other tile's codes stay bit-identical to serial.
   const auto mc = varied(16, 99);
-  const AnalogBitmap clean = AnalogBitmap::extract_tiled(mc, {});
-  ExtractPolicy policy;
-  policy.cell_hook = [](std::size_t r, std::size_t c, int) {
-    if (r == 3 && c == 5) throw MeasureError("poison cell");
-  };
+  const bitmap::AnalogBitmap clean = extract(mc, {}).bitmap;
   for (std::size_t jobs : {1u, 2u, 8u}) {
     util::ThreadPool pool(jobs);
-    const auto res = AnalogBitmap::extract_tiled_robust(
-        mc, {}, policy, 4, 4, jobs > 1 ? &pool : nullptr);
+    ExtractRequest req = robust(jobs > 1 ? &pool : nullptr);
+    req.cell_hook = [](std::size_t r, std::size_t c, int) {
+      if (r == 3 && c == 5) throw MeasureError("poison cell");
+    };
+    const ExtractReport res = extract(mc, req);
     ASSERT_EQ(res.report.failures.size(), 1u) << "jobs = " << jobs;
     EXPECT_EQ(res.report.failures[0].row, 3u);
     EXPECT_EQ(res.report.failures[0].col, 5u);
@@ -74,16 +81,15 @@ TEST(RobustExtractT, AcceptanceChaosSweep64x64) {
   // non-ok, and healthy codes must be bit-identical to the zero-fault run
   // at any job count.
   const auto mc = varied(64, 12);
-  const AnalogBitmap clean = AnalogBitmap::extract_tiled(mc, {});
+  const bitmap::AnalogBitmap clean = extract(mc, {}).bitmap;
   const fault::CellFaultPlan plan(0.05, 42);
   const std::size_t planned = plan.count(64, 64);
   ASSERT_GT(planned, 0u);
-  ExtractPolicy policy;
-  policy.cell_hook = plan.hook();
   for (std::size_t jobs : {1u, 4u}) {
     util::ThreadPool pool(jobs);
-    const auto res = AnalogBitmap::extract_tiled_robust(
-        mc, {}, policy, 4, 4, jobs > 1 ? &pool : nullptr);
+    ExtractRequest req = robust(jobs > 1 ? &pool : nullptr);
+    req.cell_hook = plan.hook();
+    const ExtractReport res = extract(mc, req);
     EXPECT_EQ(res.report.failures.size(), planned) << "jobs = " << jobs;
     EXPECT_EQ(res.report.unmeasurable(), planned);
     EXPECT_FALSE(res.report.complete());
@@ -105,11 +111,10 @@ TEST(RobustExtractT, AcceptanceChaosSweep64x64) {
 TEST(RobustExtractT, FailureReportIsSortedRowMajor) {
   const auto mc = varied(16, 99);
   const fault::CellFaultPlan plan(0.2, 8);
-  ExtractPolicy policy;
-  policy.cell_hook = plan.hook();
   util::ThreadPool pool(8);
-  const auto res =
-      AnalogBitmap::extract_tiled_robust(mc, {}, policy, 4, 4, &pool);
+  ExtractRequest req = robust(&pool);
+  req.cell_hook = plan.hook();
+  const ExtractReport res = extract(mc, req);
   ASSERT_GT(res.report.failures.size(), 1u);
   for (std::size_t i = 1; i < res.report.failures.size(); ++i) {
     const auto& a = res.report.failures[i - 1];
@@ -120,12 +125,12 @@ TEST(RobustExtractT, FailureReportIsSortedRowMajor) {
 
 TEST(RobustExtractT, FlakyCellsRecoverWithinTheRetryBudget) {
   const auto mc = varied(16, 99);
-  const AnalogBitmap clean = AnalogBitmap::extract_tiled(mc, {});
+  const bitmap::AnalogBitmap clean = extract(mc, {}).bitmap;
   const fault::CellFaultPlan plan(0.1, 17);
-  ExtractPolicy policy;
-  policy.cell_hook = plan.flaky_hook(1);  // fails once, then works
-  policy.retry.max_attempts = 2;
-  const auto res = AnalogBitmap::extract_tiled_robust(mc, {}, policy);
+  ExtractRequest req = robust();
+  req.cell_hook = plan.flaky_hook(1);  // fails once, then works
+  req.retry.max_attempts = 2;
+  const ExtractReport res = extract(mc, req);
   EXPECT_TRUE(res.report.complete());
   EXPECT_EQ(res.report.recovered, plan.count(16, 16));
   EXPECT_EQ(res.bitmap.codes(), clean.codes());  // recovery is lossless
@@ -141,10 +146,10 @@ TEST(RobustExtractT, FlakyCellsRecoverWithinTheRetryBudget) {
 TEST(RobustExtractT, RetryBudgetOfOneLeavesFlakyCellsUnmeasurable) {
   const auto mc = varied(16, 99);
   const fault::CellFaultPlan plan(0.1, 17);
-  ExtractPolicy policy;
-  policy.cell_hook = plan.flaky_hook(1);
-  policy.retry.max_attempts = 1;  // no second chance
-  const auto res = AnalogBitmap::extract_tiled_robust(mc, {}, policy);
+  ExtractRequest req = robust();
+  req.cell_hook = plan.flaky_hook(1);
+  req.retry.max_attempts = 1;  // no second chance
+  const ExtractReport res = extract(mc, req);
   EXPECT_EQ(res.report.unmeasurable(), plan.count(16, 16));
   EXPECT_EQ(res.report.recovered, 0u);
 }
@@ -153,17 +158,15 @@ TEST(RobustExtractT, FailFastPropagatesThroughThePool) {
   // contain=false is the fail-fast mode: the exception must escape the
   // extraction whether the tile ran inline or on a pool worker.
   const auto mc = varied(16, 99);
-  ExtractPolicy policy;
-  policy.cell_hook = [](std::size_t r, std::size_t c, int) {
+  ExtractRequest req = robust();
+  req.cell_hook = [](std::size_t r, std::size_t c, int) {
     if (r == 9 && c == 9) throw MeasureError("poison cell");
   };
-  policy.contain = false;
-  EXPECT_THROW(AnalogBitmap::extract_tiled_robust(mc, {}, policy),
-               MeasureError);
+  req.contain = false;
+  EXPECT_THROW(extract(mc, req), MeasureError);
   util::ThreadPool pool(4);
-  EXPECT_THROW(
-      AnalogBitmap::extract_tiled_robust(mc, {}, policy, 4, 4, &pool),
-      MeasureError);
+  req.pool = &pool;
+  EXPECT_THROW(extract(mc, req), MeasureError);
 }
 
 TEST(RobustExtractT, NoisyRobustIsDeterministicAcrossJobCounts) {
@@ -172,16 +175,18 @@ TEST(RobustExtractT, NoisyRobustIsDeterministicAcrossJobCounts) {
   noise.enabled = true;
   noise.vgs_sigma = 3e-3;
   const fault::CellFaultPlan plan(0.05, 23);
-  ExtractPolicy policy;
-  policy.cell_hook = plan.hook();
+  ExtractRequest req = robust();
+  req.cell_hook = plan.hook();
+  req.noise = &noise;
   Rng serial_rng(7);
-  const auto serial = AnalogBitmap::extract_tiled_robust(
-      mc, {}, noise, serial_rng, policy);
+  req.rng = &serial_rng;
+  const ExtractReport serial = extract(mc, req);
   for (std::size_t jobs : {2u, 8u}) {
     util::ThreadPool pool(jobs);
     Rng rng(7);
-    const auto par = AnalogBitmap::extract_tiled_robust(
-        mc, {}, noise, rng, policy, 4, 4, &pool);
+    req.rng = &rng;
+    req.pool = &pool;
+    const ExtractReport par = extract(mc, req);
     EXPECT_EQ(serial.bitmap.codes(), par.bitmap.codes()) << "jobs = " << jobs;
     EXPECT_EQ(serial.status, par.status) << "jobs = " << jobs;
   }
@@ -194,15 +199,16 @@ TEST(RobustExtractT, NoisyHealthyCellsUnaffectedByNeighbourFailures) {
   msu::MeasureNoise noise;
   noise.enabled = true;
   noise.vgs_sigma = 3e-3;
+  ExtractRequest req = robust();
+  req.noise = &noise;
   Rng clean_rng(31);
-  const auto clean =
-      AnalogBitmap::extract_tiled_robust(mc, {}, noise, clean_rng, {});
+  req.rng = &clean_rng;
+  const ExtractReport clean = extract(mc, req);
   const fault::CellFaultPlan plan(0.1, 5);
-  ExtractPolicy policy;
-  policy.cell_hook = plan.hook();
+  req.cell_hook = plan.hook();
   Rng rng(31);
-  const auto faulty =
-      AnalogBitmap::extract_tiled_robust(mc, {}, noise, rng, policy);
+  req.rng = &rng;
+  const ExtractReport faulty = extract(mc, req);
   for (std::size_t r = 0; r < 16; ++r) {
     for (std::size_t c = 0; c < 16; ++c) {
       if (plan.fails(r, c)) continue;
@@ -215,10 +221,10 @@ TEST(RobustExtractT, NoisyHealthyCellsUnaffectedByNeighbourFailures) {
 TEST(RobustExtractT, UnmeasurableCodePolicyIsHonoured) {
   const auto mc = varied(16, 99);
   const fault::CellFaultPlan plan(0.1, 3);
-  ExtractPolicy policy;
-  policy.cell_hook = plan.hook();
-  policy.unmeasurable_code = 20;  // park failures at full scale instead of 0
-  const auto res = AnalogBitmap::extract_tiled_robust(mc, {}, policy);
+  ExtractRequest req = robust();
+  req.cell_hook = plan.hook();
+  req.unmeasurable_code = 20;  // park failures at full scale instead of 0
+  const ExtractReport res = extract(mc, req);
   for (std::size_t r = 0; r < 16; ++r) {
     for (std::size_t c = 0; c < 16; ++c) {
       if (plan.fails(r, c)) {
@@ -229,4 +235,4 @@ TEST(RobustExtractT, UnmeasurableCodePolicyIsHonoured) {
 }
 
 }  // namespace
-}  // namespace ecms::bitmap
+}  // namespace ecms::extraction

@@ -154,7 +154,7 @@ TEST_F(BatchKernelT, ScalarBackendMatchesSparseLuAtEveryWidth) {
 
 TEST_F(BatchKernelT, DispatchedBackendMatchesSparseLuAtEveryWidth) {
   // On hosts without a vector unit this re-checks the scalar backend; with
-  // one it proves the AVX2/NEON lanes agree with SparseLu to the last bit.
+  // one it proves the AVX2 lanes agree with SparseLu to the last bit.
   for (std::size_t w : {1u, 4u, 8u, 16u}) {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
       run_round(kernels::active(), w, seed * 1409 + w);

@@ -2,7 +2,7 @@
 // consistency.
 #include <gtest/gtest.h>
 
-#include "bitmap/analog_bitmap.hpp"
+#include "bitmap/extraction.hpp"
 #include "msu/extract.hpp"
 #include "msu/fastmodel.hpp"
 #include "tech/tech.hpp"
@@ -19,7 +19,7 @@ TEST(ExtractAll, TwoByTwoMacroCell) {
                                       tech::tech018(), 30_fF);
   mc.set_true_cap(0, 1, 15_fF);
   mc.set_true_cap(1, 0, 45_fF);
-  const auto results = msu::extract_all_cells(mc, {});
+  const auto results = msu::extract_array(mc, {}, {.contain = false}).results;
   ASSERT_EQ(results.size(), 4u);
   const int c00 = results[0].code;  // 30 fF
   const int c01 = results[1].code;  // 15 fF
@@ -33,20 +33,20 @@ TEST(ExtractAll, TwoByTwoMacroCell) {
 TEST(ExtractAll, SharedRampAcrossCells) {
   const auto mc = edram::MacroCell::uniform({.rows = 2, .cols = 2},
                                             tech::tech018(), 30_fF);
-  const auto results = msu::extract_all_cells(mc, {});
+  const auto results = msu::extract_array(mc, {}, {.contain = false}).results;
   for (const auto& r : results)
     EXPECT_DOUBLE_EQ(r.delta_i, results[0].delta_i);
 }
 
 TEST(ExtractTiled, MatchesPerTileFastModel) {
-  // extract_tiled must agree cell-for-cell with manually built per-tile
+  // extraction::extract must agree cell-for-cell with manually built per-tile
   // models.
   tech::CapProcessParams cp;
   cp.local_sigma_rel = 0.05;
   tech::CapField field(cp, 8, 8, 5);
   const edram::MacroCell mc({.rows = 8, .cols = 8}, tech::tech018(),
                             std::move(field), tech::DefectMap(8, 8));
-  const auto bm = bitmap::AnalogBitmap::extract_tiled(mc, {});
+  const auto bm = extraction::extract(mc, {}).bitmap;
   for (std::size_t tr = 0; tr < 8; tr += 4) {
     for (std::size_t tc = 0; tc < 8; tc += 4) {
       const msu::FastModel model(mc.tile(tr, tc, 4, 4), {});
@@ -60,8 +60,8 @@ TEST(ExtractTiled, MatchesPerTileFastModel) {
 TEST(ExtractTiled, IndivisibleArrayRejected) {
   const auto mc = edram::MacroCell::uniform({.rows = 6, .cols = 8},
                                             tech::tech018(), 30_fF);
-  EXPECT_THROW(bitmap::AnalogBitmap::extract_tiled(mc, {}), Error);
-  EXPECT_NO_THROW(bitmap::AnalogBitmap::extract_tiled(mc, {}, 3, 4));
+  EXPECT_THROW(extraction::extract(mc, {}), Error);
+  EXPECT_NO_THROW(extraction::extract(mc, {.tile_rows = 3, .tile_cols = 4}));
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "bisr/allocator.hpp"
 #include "bitmap/compare.hpp"
 #include "bitmap/diagnosis.hpp"
+#include "bitmap/extraction.hpp"
 #include "edram/behavioral.hpp"
 #include "march/runner.hpp"
 #include "msu/fastmodel.hpp"
@@ -35,7 +36,7 @@ TEST(PipelineT, AnalogSeesEverythingDigitalSeesLess) {
   const auto mc = scenario();
 
   const bitmap::AnalogBitmap analog =
-      bitmap::AnalogBitmap::extract_tiled(mc, {});
+      extraction::extract(mc, {}).bitmap;
 
   edram::BehavioralArray array(mc);
   march::EdramMemory mem(array);
@@ -57,7 +58,7 @@ TEST(PipelineT, AnalogSeesEverythingDigitalSeesLess) {
 TEST(PipelineT, DiagnosisNamesTheMechanisms) {
   const auto mc = scenario();
   const auto findings = bitmap::diagnose(
-      bitmap::AnalogBitmap::extract_tiled(mc, {}),
+      extraction::extract(mc, {}).bitmap,
       bitmap::make_tiled_disambiguator(mc, {}), std::nullopt);
   bool saw_cluster = false, saw_short = false;
   for (const auto& f : findings) {
@@ -75,7 +76,7 @@ TEST(PipelineT, DiagnosisNamesTheMechanisms) {
 
 TEST(PipelineT, RepairCoversAnalogFindings) {
   const auto mc = scenario();
-  const auto analog = bitmap::AnalogBitmap::extract_tiled(mc, {});
+  const auto analog = extraction::extract(mc, {}).bitmap;
   const auto sig = bitmap::SignatureMap::categorize(analog);
 
   bitmap::DigitalBitmap targets(16, 16);
@@ -92,7 +93,7 @@ TEST(PipelineT, RepairCoversAnalogFindings) {
 
 TEST(PipelineT, RenderingsHaveArrayShape) {
   const auto mc = scenario();
-  const auto analog = bitmap::AnalogBitmap::extract_tiled(mc, {});
+  const auto analog = extraction::extract(mc, {}).bitmap;
   const auto heat = report::render_code_heatmap(analog);
   EXPECT_EQ(std::count(heat.begin(), heat.end(), '\n'), 16);
   const auto sig = report::render_signature_map(
@@ -109,7 +110,7 @@ TEST(PipelineT, GradientLotFlaggedAgainstHealthyReference) {
       edram::MacroCell::uniform({.rows = 16, .cols = 16}, tech::tech018(),
                                 30_fF);
   const double expected =
-      bitmap::AnalogBitmap::extract_tiled(healthy, {}).mean_in_range_code();
+      extraction::extract(healthy, {}).bitmap.mean_in_range_code();
 
   // Drifted lot with a tilt.
   tech::CapProcessParams cp;
@@ -120,7 +121,7 @@ TEST(PipelineT, GradientLotFlaggedAgainstHealthyReference) {
   const edram::MacroCell drifted({.rows = 16, .cols = 16}, tech::tech018(),
                                  std::move(field), tech::DefectMap(16, 16));
   const auto findings = bitmap::diagnose(
-      bitmap::AnalogBitmap::extract_tiled(drifted, {}),
+      extraction::extract(drifted, {}).bitmap,
       bitmap::make_tiled_disambiguator(drifted, {}), expected);
   bool saw_gradient = false, saw_drift = false;
   for (const auto& f : findings) {

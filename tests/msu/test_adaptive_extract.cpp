@@ -300,28 +300,6 @@ TEST(AdaptiveExtractT, RecoveredCellFallsBackToLadderPath) {
   EXPECT_EQ(with.recovery.succeeded_at, without.recovery.succeeded_at);
 }
 
-TEST(AdaptiveExtractT, ExtractArrayWrappersDelegateUnchanged) {
-  // Old entry points must behave exactly like the plan-based engine.
-  const auto mc = mc2x2();
-  const auto legacy = extract_all_cells(mc, {});
-  ExtractPlan plan;
-  plan.contain = false;
-  plan.retry.max_attempts = 1;
-  const auto engine = extract_array(mc, {}, plan);
-  ASSERT_EQ(legacy.size(), engine.results.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(legacy[i].code, engine.results[i].code);
-    EXPECT_EQ(legacy[i].stats.accepted_steps,
-              engine.results[i].stats.accepted_steps);
-  }
-
-  const auto robust = extract_all_cells_robust(mc, {});
-  EXPECT_EQ(robust.report.cells_total, mc.cell_count());
-  EXPECT_TRUE(robust.report.complete());
-  for (std::size_t i = 0; i < legacy.size(); ++i)
-    EXPECT_EQ(robust.results[i].code, legacy[i].code);
-}
-
 TEST(AdaptiveExtractT, AdaptiveArrayMatchesExhaustiveArray) {
   const auto mc = mc2x2();
   ExtractPlan fast;

@@ -1,6 +1,7 @@
 // Batched lockstep extraction (DESIGN.md §14): the golden contract that
 // extract_array with batch_width > 1 produces results bit-identical to the
-// scalar per-cell path — exhaustive and adaptive flows, forced-scalar
+// scalar per-cell path — codes, stats and recorded traces, exhaustive and
+// adaptive flows, forced-scalar
 // kernels, fault-injected cells retiring to the scalar path, and the
 // engagement predicate that keeps hooked / cache-less plans off the batch
 // entirely.
@@ -12,7 +13,6 @@
 
 #include "circuit/kernels.hpp"
 #include "fault/fault.hpp"
-#include "msu/batch_extract.hpp"
 #include "msu/extract.hpp"
 #include "tech/tech.hpp"
 
@@ -56,6 +56,14 @@ void expect_identical(const RobustExtraction& batched,
         << "cell " << i;
     EXPECT_EQ(b.adaptive.used, s.adaptive.used) << "cell " << i;
     EXPECT_EQ(b.adaptive.probes, s.adaptive.probes) << "cell " << i;
+    EXPECT_EQ(b.trace.channel_names(), s.trace.channel_names())
+        << "cell " << i;
+    EXPECT_EQ(b.trace.times(), s.trace.times()) << "cell " << i;
+    ASSERT_EQ(b.trace.channel_count(), s.trace.channel_count());
+    for (std::size_t ch = 0; ch < s.trace.channel_count(); ++ch) {
+      EXPECT_EQ(b.trace.channel(ch), s.trace.channel(ch))
+          << "cell " << i << " channel " << s.trace.channel_names()[ch];
+    }
   }
   EXPECT_EQ(batched.report.recovered, scalar.report.recovered);
   EXPECT_EQ(batched.report.failures.size(), scalar.report.failures.size());
@@ -88,17 +96,26 @@ TEST_F(BatchEngineT, EngagementPredicateGatesTheBatchPath) {
 
 TEST_F(BatchEngineT, ExhaustiveArrayBitIdenticalToScalarPath) {
   const auto mc = mc2x2();
-  const ExtractPlan scalar_plan = sparse_plan();
-  const auto scalar = extract_array(mc, {}, scalar_plan);
+  // Recorded traces must match sample for sample too: the lockstep lanes
+  // bind their probes exactly as the scalar transient does.
+  for (const bool record_trace : {false, true}) {
+    ExtractPlan scalar_plan = sparse_plan();
+    scalar_plan.options.record_trace = record_trace;
+    const auto scalar = extract_array(mc, {}, scalar_plan);
+    if (record_trace) {
+      ASSERT_GT(scalar.results[0].trace.sample_count(), 0u);
+    }
 
-  // Widths that tile the 4 cells evenly (4), with a remainder chunk (3),
-  // and auto (0 resolves to the host's preferred lane count).
-  for (int width : {4, 3, 0}) {
-    ExtractPlan plan = scalar_plan;
-    plan.batch_width = width;
-    const auto batched = extract_array(mc, {}, plan);
-    SCOPED_TRACE("batch_width=" + std::to_string(width));
-    expect_identical(batched, scalar);
+    // Widths that tile the 4 cells evenly (4), with a remainder chunk (3),
+    // and auto (0 resolves to the host's preferred lane count).
+    for (int width : {4, 3, 0}) {
+      ExtractPlan plan = scalar_plan;
+      plan.batch_width = width;
+      const auto batched = extract_array(mc, {}, plan);
+      SCOPED_TRACE("batch_width=" + std::to_string(width) +
+                   " record_trace=" + std::to_string(record_trace));
+      expect_identical(batched, scalar);
+    }
   }
 }
 
@@ -107,16 +124,23 @@ TEST_F(BatchEngineT, AdaptiveArrayBitIdenticalIncludingProbeCounts) {
   // probe, so per-cell probe counts and accumulated step/iteration stats
   // match exactly, not just the codes.
   const auto mc = mc2x2();
-  ExtractPlan scalar_plan = sparse_plan();
-  scalar_plan.options.adaptive.enabled = true;
-  const auto scalar = extract_array(mc, {}, scalar_plan);
+  for (const bool record_trace : {false, true}) {
+    SCOPED_TRACE("record_trace=" + std::to_string(record_trace));
+    ExtractPlan scalar_plan = sparse_plan();
+    scalar_plan.options.adaptive.enabled = true;
+    scalar_plan.options.record_trace = record_trace;
+    const auto scalar = extract_array(mc, {}, scalar_plan);
+    if (record_trace) {
+      ASSERT_GT(scalar.results[0].trace.sample_count(), 0u);
+    }
 
-  ExtractPlan plan = scalar_plan;
-  plan.batch_width = 4;
-  const auto batched = extract_array(mc, {}, plan);
-  expect_identical(batched, scalar);
-  for (const auto& r : batched.results) {
-    EXPECT_TRUE(r.adaptive.attempted);
+    ExtractPlan plan = scalar_plan;
+    plan.batch_width = 4;
+    const auto batched = extract_array(mc, {}, plan);
+    expect_identical(batched, scalar);
+    for (const auto& r : batched.results) {
+      EXPECT_TRUE(r.adaptive.attempted);
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // Circuit-level extraction through the recovery ladder: solver faults
 // injected via ExtractOptions.newton.hooks must either be absorbed by the
 // ladder (cells come back kRecovered with sane codes) or be contained per
-// cell by extract_all_cells_robust (kUnmeasurable placeholders, no throw).
+// cell by extract_array (kUnmeasurable placeholders, no throw).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -64,7 +64,7 @@ TEST(ExtractRecoveryT, RobustArrayExtractionContainsHopelessCells) {
   opts.dt = 20e-12;
   opts.record_trace = false;
   opts.newton.hooks = &hooks;
-  const RobustExtraction out = extract_all_cells_robust(mc, {}, {}, opts);
+  const RobustExtraction out = extract_array(mc, {}, {.options = opts});
   ASSERT_EQ(out.results.size(), 4u);
   ASSERT_EQ(out.status.size(), 4u);
   EXPECT_EQ(out.report.cells_total, 4u);
@@ -78,9 +78,8 @@ TEST(ExtractRecoveryT, RobustArrayExtractionContainsHopelessCells) {
 
 TEST(ExtractRecoveryT, RobustArrayExtractionCleanPathMatchesPlain) {
   const auto mc = mc2x2();
-  const auto plain =
-      extract_all_cells(mc, {}, {}, {.dt = 20e-12, .record_trace = false});
-  const RobustExtraction out = extract_all_cells_robust(mc, {});
+  const auto plain = extract_array(mc, {}, {.contain = false}).results;
+  const RobustExtraction out = extract_array(mc, {}, {});
   ASSERT_EQ(out.results.size(), plain.size());
   EXPECT_TRUE(out.report.complete());
   EXPECT_EQ(out.report.recovered, 0u);

@@ -12,12 +12,13 @@
 #include <string>
 #include <vector>
 
-#include "bitmap/analog_bitmap.hpp"
+#include "bitmap/extraction.hpp"
 #include "fault/fault.hpp"
 #include "msu/extract.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tech/tech.hpp"
+#include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/threadpool.hpp"
 #include "util/units.hpp"
@@ -49,21 +50,20 @@ TEST_F(ObsIntegrationT, InstrumentedCodesBitIdenticalToUninstrumented) {
   const auto mc = mc8x8();
   // A flaky plan exercises the retry path on both sides of the comparison.
   const fault::CellFaultPlan plan(0.05, 42);
-  bitmap::ExtractPolicy policy;
-  policy.cell_hook = plan.flaky_hook(1);
-  policy.retry.max_attempts = 3;
+  extraction::ExtractRequest req;
+  req.robust = true;
+  req.cell_hook = plan.flaky_hook(1);
+  req.retry.max_attempts = 3;
 
   obs::set_metrics_enabled(false);
-  const auto baseline =
-      bitmap::AnalogBitmap::extract_tiled_robust(mc, {}, policy);
+  const auto baseline = extraction::extract(mc, req);
 
   obs::set_metrics_enabled(true);
   obs::start_tracing();
-  const auto instr_serial =
-      bitmap::AnalogBitmap::extract_tiled_robust(mc, {}, policy);
+  const auto instr_serial = extraction::extract(mc, req);
   util::ThreadPool pool(8);
-  const auto instr_par =
-      bitmap::AnalogBitmap::extract_tiled_robust(mc, {}, policy, 4, 4, &pool);
+  req.pool = &pool;
+  const auto instr_par = extraction::extract(mc, req);
   obs::stop_tracing();
 
   EXPECT_EQ(instr_serial.bitmap.codes(), baseline.bitmap.codes());
@@ -75,14 +75,15 @@ TEST_F(ObsIntegrationT, InstrumentedCodesBitIdenticalToUninstrumented) {
 TEST_F(ObsIntegrationT, TileSpansAndRetryCountersPopulate) {
   const auto mc = mc8x8();
   const fault::CellFaultPlan plan(0.08, 7);
-  bitmap::ExtractPolicy policy;
-  policy.cell_hook = plan.flaky_hook(1);
-  policy.retry.max_attempts = 3;
+  extraction::ExtractRequest req;
+  req.robust = true;
+  req.cell_hook = plan.flaky_hook(1);
+  req.retry.max_attempts = 3;
 
   obs::Registry::global().reset();
   obs::set_metrics_enabled(true);
   obs::start_tracing();
-  const auto out = bitmap::AnalogBitmap::extract_tiled_robust(mc, {}, policy);
+  const auto out = extraction::extract(mc, req);
   obs::stop_tracing();
   ASSERT_TRUE(out.report.complete());
 
@@ -90,7 +91,7 @@ TEST_F(ObsIntegrationT, TileSpansAndRetryCountersPopulate) {
   std::size_t tiles = 0;
   std::uint64_t root = 0;
   for (const auto& e : obs::collected_trace_events()) {
-    if (e.name == "extract_tiled_robust") root = e.span_id;
+    if (e.name == "extract_robust") root = e.span_id;
     if (e.name == "extract_tile") ++tiles;
   }
   EXPECT_EQ(tiles, 4u);
@@ -131,7 +132,6 @@ TEST_F(ObsIntegrationT, NewtonCountersAndCircuitSpansPopulate) {
   EXPECT_GT(counter_value("circuit.lu.numeric"), 0u);
   EXPECT_GE(counter_value("circuit.transient.accepted_steps"), 1u);
   EXPECT_EQ(counter_value("circuit.transient.solves"), 1u);
-  EXPECT_EQ(counter_value("msu.cells.ok"), 1u);
 
   const auto snap = obs::Registry::global().snapshot();
   const auto it = snap.histograms.find("circuit.newton.iterations_per_solve");
@@ -177,7 +177,50 @@ TEST_F(ObsIntegrationT, RecoveryRungCountersTrackTheLadder) {
   EXPECT_EQ(counter_value("circuit.recovery.won.harden-newton"), 1u);
   EXPECT_EQ(counter_value("circuit.recovery.recovered"), 1u);
   EXPECT_EQ(counter_value("circuit.recovery.exhausted"), 0u);
-  EXPECT_EQ(counter_value("msu.cells.recovered"), 1u);
+}
+
+TEST_F(ObsIntegrationT, CellCountersCountEachCellOnceFromItsFinalStatus) {
+  // Cell (0,0) throws on attempt 0 and is measured on the retry, so it ends
+  // kRecovered; the other three are kOk. Every *.cells.ok counter together
+  // must count exactly the kOk cells, on the scalar path and batched.
+  const auto mc = edram::MacroCell::uniform({.rows = 2, .cols = 2},
+                                            tech::tech018(), 30_fF);
+  for (const int width : {1, 4}) {
+    extraction::ExtractRequest req;
+    req.engine = extraction::Engine::kCircuit;
+    req.tile_rows = req.tile_cols = 2;
+    req.batch_width = width;
+    req.robust = true;
+    req.retry.max_attempts = 2;
+    req.cell_hook = [](std::size_t r, std::size_t c, int attempt) {
+      if (r == 0 && c == 0 && attempt == 0) throw MeasureError("flaky cell");
+    };
+
+    obs::Registry::global().reset();
+    obs::set_metrics_enabled(true);
+    const auto out = extraction::extract(mc, req);
+    obs::set_metrics_enabled(false);
+    ASSERT_TRUE(out.complete()) << "width " << width;
+    ASSERT_EQ(out.status_at(0, 0), CellStatus::kRecovered) << "width " << width;
+
+    std::uint64_t n_ok = 0;
+    for (const CellStatus s : out.status) n_ok += s == CellStatus::kOk ? 1 : 0;
+    ASSERT_EQ(n_ok, 3u);
+    std::uint64_t ok_counted = 0;
+    const std::string suffix = ".cells.ok";
+    for (const auto& [name, value] :
+         obs::Registry::global().snapshot().counters) {
+      if (name.size() >= suffix.size() &&
+          name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
+              0) {
+        ok_counted += value;
+      }
+    }
+    EXPECT_EQ(ok_counted, n_ok) << "width " << width;
+    EXPECT_EQ(counter_value("bitmap.cells.recovered"), 1u) << "width " << width;
+    EXPECT_EQ(counter_value("bitmap.cells.unmeasurable"), 0u)
+        << "width " << width;
+  }
 }
 
 TEST_F(ObsIntegrationT, DefaultLogSinkStampsOpenSpanId) {

@@ -232,7 +232,7 @@ void apply_run_config(extraction::ExtractRequest& req, const CliRunConfig& cfg,
   req.retry.max_attempts = cfg.retries;
   req.contain = !cfg.fail_fast;
   req.options.adaptive.enabled = cfg.adaptive;
-  req.share_programs = cfg.program_cache;
+  if (!cfg.program_cache) req.options.newton.solver.program_cache = nullptr;
   req.batch_width = cfg.batch_width;
   if (cfg.fault_rate > 0.0) req.cell_hook = plan.hook();
 }
