@@ -428,10 +428,10 @@ void run_solver_acceptance(std::size_t jobs, JsonSink& json,
     const double s_sol = time_us([&] { eng.solve(xs); });
 
     // Batched SoA kernels at the host's preferred lane width over the same
-    // system (DESIGN.md §14), per-lane cost: the restamp row is the
-    // static-image broadcast copy that replaces per-point reassembly on the
-    // batch path, refactor/solve are the vector kernels over the frozen
-    // pivot order eng just computed.
+    // system (DESIGN.md §14), per-lane cost: the restamp row is a full
+    // value-image copy into SoA form (what a lane's gather pays after its
+    // static image was rebuilt), refactor/solve are the vector kernels over
+    // the frozen pivot order eng just computed.
     const std::size_t bw = circuit::kernels::preferred_width();
     const circuit::LuSymbolic& sy = *eng.lu_symbolic();
     const std::size_t nnz = eng.matrix().nnz();
@@ -449,7 +449,8 @@ void run_solver_acceptance(std::size_t jobs, JsonSink& json,
     const circuit::kernels::Kernels& kk = circuit::kernels::active();
     const double lanes = static_cast<double>(bw);
     const double b_stamp =
-        time_us([&] { kk.copy(ba.data(), bimg.data(), nnz * bw); }) / lanes;
+        time_us([&] { std::copy(bimg.begin(), bimg.end(), ba.begin()); }) /
+        lanes;
     const double b_fac = time_us([&] {
                            kk.refactor(sy, ba.data(), bl.data(), bu.data(),
                                        bwork.data(), bw);
@@ -457,11 +458,11 @@ void run_solver_acceptance(std::size_t jobs, JsonSink& json,
                          lanes;
     // solve() runs in place, so each rep reloads the permuted RHS; the
     // reload is priced separately and subtracted.
-    const double b_reload =
-        time_us([&] { kk.copy(bpb.data(), bpb_src.data(), unknowns * bw); });
+    const double b_reload = time_us(
+        [&] { std::copy(bpb_src.begin(), bpb_src.end(), bpb.begin()); });
     const double b_sol =
         std::max(0.0, time_us([&] {
-                        kk.copy(bpb.data(), bpb_src.data(), unknowns * bw);
+                        std::copy(bpb_src.begin(), bpb_src.end(), bpb.begin());
                         kk.solve(sy, bl.data(), bu.data(), bpb.data(), bw);
                       }) -
                           b_reload) /

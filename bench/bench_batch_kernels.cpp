@@ -1,8 +1,10 @@
 // Batched SoA kernel microbenchmark (DESIGN.md §14).
 //
-// Times the three hot phases of the lockstep batch engine — the static-image
-// restamp copy, the numeric refactorization over the frozen pivot order, and
-// the forward/backward triangular solves — on the bare transistor-level
+// Times the three hot phases of the lockstep batch engine — a full SoA
+// value-image copy (the "restamp" column: what a lane's gather pays after its
+// static image is rebuilt; a plain std::copy on both backends), the numeric
+// refactorization over the frozen pivot order, and the forward/backward
+// triangular solves — on the bare transistor-level
 // array netlist (the same system EXT-A9 uses for its per-phase split), at
 // lane widths 1/4/8/16, on both the runtime-dispatched backend and the
 // forced-scalar fallback. Numbers are reported *per lane*: the vector payoff
@@ -12,6 +14,7 @@
 // bench_array_scale uses); --size N picks the macro-cell (default 8).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -140,7 +143,7 @@ PhaseTimes run_width(const System& s, const circuit::kernels::Kernels& kk,
   constexpr int kReps = 400;
   PhaseTimes t;
   t.restamp_us = time_us_per_rep(kReps, [&] {
-    kk.copy(a.data(), static_img.data(), nnz * width);
+    std::copy(static_img.begin(), static_img.end(), a.begin());
     benchmark::DoNotOptimize(a.data());
   });
   t.refactor_us = time_us_per_rep(kReps, [&] {
@@ -151,11 +154,11 @@ PhaseTimes run_width(const System& s, const circuit::kernels::Kernels& kk,
   // solve() works in place, so each rep reloads the permuted RHS; the
   // reload is priced separately and subtracted.
   const double reload_us = time_us_per_rep(kReps, [&] {
-    kk.copy(pb.data(), pb_src.data(), n * width);
+    std::copy(pb_src.begin(), pb_src.end(), pb.begin());
     benchmark::DoNotOptimize(pb.data());
   });
   const double pair_us = time_us_per_rep(kReps, [&] {
-    kk.copy(pb.data(), pb_src.data(), n * width);
+    std::copy(pb_src.begin(), pb_src.end(), pb.begin());
     kk.solve(sy, l_vals.data(), u_vals.data(), pb.data(), width);
     benchmark::DoNotOptimize(pb.data());
   });

@@ -109,6 +109,8 @@ void BatchEngine::flush_counters(Lane& lane) {
                     eng ? eng->static_hits() : 0);
   ECMS_METRIC_COUNT("circuit.assemble.restamps",
                     eng ? eng->static_restamps() : 0);
+  ECMS_METRIC_COUNT("circuit.assemble.rhs_restamps",
+                    eng ? eng->rhs_restamps() : 0);
   // Each advance() this lane stepped in is the batched equivalent of one
   // scalar transient segment (all segments past the first are resumes).
   ECMS_METRIC_COUNT("circuit.transient.solves", lane.stats.segments);
@@ -223,7 +225,6 @@ void BatchEngine::advance(
 
 bool BatchEngine::solve_point(const StampContext& ctx_proto) {
   const std::size_t W = lanes_.size();
-  ++point_epoch_;
   for (Lane& L : lanes_) {
     if (L.state != LaneState::kActive) continue;
     L.unfinished = true;
@@ -274,9 +275,10 @@ bool BatchEngine::solve_point(const StampContext& ctx_proto) {
     u_soa_.resize(sy.u_cols.size() * W);
     work_soa_.resize(sy.n * W);
     pb_soa_.resize(sy.n * W);
-    // Only the dynamic tape's slots change between iterations of one point
-    // (the static image is frozen per point), so after a lane's first
-    // gather of a point the per-iteration gather touches these alone.
+    // Only the dynamic tape's slots change while a lane's static matrix
+    // image stays put (across iterations, and across points whose image
+    // key repeats), so between image rebuilds the gather touches these
+    // alone.
     shared_dyn_slots_.clear();
     const auto& prog = lanes_[li].eng->program();
     if (prog != nullptr && prog->symbolic.get() == shared_sym_.get()) {
@@ -287,7 +289,7 @@ bool BatchEngine::solve_point(const StampContext& ctx_proto) {
           std::unique(shared_dyn_slots_.begin(), shared_dyn_slots_.end()),
           shared_dyn_slots_.end());
     }
-    for (Lane& L : lanes_) L.soa_epoch = 0;  // a_soa_ was re-carved
+    for (Lane& L : lanes_) L.soa_gen = 0;  // a_soa_ was re-carved
   };
 
   std::vector<std::size_t> vec_lanes;
@@ -337,9 +339,10 @@ bool BatchEngine::solve_point(const StampContext& ctx_proto) {
       Lane& L = lanes_[li];
       const std::span<const double> av = L.eng->matrix().values();
       double* a = a_soa_.data();
-      if (L.soa_epoch != point_epoch_ || shared_dyn_slots_.empty()) {
+      if (L.soa_gen != L.eng->image_generation() ||
+          shared_dyn_slots_.empty()) {
         for (std::size_t s = 0; s < nnz; ++s) a[s * W + li] = av[s];
-        L.soa_epoch = point_epoch_;
+        L.soa_gen = L.eng->image_generation();
       } else {
         for (const std::uint32_t s : shared_dyn_slots_) a[s * W + li] = av[s];
       }

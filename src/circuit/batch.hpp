@@ -129,9 +129,9 @@ class BatchEngine {
     std::size_t points = 0;
     std::size_t iters = 0;
     std::size_t vector_refactors = 0;
-    // Last point epoch whose static image was gathered into a_soa_; the
-    // per-iteration gather then touches dynamic slots only.
-    std::uint64_t soa_epoch = 0;
+    // The engine's image_generation() at this lane's last full gather into
+    // a_soa_ (0 = none); while it holds, gathers touch dynamic slots only.
+    std::uint64_t soa_gen = 0;
   };
 
   void flush_counters(Lane& lane);
@@ -147,9 +147,8 @@ class BatchEngine {
   std::shared_ptr<const LuSymbolic> shared_sym_;
   std::shared_ptr<const SparsePattern> shared_pat_;
   // Deduplicated value slots the dynamic tape touches (empty = gather the
-  // full image every iteration) and the current point epoch.
+  // full image every iteration).
   std::vector<std::uint32_t> shared_dyn_slots_;
-  std::uint64_t point_epoch_ = 0;
   // SoA kernel operands, [slot * width + lane].
   util::ArenaBuf<double> a_soa_, l_soa_, u_soa_, work_soa_, pb_soa_;
   double t_ = 0.0;

@@ -36,15 +36,19 @@ double CapCompanion::geq(const StampContext& ctx) const {
 }
 
 void CapCompanion::stamp(const StampContext& ctx, NodeId a, NodeId b,
-                         MnaView& a_mat, std::span<double> b_vec) const {
+                         MnaView& a_mat) const {
   if (ctx.is_dc() || c_ == 0.0) return;  // open in DC
-  const double g = geq(ctx);
+  stamp_conductance(a_mat, a, b, geq(ctx));
+}
+
+void CapCompanion::stamp_rhs(const StampContext& ctx, NodeId a, NodeId b,
+                             std::span<double> b_vec) const {
+  if (ctx.is_dc() || c_ == 0.0) return;
   // Companion: i(a->b) = g * v - j, with
   //   BE:   j = g * v_prev
   //   trap: j = g * v_prev + i_prev
-  double j = g * v_prev_;
+  double j = geq(ctx) * v_prev_;
   if (ctx.method == Integrator::kTrapezoidal) j += i_prev_;
-  stamp_conductance(a_mat, a, b, g);
   // The equivalent source j flows b->a (it opposes the conductance term).
   stamp_current(b_vec, b, a, j);
 }

@@ -134,11 +134,15 @@ class CapCompanion {
   explicit CapCompanion(double farads) : c_(farads) {}
 
   double capacitance() const { return c_; }
-  void set_capacitance(double farads) { c_ = farads; }
 
-  /// Stamps the companion between nodes a, b. No-op in DC (capacitor open).
-  void stamp(const StampContext& ctx, NodeId a, NodeId b, MnaView& a_mat,
-             std::span<double> b_vec) const;
+  /// Stamps the companion conductance between nodes a, b: a function of
+  /// (dt, method) only. No-op in DC (capacitor open).
+  void stamp(const StampContext& ctx, NodeId a, NodeId b, MnaView& a_mat) const;
+
+  /// Stamps the companion's history source g·v_prev (+ i_prev under the
+  /// trapezoidal rule) into the RHS. No-op in DC.
+  void stamp_rhs(const StampContext& ctx, NodeId a, NodeId b,
+                 std::span<double> b_vec) const;
 
   /// Latches v across (a - b) as history; zeroes the current history.
   void init_state(const StampContext& ctx, NodeId a, NodeId b);
@@ -169,6 +173,18 @@ class CapCompanion {
 };
 
 /// Abstract circuit element.
+///
+/// A device's contribution comes in three tiers, one method each:
+/// stamp_static() (matrix entries that never read the iterate, history or
+/// time), stamp_static_rhs() (the iterate-independent RHS: companion
+/// history and source values at ctx.time) and stamp() (everything that
+/// reads the iterate; nonlinear devices only). Element values that reach
+/// the matrix are fixed at construction (only source waves, which reach the
+/// RHS alone, can be replaced) and a Circuit's device list is append-only,
+/// so the stamp_static() values are a pure function of the circuit and
+/// (ctx.dt, ctx.method, ctx.gmin): the sparse engine keeps that matrix image
+/// across points for as long as those repeat, and rebuilds only the RHS per
+/// point.
 class Device {
  public:
   explicit Device(std::string name) : name_(std::move(name)) {}
@@ -178,23 +194,26 @@ class Device {
 
   const std::string& name() const { return name_; }
 
-  /// Adds this device's contribution for the given iterate. Implementations
-  /// must emit an iterate-independent *sequence* of matrix coordinates
-  /// (values may change freely): the sparse backend records the sequence
-  /// once and replays it as direct slot writes on later assemblies.
-  virtual void stamp(const StampContext& ctx, MnaView& a_mat,
-                     std::span<double> b_vec) const = 0;
+  /// The static matrix half: entries that depend on ctx.dt, ctx.method,
+  /// ctx.gmin and construction-time values only (linear elements, companion
+  /// conductances, gmin ties) — never on ctx.x, ctx.time or latched state.
+  /// Implementations must emit an iterate-independent *sequence* of matrix
+  /// coordinates: the sparse backend records it once and replays it as
+  /// direct slot writes.
+  virtual void stamp_static(const StampContext& /*ctx*/,
+                            MnaView& /*a_mat*/) const {}
 
-  /// The iterate-independent portion of a *nonlinear* device's stamp
-  /// (companion capacitors, gmin ties): contributions that depend on dt,
-  /// the integration method, and latched state, but never on ctx.x. The
-  /// sparse backend stamps these once per solve point into the static
-  /// image instead of on every Newton iteration; the dense reference
-  /// assembly calls it back-to-back with stamp(). Linear devices keep everything in
-  /// stamp() and leave this empty. The coordinate-sequence rule above
-  /// applies here too.
-  virtual void stamp_static(const StampContext& /*ctx*/, MnaView& /*a_mat*/,
-                            std::span<double> /*b_vec*/) const {}
+  /// The static RHS half: contributions that read latched history and
+  /// ctx.time / ctx.source_scale but never ctx.x. Re-stamped every point.
+  virtual void stamp_static_rhs(const StampContext& /*ctx*/,
+                                std::span<double> /*b_vec*/) const {}
+
+  /// The iterate-dependent contribution, re-stamped every Newton iteration
+  /// of a nonlinear() device (linear devices leave it empty). The
+  /// coordinate-sequence rule of stamp_static() applies here too; values
+  /// may change freely.
+  virtual void stamp(const StampContext& /*ctx*/, MnaView& /*a_mat*/,
+                     std::span<double> /*b_vec*/) const {}
 
   /// Number of extra branch-current unknowns this device introduces.
   virtual int branch_count() const { return 0; }
@@ -202,7 +221,7 @@ class Device {
   /// Called by Circuit::finalize() with the first branch unknown index.
   virtual void set_branch_base(std::size_t /*base*/) {}
 
-  /// True if the device's stamp depends on the iterate x.
+  /// True if stamp() depends on the iterate x.
   virtual bool nonlinear() const { return false; }
 
   /// Latches initial history from a consistent DC solution.

@@ -77,20 +77,7 @@ void solve_scalar(const LuSymbolic& sy, const double* l, const double* u,
   }
 }
 
-void copy_scalar(double* dst, const double* src, std::size_t count) {
-  std::memcpy(dst, src, count * sizeof(double));
-}
-
-void diag_add_scalar(double* values, const std::uint32_t* slots,
-                     std::size_t n_slots, double g, std::size_t w) {
-  for (std::size_t i = 0; i < n_slots; ++i) {
-    double* row = values + static_cast<std::size_t>(slots[i]) * w;
-    for (std::size_t k = 0; k < w; ++k) row[k] += g;
-  }
-}
-
-constexpr Kernels kScalar = {"scalar", refactor_scalar, solve_scalar,
-                             copy_scalar, diag_add_scalar};
+constexpr Kernels kScalar = {"scalar", refactor_scalar, solve_scalar};
 
 bool env_forces_scalar() {
   const char* v = std::getenv("ECMS_FORCE_SCALAR_KERNELS");

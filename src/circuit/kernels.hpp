@@ -1,10 +1,10 @@
 // Batched SoA kernels for the lockstep cell simulator (DESIGN.md §14).
 //
 // The batch engine advances K cells that share one NetlistProgram; its hot
-// loops — the numeric refactorization over the frozen pivot order, the
-// forward/backward triangular solves, and the static-image restamp copy —
-// operate on structure-of-arrays value storage, element (slot, lane) at
-// `a[slot * width + lane]`, so one instruction stream serves every lane.
+// loops — the numeric refactorization over the frozen pivot order and the
+// forward/backward triangular solves — operate on structure-of-arrays value
+// storage, element (slot, lane) at `a[slot * width + lane]`, so one
+// instruction stream serves every lane.
 //
 // Bit-identity contract: a vector kernel performs, per lane, exactly the
 // floating-point operations of the scalar SparseLu path in exactly the same
@@ -49,15 +49,6 @@ struct Kernels {
   /// between its permutation steps; callers gather/scatter per lane.
   void (*solve)(const LuSymbolic& sy, const double* l, const double* u,
                 double* pb, std::size_t width);
-
-  /// dst[i] = src[i] for `count` doubles — the static-image -> working-
-  /// values broadcast restamp, all lanes at once.
-  void (*copy)(double* dst, const double* src, std::size_t count);
-
-  /// values[slot * width + lane] += g for every slot in `slots` — the gmin
-  /// ground-diagonal term of the static image.
-  void (*diag_add)(double* values, const std::uint32_t* slots,
-                   std::size_t n_slots, double g, std::size_t width);
 };
 
 /// The runtime-dispatched backend (never null).

@@ -118,27 +118,7 @@ void solve_avx2(const LuSymbolic& sy, const double* l, const double* u,
   }
 }
 
-void copy_avx2(double* dst, const double* src, std::size_t count) {
-  std::size_t k = 0;
-  for (; k + 4 <= count; k += 4)
-    _mm256_storeu_pd(dst + k, _mm256_loadu_pd(src + k));
-  for (; k < count; ++k) dst[k] = src[k];
-}
-
-void diag_add_avx2(double* values, const std::uint32_t* slots,
-                   std::size_t n_slots, double g, std::size_t w) {
-  const std::size_t wv = w & ~std::size_t{3};
-  const __m256d gv = _mm256_set1_pd(g);
-  for (std::size_t i = 0; i < n_slots; ++i) {
-    double* row = values + static_cast<std::size_t>(slots[i]) * w;
-    for (std::size_t k = 0; k < wv; k += 4)
-      _mm256_storeu_pd(row + k, _mm256_add_pd(_mm256_loadu_pd(row + k), gv));
-    for (std::size_t k = wv; k < w; ++k) row[k] += g;
-  }
-}
-
-constexpr Kernels kAvx2 = {"avx2", refactor_avx2, solve_avx2, copy_avx2,
-                           diag_add_avx2};
+constexpr Kernels kAvx2 = {"avx2", refactor_avx2, solve_avx2};
 
 }  // namespace
 

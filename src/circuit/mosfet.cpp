@@ -137,16 +137,13 @@ double mos_ids(const MosParams& p, double vgs, double vds) {
 
 Mosfet::Mosfet(std::string name, NodeId d, NodeId g, NodeId s, NodeId b,
                MosParams params)
-    : Device(std::move(name)), d_(d), g_(g), s_(s), b_(b), p_(params) {
+    : Device(std::move(name)), d_(d), g_(g), s_(s), b_(b), p_(params),
+      // Intrinsic capacitance split: overlap caps to S/D, the full channel
+      // capacitance to bulk, junction caps at the diffusions. See header.
+      cgs_(p_.c_overlap()), cgd_(p_.c_overlap()), cgb_(p_.c_gate_channel()),
+      cdb_(p_.c_junction()), csb_(p_.c_junction()) {
   ECMS_REQUIRE(p_.w > 0 && p_.l > 0, "MOSFET geometry must be positive");
   ECMS_REQUIRE(p_.kp > 0, "MOSFET kp must be positive");
-  // Intrinsic capacitance split: overlap caps to S/D, the full channel
-  // capacitance to bulk, junction caps at the diffusions. See header.
-  cgs_.set_capacitance(p_.c_overlap());
-  cgd_.set_capacitance(p_.c_overlap());
-  cgb_.set_capacitance(p_.c_gate_channel());
-  cdb_.set_capacitance(p_.c_junction());
-  csb_.set_capacitance(p_.c_junction());
 }
 
 void Mosfet::stamp(const StampContext& ctx, MnaView& a_mat,
@@ -170,36 +167,35 @@ void Mosfet::stamp(const StampContext& ctx, MnaView& a_mat,
   stamp_current(b_vec, d_, s_, ieq);
 }
 
-void Mosfet::stamp_static(const StampContext& ctx, MnaView& a_mat,
-                          std::span<double> b_vec) const {
+void Mosfet::stamp_static(const StampContext& ctx, MnaView& a_mat) const {
   // Convergence aid across the channel (negligible at 1e-12 S).
   stamp_conductance(a_mat, d_, s_, ctx.gmin);
 
-  // Intrinsic capacitances. Their companions read dt and latched state but
-  // never the Newton iterate, so they belong to the per-point static image:
-  // on the sparse backend this cuts ~3/4 of the MOSFET's per-iteration
-  // matrix stamps.
-  cgs_.stamp(ctx, g_, s_, a_mat, b_vec);
-  cgd_.stamp(ctx, g_, d_, a_mat, b_vec);
-  cgb_.stamp(ctx, g_, b_, a_mat, b_vec);
-  cdb_.stamp(ctx, d_, b_, a_mat, b_vec);
-  csb_.stamp(ctx, s_, b_, a_mat, b_vec);
+  // Intrinsic capacitances. Their companion conductances read only dt and
+  // the integrator, so they stay out of the per-iteration stamp: ~3/4 of
+  // the MOSFET's matrix stamps join the sparse backend's static image.
+  each_cap(*this, [&](const CapCompanion& c, NodeId a, NodeId b) {
+    c.stamp(ctx, a, b, a_mat);
+  });
+}
+
+void Mosfet::stamp_static_rhs(const StampContext& ctx,
+                              std::span<double> b_vec) const {
+  each_cap(*this, [&](const CapCompanion& c, NodeId a, NodeId b) {
+    c.stamp_rhs(ctx, a, b, b_vec);
+  });
 }
 
 void Mosfet::init_state(const StampContext& ctx) {
-  cgs_.init_state(ctx, g_, s_);
-  cgd_.init_state(ctx, g_, d_);
-  cgb_.init_state(ctx, g_, b_);
-  cdb_.init_state(ctx, d_, b_);
-  csb_.init_state(ctx, s_, b_);
+  each_cap(*this, [&](CapCompanion& c, NodeId a, NodeId b) {
+    c.init_state(ctx, a, b);
+  });
 }
 
 void Mosfet::accept_step(const StampContext& ctx) {
-  cgs_.accept_step(ctx, g_, s_);
-  cgd_.accept_step(ctx, g_, d_);
-  cgb_.accept_step(ctx, g_, b_);
-  cdb_.accept_step(ctx, d_, b_);
-  csb_.accept_step(ctx, s_, b_);
+  each_cap(*this, [&](CapCompanion& c, NodeId a, NodeId b) {
+    c.accept_step(ctx, a, b);
+  });
 }
 
 double Mosfet::probe_current(const StampContext& ctx) const {
@@ -207,20 +203,16 @@ double Mosfet::probe_current(const StampContext& ctx) const {
 }
 
 void Mosfet::save_state(std::vector<double>& out) const {
-  cgs_.save_state(out);
-  cgd_.save_state(out);
-  cgb_.save_state(out);
-  cdb_.save_state(out);
-  csb_.save_state(out);
+  each_cap(*this, [&](const CapCompanion& c, NodeId, NodeId) {
+    c.save_state(out);
+  });
 }
 
 std::size_t Mosfet::restore_state(std::span<const double> in) {
   std::size_t off = 0;
-  off += cgs_.restore_state(in.subspan(off));
-  off += cgd_.restore_state(in.subspan(off));
-  off += cgb_.restore_state(in.subspan(off));
-  off += cdb_.restore_state(in.subspan(off));
-  off += csb_.restore_state(in.subspan(off));
+  each_cap(*this, [&](CapCompanion& c, NodeId, NodeId) {
+    off += c.restore_state(in.subspan(off));
+  });
   return off;
 }
 

@@ -80,9 +80,11 @@ class Mosfet : public Device {
 
   void stamp(const StampContext& ctx, MnaView& a_mat,
              std::span<double> b_vec) const override;
-  /// gmin tie and the five intrinsic capacitances (iterate-independent).
-  void stamp_static(const StampContext& ctx, MnaView& a_mat,
-                    std::span<double> b_vec) const override;
+  /// gmin tie and the five intrinsic capacitances' companion conductances.
+  void stamp_static(const StampContext& ctx, MnaView& a_mat) const override;
+  /// The five intrinsic capacitances' history sources.
+  void stamp_static_rhs(const StampContext& ctx,
+                        std::span<double> b_vec) const override;
   bool nonlinear() const override { return true; }
   void init_state(const StampContext& ctx) override;
   void accept_step(const StampContext& ctx) override;
@@ -98,6 +100,17 @@ class Mosfet : public Device {
   NodeId bulk() const { return b_; }
 
  private:
+  /// Calls f(companion, a, b) for the five intrinsic capacitances in their
+  /// fixed stamp / checkpoint order.
+  template <typename Self, typename F>
+  static void each_cap(Self& self, F&& f) {
+    f(self.cgs_, self.g_, self.s_);
+    f(self.cgd_, self.g_, self.d_);
+    f(self.cgb_, self.g_, self.b_);
+    f(self.cdb_, self.d_, self.b_);
+    f(self.csb_, self.s_, self.b_);
+  }
+
   NodeId d_, g_, s_, b_;
   MosParams p_;
   CapCompanion cgs_, cgd_, cgb_, cdb_, csb_;

@@ -1,12 +1,20 @@
 #include "circuit/netlist.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "util/error.hpp"
 
 namespace ecms::circuit {
 
-Circuit::Circuit() {
+namespace {
+std::uint64_t fresh_circuit_id() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+}  // namespace
+
+Circuit::Circuit() : id_(fresh_circuit_id()) {
   names_.push_back("0");
   ids_["0"] = kGround;
   ids_["gnd"] = kGround;
@@ -46,6 +54,7 @@ T& Circuit::emplace_device(Args&&... args) {
   by_name_.emplace(dev->name(), dev.get());
   devices_.push_back(std::move(dev));
   finalized_ = false;
+  id_ = fresh_circuit_id();
   return ref;
 }
 

@@ -5,6 +5,7 @@
 // by the solvers, idempotent).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -31,6 +32,12 @@ class Circuit {
   const std::string& node_name(NodeId id) const;
   /// Number of nodes including ground.
   std::size_t node_count() const { return names_.size(); }
+
+  /// Process-unique identity of this circuit's current device list: fresh
+  /// at construction and after every added device (element values are
+  /// immutable and devices are never removed, so nothing else can change a
+  /// static stamp). The sparse engine keys its kept matrix image on it.
+  std::uint64_t id() const { return id_; }
 
   // --- device factories (names must be unique) ---
   Resistor& add_resistor(const std::string& name, NodeId a, NodeId b,
@@ -90,6 +97,7 @@ class Circuit {
   std::unordered_map<std::string, Device*> by_name_;
   std::size_t branch_unknowns_ = 0;
   bool finalized_ = false;
+  std::uint64_t id_;
 };
 
 }  // namespace ecms::circuit

@@ -18,7 +18,8 @@ void assemble(const Circuit& ckt, const StampContext& ctx, double gmin_ground,
   std::fill(b.begin(), b.end(), 0.0);
   MnaView view(a_mat);
   for (const auto& d : ckt.devices()) {
-    d->stamp_static(ctx, view, b);
+    d->stamp_static(ctx, view);
+    d->stamp_static_rhs(ctx, b);
     d->stamp(ctx, view, b);
   }
   // Floating-node safety net: every node leaks to ground through gmin_ground.
@@ -73,6 +74,8 @@ void count_solve(const NewtonResult& res) {
   ECMS_METRIC_COUNT("circuit.lu.numeric", res.numeric_factorizations);
   ECMS_METRIC_COUNT("circuit.assemble.static_hits", res.assemble_static_hits);
   ECMS_METRIC_COUNT("circuit.assemble.restamps", res.assemble_restamps);
+  ECMS_METRIC_COUNT("circuit.assemble.rhs_restamps",
+                    res.assemble_rhs_restamps);
   ECMS_METRIC_OBSERVE("circuit.newton.iterations_per_solve", res.iterations);
   if (res.singular) ECMS_METRIC_COUNT("circuit.newton.singular", 1);
   if (res.stalled) ECMS_METRIC_COUNT("circuit.newton.stalled", 1);
@@ -97,6 +100,7 @@ NewtonResult newton_solve_impl(const Circuit& ckt,
   const std::uint64_t num0 = eng.numeric_factorizations();
   const std::uint64_t hit0 = eng.static_hits();
   const std::uint64_t rst0 = eng.static_restamps();
+  const std::uint64_t rhs0 = eng.rhs_restamps();
   auto finalize = [&]() {
     res.symbolic_factorizations =
         static_cast<int>(eng.symbolic_factorizations() - sym0);
@@ -106,6 +110,8 @@ NewtonResult newton_solve_impl(const Circuit& ckt,
         static_cast<std::size_t>(eng.static_hits() - hit0);
     res.assemble_restamps =
         static_cast<std::size_t>(eng.static_restamps() - rst0);
+    res.assemble_rhs_restamps =
+        static_cast<std::size_t>(eng.rhs_restamps() - rhs0);
     return res;
   };
 

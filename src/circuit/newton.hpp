@@ -66,10 +66,12 @@ struct NewtonResult {
   /// `iterations` and typically equal to it minus the symbolic count.
   int symbolic_factorizations = 0;
   int numeric_factorizations = 0;
-  /// Assembly accounting: iterations served by restoring the frozen static
-  /// image vs. rebuilds of that image.
+  /// Assembly accounting (SparseEngine): iterations served by restoring
+  /// the static image, points that rebuilt its matrix, and points that
+  /// kept it and re-stamped only the static RHS.
   std::size_t assemble_static_hits = 0;
   std::size_t assemble_restamps = 0;
+  std::size_t assemble_rhs_restamps = 0;
 };
 
 /// Outcome of one damped Newton update (see damped_update).

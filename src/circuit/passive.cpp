@@ -12,13 +12,7 @@ Resistor::Resistor(std::string name, NodeId a, NodeId b, double ohms)
   ECMS_REQUIRE(a != b, "resistor terminals must differ");
 }
 
-void Resistor::set_resistance(double ohms) {
-  ECMS_REQUIRE(ohms > 0.0, "resistance must be positive");
-  ohms_ = ohms;
-}
-
-void Resistor::stamp(const StampContext&, MnaView& a_mat,
-                     std::span<double>) const {
+void Resistor::stamp_static(const StampContext&, MnaView& a_mat) const {
   stamp_conductance(a_mat, a_, b_, 1.0 / ohms_);
 }
 
@@ -32,14 +26,13 @@ Capacitor::Capacitor(std::string name, NodeId a, NodeId b, double farads)
   ECMS_REQUIRE(a != b, "capacitor terminals must differ");
 }
 
-void Capacitor::set_capacitance(double farads) {
-  ECMS_REQUIRE(farads >= 0.0, "capacitance must be non-negative");
-  comp_.set_capacitance(farads);
+void Capacitor::stamp_static(const StampContext& ctx, MnaView& a_mat) const {
+  comp_.stamp(ctx, a_, b_, a_mat);
 }
 
-void Capacitor::stamp(const StampContext& ctx, MnaView& a_mat,
-                      std::span<double> b_vec) const {
-  comp_.stamp(ctx, a_, b_, a_mat, b_vec);
+void Capacitor::stamp_static_rhs(const StampContext& ctx,
+                                 std::span<double> b_vec) const {
+  comp_.stamp_rhs(ctx, a_, b_, b_vec);
 }
 
 void Capacitor::init_state(const StampContext& ctx) {

@@ -12,12 +12,10 @@ class Resistor : public Device {
  public:
   Resistor(std::string name, NodeId a, NodeId b, double ohms);
 
-  void stamp(const StampContext& ctx, MnaView& a_mat,
-             std::span<double> b_vec) const override;
+  void stamp_static(const StampContext& ctx, MnaView& a_mat) const override;
   double probe_current(const StampContext& ctx) const override;
 
   double resistance() const { return ohms_; }
-  void set_resistance(double ohms);
   NodeId a() const { return a_; }
   NodeId b() const { return b_; }
 
@@ -31,8 +29,9 @@ class Capacitor : public Device {
  public:
   Capacitor(std::string name, NodeId a, NodeId b, double farads);
 
-  void stamp(const StampContext& ctx, MnaView& a_mat,
-             std::span<double> b_vec) const override;
+  void stamp_static(const StampContext& ctx, MnaView& a_mat) const override;
+  void stamp_static_rhs(const StampContext& ctx,
+                        std::span<double> b_vec) const override;
   void init_state(const StampContext& ctx) override;
   void accept_step(const StampContext& ctx) override;
   double probe_current(const StampContext& ctx) const override;
@@ -44,7 +43,6 @@ class Capacitor : public Device {
   }
 
   double capacitance() const { return comp_.capacitance(); }
-  void set_capacitance(double farads);
   NodeId a() const { return a_; }
   NodeId b() const { return b_; }
 

@@ -1,6 +1,7 @@
 #include "circuit/solver.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -25,24 +26,33 @@ void SparseEngine::resolve_slots(Tape& tape) {
   }
 }
 
+SparseEngine::ImageKey SparseEngine::ImageKey::of(const Circuit& ckt,
+                                                  const StampContext& ctx,
+                                                  double gmin_ground) {
+  return {ckt.id(), std::bit_cast<std::uint64_t>(ctx.dt),
+          std::bit_cast<std::uint64_t>(ctx.gmin),
+          std::bit_cast<std::uint64_t>(gmin_ground), ctx.method};
+}
+
+void SparseEngine::stamp_static_rhs(const Circuit& ckt,
+                                    const StampContext& ctx) {
+  b_static_.assign(n_, 0.0);
+  for (const auto& d : ckt.devices()) d->stamp_static_rhs(ctx, b_static_);
+}
+
 void SparseEngine::discover(const Circuit& ckt, const StampContext& ctx,
                             double gmin_ground) {
   MnaView view(static_cast<StampSink&>(*this));
 
-  // Record pass: linear devices feed the static tape, nonlinear devices the
-  // dynamic one. The RHS needs no tape — devices write the span directly.
+  // Record pass: every device's static half feeds the static tape, the
+  // nonlinear devices' stamp() the dynamic one. The RHS needs no tape —
+  // devices write the span directly.
   static_tape_ = Tape{};
   dynamic_tape_ = Tape{};
-  b_static_.assign(n_, 0.0);
   phase_ = Phase::kRecord;
   active_tape_ = &static_tape_;
-  for (const auto& d : ckt.devices()) {
-    if (d->nonlinear()) {
-      d->stamp_static(ctx, view, b_static_);
-    } else {
-      d->stamp(ctx, view, b_static_);
-    }
-  }
+  for (const auto& d : ckt.devices()) d->stamp_static(ctx, view);
+  stamp_static_rhs(ckt, ctx);
   b_work_.copy_from(b_static_.span());
   active_tape_ = &dynamic_tape_;
   for (const auto& d : ckt.devices()) {
@@ -118,8 +128,9 @@ void SparseEngine::discover(const Circuit& ckt, const StampContext& ctx,
   dynamic_tape_.rec_vals.clear();
 
   pattern_built_ = true;
-  static_dirty_ = false;
+  point_dirty_ = false;
   diverged_ = false;
+  image_key_ = ImageKey::of(ckt, ctx, gmin_ground);
   ++static_restamps_;
 }
 
@@ -136,29 +147,32 @@ void SparseEngine::assemble(const Circuit& ckt, const StampContext& ctx,
 
   diverged_ = false;
 
-  if (static_dirty_) {
-    std::fill(static_values_.begin(), static_values_.end(), 0.0);
-    b_static_.assign(n_, 0.0);
-    ReplayTape rt;
-    rt.coords = static_tape_.coords.data();
-    rt.slots = static_tape_.slots.data();
-    rt.size = static_tape_.coords.size();
-    rt.values = static_values_.data();
-    MnaView view(rt);
-    for (const auto& d : ckt.devices()) {
-      if (d->nonlinear()) {
-        d->stamp_static(ctx, view, b_static_);
-      } else {
-        d->stamp(ctx, view, b_static_);
+  if (point_dirty_) {
+    const ImageKey key = ImageKey::of(ckt, ctx, gmin_ground);
+    if (key == image_key_) {
+      ++rhs_restamps_;
+    } else {
+      image_key_ = ImageKey{};  // no valid image until the replay completes
+      std::fill(static_values_.begin(), static_values_.end(), 0.0);
+      ReplayTape rt;
+      rt.coords = static_tape_.coords.data();
+      rt.slots = static_tape_.slots.data();
+      rt.size = static_tape_.coords.size();
+      rt.values = static_values_.data();
+      MnaView view(rt);
+      for (const auto& d : ckt.devices()) d->stamp_static(ctx, view);
+      if (rt.diverged || rt.cursor != rt.size) diverged_ = true;
+      if (!diverged_) {
+        for (const std::uint32_t s : diag_slots_) {
+          static_values_[s] += gmin_ground;
+        }
+        image_key_ = key;
+        ++static_restamps_;
       }
     }
-    if (rt.diverged || rt.cursor != rt.size) diverged_ = true;
     if (!diverged_) {
-      for (const std::uint32_t s : diag_slots_) {
-        static_values_[s] += gmin_ground;
-      }
-      static_dirty_ = false;
-      ++static_restamps_;
+      stamp_static_rhs(ckt, ctx);
+      point_dirty_ = false;
     }
   } else {
     ++static_hits_;
@@ -186,7 +200,7 @@ void SparseEngine::assemble(const Circuit& ckt, const StampContext& ctx,
     // the factorization and any adopted program, whose pattern may no
     // longer match — and rediscover (which re-keys against the cache).
     pattern_built_ = false;
-    static_dirty_ = true;
+    point_dirty_ = true;
     lu_.reset();
     program_.reset();
     publish_pending_ = false;

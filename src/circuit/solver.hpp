@@ -50,11 +50,12 @@ inline SolverKind resolve_solver_kind(const SolverConfig&, std::size_t) {
 ///   * stamp-slot tapes: the (row, col) sequence every device emits,
 ///     resolved to value-slot indices, so replayed assemblies are direct
 ///     array writes with no coordinate search, and
-///   * a static image: linear devices (nonlinear() == false) and the
-///     stamp_static() portion of nonlinear ones (companion caps, gmin
-///     ties) cannot change between Newton iterations of one point, so
-///     those stamps are frozen once per point and memcpy-restored each
-///     iteration; only the iterate-dependent stamp() bodies re-run.
+///   * a static image in three tiers (Device in device.hpp): the
+///     stamp_static() matrix image is kept across points for as long as
+///     its key — circuit identity, dt, integrator, ctx.gmin, gmin_ground —
+///     repeats; the stamp_static_rhs() vector is rebuilt once per point;
+///     and only the nonlinear devices' stamp() bodies re-run per Newton
+///     iteration, over a memcpy of that image.
 ///
 /// With a ProgramCache attached, the first assembly hashes the recorded
 /// coordinate streams and either adopts a published NetlistProgram
@@ -65,7 +66,10 @@ inline SolverKind resolve_solver_kind(const SolverConfig&, std::size_t) {
 /// If a device ever emits a different stamp sequence (e.g. the netlist was
 /// reconfigured between solves), the replay detects the divergence via the
 /// recorded coordinates and rebuilds every cache from scratch — the same
-/// guard that neutralizes a (verified-against anyway) hash collision. Not
+/// guard that neutralizes a (verified-against anyway) hash collision. A
+/// kept matrix image skips that replay, so its key carries the circuit
+/// identity (Circuit::id(), fresh after every added device): another
+/// circuit, even at a reused address, misses and replays checked. Not
 /// thread-safe: workspaces are per-solve and therefore per-thread; the
 /// shared program is only ever read.
 class SparseEngine final : public StampSink {
@@ -80,8 +84,9 @@ class SparseEngine final : public StampSink {
   }
 
   /// Marks the start of a new solve point (new time / step / gmin / source
-  /// scale): the static image is rebuilt on the next assemble().
-  void begin_point() { static_dirty_ = true; }
+  /// scale): the next assemble() rebuilds the static RHS, and the static
+  /// matrix image too unless its key matches the image held.
+  void begin_point() { point_dirty_ = true; }
 
   /// Assembles A and b for the given iterate (discovery or tape replay).
   void assemble(const Circuit& ckt, const StampContext& ctx,
@@ -135,11 +140,17 @@ class SparseEngine final : public StampSink {
   }
 
   // Cumulative counters, reported per solve as circuit.lu.{symbolic,
-  // numeric} and circuit.assemble.{static_hits,restamps}.
+  // numeric} and circuit.assemble.{static_hits,restamps,rhs_restamps}:
+  // iterations past a point's first, points that rebuilt the matrix image,
+  // and points served from the kept image with a fresh RHS.
   std::uint64_t symbolic_factorizations() const { return symbolic_; }
   std::uint64_t numeric_factorizations() const { return numeric_; }
   std::uint64_t static_hits() const { return static_hits_; }
   std::uint64_t static_restamps() const { return static_restamps_; }
+  std::uint64_t rhs_restamps() const { return rhs_restamps_; }
+  /// Bumped whenever the static matrix image is rebuilt: values outside
+  /// the dynamic tape's slots are unchanged while it stays put.
+  std::uint64_t image_generation() const { return static_restamps_; }
 
   // StampSink: records a coordinate during discovery, or replays one
   // cached slot write.
@@ -156,8 +167,20 @@ class SparseEngine final : public StampSink {
     std::vector<double> rec_vals;       // values seen during discovery
   };
 
+  // Everything the static matrix image is a function of, compared
+  // bitwise; circuit 0 means no valid image.
+  struct ImageKey {
+    std::uint64_t circuit = 0, dt = 0, gmin = 0, gmin_ground = 0;
+    Integrator method = Integrator::kTrapezoidal;
+    bool operator==(const ImageKey&) const = default;
+    static ImageKey of(const Circuit& ckt, const StampContext& ctx,
+                       double gmin_ground);
+  };
+
   void discover(const Circuit& ckt, const StampContext& ctx,
                 double gmin_ground);
+  /// Rebuilds the static RHS in device order.
+  void stamp_static_rhs(const Circuit& ckt, const StampContext& ctx);
   void resolve_slots(Tape& tape);
   /// This engine's topology and current pivot order as a fresh program.
   std::shared_ptr<NetlistProgram> compile_program() const;
@@ -168,7 +191,8 @@ class SparseEngine final : public StampSink {
   std::size_t n_ = 0;
   std::size_t nv_ = 0;  // voltage unknowns (gmin ground diagonal span)
   bool pattern_built_ = false;
-  bool static_dirty_ = true;
+  bool point_dirty_ = true;
+  ImageKey image_key_;
   bool diverged_ = false;
   bool force_full_factor_ = false;
   Phase phase_ = Phase::kIdle;
@@ -176,8 +200,8 @@ class SparseEngine final : public StampSink {
   Tape* active_tape_ = nullptr;
   std::vector<std::uint32_t> diag_slots_;
   SparseMatrix mat_;
-  util::ArenaBuf<double> static_values_;  // frozen matrix image (nnz values)
-  util::ArenaBuf<double> b_static_;       // frozen static rhs
+  util::ArenaBuf<double> static_values_;  // kept matrix image (nnz values)
+  util::ArenaBuf<double> b_static_;       // this point's static rhs
   util::ArenaBuf<double> b_work_;         // working rhs
   SparseLu lu_;
   ProgramCache* cache_ = nullptr;
@@ -186,7 +210,7 @@ class SparseEngine final : public StampSink {
   std::uint64_t program_key_ = 0;
   bool publish_pending_ = false;
   std::uint64_t symbolic_ = 0, numeric_ = 0;
-  std::uint64_t static_hits_ = 0, static_restamps_ = 0;
+  std::uint64_t static_hits_ = 0, static_restamps_ = 0, rhs_restamps_ = 0;
 };
 
 /// Per-solve scratch owned by the caller of newton_solve: the engine and

@@ -9,8 +9,7 @@ VSource::VSource(std::string name, NodeId p, NodeId n, SourceWave wave)
   ECMS_REQUIRE(p != n, "voltage source terminals must differ");
 }
 
-void VSource::stamp(const StampContext& ctx, MnaView& a_mat,
-                    std::span<double> b_vec) const {
+void VSource::stamp_static(const StampContext&, MnaView& a_mat) const {
   const std::size_t k = branch_;
   if (p_ != kGround) {
     a_mat.add(unknown_of(p_), k, 1.0);
@@ -20,7 +19,11 @@ void VSource::stamp(const StampContext& ctx, MnaView& a_mat,
     a_mat.add(unknown_of(n_), k, -1.0);
     a_mat.add(k, unknown_of(n_), -1.0);
   }
-  b_vec[k] += ctx.source_scale * wave_.value(ctx.time);
+}
+
+void VSource::stamp_static_rhs(const StampContext& ctx,
+                               std::span<double> b_vec) const {
+  b_vec[branch_] += ctx.source_scale * wave_.value(ctx.time);
 }
 
 void VSource::collect_breakpoints(std::vector<double>& out) const {
@@ -37,8 +40,8 @@ ISource::ISource(std::string name, NodeId p, NodeId n, SourceWave wave)
   ECMS_REQUIRE(p != n, "current source terminals must differ");
 }
 
-void ISource::stamp(const StampContext& ctx, MnaView&,
-                    std::span<double> b_vec) const {
+void ISource::stamp_static_rhs(const StampContext& ctx,
+                               std::span<double> b_vec) const {
   stamp_current(b_vec, p_, n_, ctx.source_scale * wave_.value(ctx.time));
 }
 

@@ -13,8 +13,9 @@ class VSource : public Device {
  public:
   VSource(std::string name, NodeId p, NodeId n, SourceWave wave);
 
-  void stamp(const StampContext& ctx, MnaView& a_mat,
-             std::span<double> b_vec) const override;
+  void stamp_static(const StampContext& ctx, MnaView& a_mat) const override;
+  void stamp_static_rhs(const StampContext& ctx,
+                        std::span<double> b_vec) const override;
   int branch_count() const override { return 1; }
   void set_branch_base(std::size_t base) override { branch_ = base; }
   void collect_breakpoints(std::vector<double>& out) const override;
@@ -42,8 +43,8 @@ class ISource : public Device {
  public:
   ISource(std::string name, NodeId p, NodeId n, SourceWave wave);
 
-  void stamp(const StampContext& ctx, MnaView& a_mat,
-             std::span<double> b_vec) const override;
+  void stamp_static_rhs(const StampContext& ctx,
+                        std::span<double> b_vec) const override;
   void collect_breakpoints(std::vector<double>& out) const override;
   double probe_current(const StampContext& ctx) const override;
 

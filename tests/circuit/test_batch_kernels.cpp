@@ -234,31 +234,6 @@ TEST_F(BatchKernelT, DegradedLaneIsFlaggedAndConfined) {
   }
 }
 
-TEST_F(BatchKernelT, CopyAndDiagAddMatchScalar) {
-  Rng rng(11);
-  const std::size_t count = 257;  // odd length exercises vector remainders
-  std::vector<double> src(count), dst_v(count, 0.0), dst_s(count, 0.0);
-  for (double& v : src) v = rng.uniform(-5.0, 5.0);
-  kernels::active().copy(dst_v.data(), src.data(), count);
-  kernels::scalar().copy(dst_s.data(), src.data(), count);
-  for (std::size_t i = 0; i < count; ++i) {
-    EXPECT_TRUE(bits_equal(dst_v[i], dst_s[i]));
-    EXPECT_TRUE(bits_equal(dst_v[i], src[i]));
-  }
-
-  const std::size_t width = 8, nslots = 5;
-  const std::uint32_t slots[nslots] = {0, 3, 7, 12, 13};
-  std::vector<double> vals_v(16 * width), vals_s(16 * width);
-  for (std::size_t i = 0; i < vals_v.size(); ++i) {
-    vals_v[i] = vals_s[i] = rng.uniform(-1.0, 1.0);
-  }
-  kernels::active().diag_add(vals_v.data(), slots, nslots, 1e-12, width);
-  kernels::scalar().diag_add(vals_s.data(), slots, nslots, 1e-12, width);
-  for (std::size_t i = 0; i < vals_v.size(); ++i) {
-    EXPECT_TRUE(bits_equal(vals_v[i], vals_s[i]));
-  }
-}
-
 TEST_F(BatchKernelT, IsaReportAndPreferredWidthAreSane) {
   EXPECT_NE(kernels::isa_summary(), nullptr);
   EXPECT_GE(kernels::preferred_width(), 4u);

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
 #include <string>
 
 #include "circuit/dc.hpp"
@@ -21,7 +23,8 @@ namespace {
 
 // An RC ladder driven through a MOSFET switch: linear devices feed the
 // static image, the transistor exercises the dynamic tape every iteration.
-Circuit make_switched_ladder(const tech::Technology& t, int stages) {
+Circuit make_switched_ladder(const tech::Technology& t, int stages,
+                             double ohms = 10_kOhm, double farads = 50_fF) {
   Circuit c;
   const NodeId vdd = c.node("vdd");
   c.add_vsource("VDD", vdd, kGround, SourceWave::dc(t.vdd));
@@ -32,8 +35,8 @@ Circuit make_switched_ladder(const tech::Technology& t, int stages) {
   for (int i = 0; i < stages; ++i) {
     const std::string a = "n" + std::to_string(i);
     const std::string b = "n" + std::to_string(i + 1);
-    c.add_resistor("R" + std::to_string(i), c.node(a), c.node(b), 10_kOhm);
-    c.add_capacitor("C" + std::to_string(i), c.node(b), kGround, 50_fF);
+    c.add_resistor("R" + std::to_string(i), c.node(a), c.node(b), ohms);
+    c.add_capacitor("C" + std::to_string(i), c.node(b), kGround, farads);
   }
   return c;
 }
@@ -110,6 +113,7 @@ TEST(SolverBackendT, SparseReusesSymbolicFactorization) {
   opts.solver.program_cache = &fresh;
   NewtonWorkspace ws;
   int iterations = 0, symbolic = 0, numeric = 0;
+  std::size_t restamps = 0, rhs_restamps = 0;
   std::vector<double> x(c.unknown_count(), 0.0);
   // Uniform transient points: a DC point in the mix would stamp a different
   // companion-model coordinate sequence and legitimately force one cache
@@ -123,12 +127,102 @@ TEST(SolverBackendT, SparseReusesSymbolicFactorization) {
     iterations += res.iterations;
     symbolic += res.symbolic_factorizations;
     numeric += res.numeric_factorizations;
+    restamps += res.assemble_restamps;
+    rhs_restamps += res.assemble_rhs_restamps;
   }
   EXPECT_EQ(symbolic, 1);  // one Markowitz analysis for the whole run
+  // Same (dt, integrator, gmin) at every point: the static matrix image is
+  // stamped once and later points re-stamp only the static RHS.
+  EXPECT_EQ(restamps, 1u);
+  EXPECT_EQ(rhs_restamps, 4u);
   EXPECT_EQ(symbolic + numeric, iterations);
   EXPECT_GT(iterations, 5);
   // ... and that one analysis was published for other workspaces to adopt.
   EXPECT_EQ(fresh.size(), 1u);
+}
+
+bool bits_equal(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(SolverBackendT, KeptStaticImageMatchesFreshAssembly) {
+  // One workspace's engine through every kind of point that must or must
+  // not keep the static matrix image; after each assembly its system must
+  // equal, bit for bit, what a fresh engine assembles at the same (ctx, x).
+  const auto t = tech::tech018();
+  Circuit c1 = make_switched_ladder(t, 6);
+  Circuit c2 = make_switched_ladder(t, 6, 7_kOhm, 35_fF);
+  c1.finalize();
+  c2.finalize();
+  ASSERT_EQ(c1.unknown_count(), c2.unknown_count());
+  NewtonOptions opts;
+  opts.solver.program_cache = nullptr;
+  NewtonWorkspace ws;
+  ws.prepare(c1, opts.solver);
+  SparseEngine& eng = *ws.engine();
+
+  std::vector<double> x(c1.unknown_count());
+  double time = 0.0;
+  auto point = [&](const Circuit& c, double dt, Integrator method,
+                   double gmin, double gmin_ground, const char* what) {
+    SCOPED_TRACE(what);
+    StampContext ctx;
+    time += dt;
+    ctx.time = time;
+    ctx.dt = dt;
+    ctx.method = method;
+    ctx.gmin = gmin;
+    eng.begin_point();
+    for (int iter = 0; iter < 2; ++iter) {  // a point's first and later
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        x[i] = 0.1 * std::sin(1.0 + 3.0 * time * 1e9 + i + iter);
+      }
+      ctx.x = x;
+      eng.assemble(c, ctx, gmin_ground);
+      SparseEngine fresh(c.unknown_count());
+      fresh.assemble(c, ctx, gmin_ground);
+      EXPECT_EQ(eng.matrix().pattern()->row_ptr,
+                fresh.matrix().pattern()->row_ptr);
+      EXPECT_EQ(eng.matrix().pattern()->cols, fresh.matrix().pattern()->cols);
+      EXPECT_TRUE(bits_equal(eng.matrix().values(), fresh.matrix().values()));
+      EXPECT_TRUE(bits_equal(eng.rhs(), fresh.rhs()));
+    }
+    // Latch new companion history so the next point's RHS must change.
+    for (const auto& d : c.devices()) d->accept_step(ctx);
+  };
+
+  const double dt = 20e-12, g = opts.gmin_ground;
+  const auto trap = Integrator::kTrapezoidal;
+  const auto be = Integrator::kBackwardEuler;
+  StampContext init;
+  init.x = x;
+  for (Circuit* c : {&c1, &c2}) {
+    for (const auto& d : c->devices()) d->init_state(init);
+  }
+  for (int i = 0; i < 3; ++i) point(c1, dt, trap, g, g, "steady trap step");
+  EXPECT_EQ(eng.static_restamps(), 1u);
+  EXPECT_EQ(eng.rhs_restamps(), 2u);
+  point(c1, 7e-12, trap, g, g, "breakpoint-landing step");
+  point(c1, dt, be, g, g, "backward Euler after the breakpoint");
+  point(c1, dt, trap, g, g, "trap step after the BE step");
+  point(c1, dt, trap, 1e-6, g, "junction gmin change");
+  point(c1, dt, trap, 1e-6, 1e-9, "ground gmin change");
+  point(c1, 0.0, trap, g, g, "DC point after transient points");
+  point(c1, dt, trap, g, g, "transient point after DC");
+  point(c1, dt, trap, g, g, "steady trap step after DC");
+  EXPECT_EQ(eng.static_restamps(), 8u);
+  EXPECT_EQ(eng.rhs_restamps(), 3u);
+
+  // Same size, same (dt, integrator, gmin), different element values: the
+  // workspace keeps its engine, and only the circuit identity in the image
+  // key keeps the first circuit's matrix image out of this point.
+  ws.prepare(c2, opts.solver);
+  ASSERT_EQ(ws.engine(), &eng);
+  point(c2, dt, trap, g, g, "second circuit of the same size");
+  point(c2, dt, trap, g, g, "second circuit, steady step");
+  EXPECT_EQ(eng.static_restamps(), 9u);
+  EXPECT_EQ(eng.rhs_restamps(), 4u);
 }
 
 }  // namespace
