@@ -357,7 +357,7 @@ void run_adaptive_acceptance(std::size_t jobs, JsonSink& json) {
 //
 //   1. End-to-end single-cell extraction time on growing macro-cells.
 //   2. The assemble/factor/solve split on the bare array netlist, scalar
-//      engine vs the batched per-lane kernels.
+//      engine vs the per-lane cost of the lane LU.
 //   3. Array codes are invariant across worker counts and with the program
 //      cache on or off (adaptive restarts included: with the cache off,
 //      only the checkpoint carries the pivot order across a resume).
@@ -427,17 +427,19 @@ void run_solver_acceptance(std::size_t jobs, JsonSink& json,
     const double s_fac = time_us([&] { eng.factor(); });
     const double s_sol = time_us([&] { eng.solve(xs); });
 
-    // Batched SoA kernels at the host's preferred lane width over the same
-    // system (DESIGN.md §14), per-lane cost: the restamp row is a full
-    // value-image copy into SoA form (what a lane's gather pays after its
-    // static image was rebuilt), refactor/solve are the vector kernels over
-    // the frozen pivot order eng just computed.
+    // The lane LU at the preferred lane width over the same system
+    // (DESIGN.md §14), per-lane cost: the restamp row is a full value-image
+    // copy into SoA form (what a lane's gather pays after its static image
+    // was rebuilt), refactor (pivot check included) and solve are
+    // lu_refactor_lanes / lu_solve_lanes over the frozen pivot order eng
+    // just computed.
     const std::size_t bw = circuit::kernels::preferred_width();
     const circuit::LuSymbolic& sy = *eng.lu_symbolic();
     const std::size_t nnz = eng.matrix().nnz();
     std::vector<double> ba(nnz * bw), bimg(nnz * bw),
         bl(sy.l_cols.size() * bw), bu(sy.u_cols.size() * bw),
         bwork(unknowns * bw), bpb(unknowns * bw), bpb_src(unknowns * bw);
+    std::vector<long> bbad(bw);
     const auto av = eng.matrix().values();
     const auto rv = eng.rhs();
     for (std::size_t l = 0; l < bw; ++l) {
@@ -446,14 +448,14 @@ void run_solver_acceptance(std::size_t jobs, JsonSink& json,
         bpb_src[i * bw + l] = rv[sy.perm_row[i]];
       }
     }
-    const circuit::kernels::Kernels& kk = circuit::kernels::active();
     const double lanes = static_cast<double>(bw);
     const double b_stamp =
         time_us([&] { std::copy(bimg.begin(), bimg.end(), ba.begin()); }) /
         lanes;
     const double b_fac = time_us([&] {
-                           kk.refactor(sy, ba.data(), bl.data(), bu.data(),
-                                       bwork.data(), bw);
+                           circuit::lu_refactor_lanes(
+                               sy, ba.data(), bl.data(), bu.data(),
+                               bwork.data(), bbad.data(), bw);
                          }) /
                          lanes;
     // solve() runs in place, so each rep reloads the permuted RHS; the
@@ -463,7 +465,8 @@ void run_solver_acceptance(std::size_t jobs, JsonSink& json,
     const double b_sol =
         std::max(0.0, time_us([&] {
                         std::copy(bpb_src.begin(), bpb_src.end(), bpb.begin());
-                        kk.solve(sy, bl.data(), bu.data(), bpb.data(), bw);
+                        circuit::lu_solve_lanes(sy, bl.data(), bu.data(),
+                                                bpb.data(), bw);
                       }) -
                           b_reload) /
         lanes;
@@ -997,15 +1000,13 @@ void run_serve_acceptance(std::size_t jobs, JsonSink& json) {
 
 // EXT-A13 — batched lockstep cell simulation (DESIGN.md §14). Both arms run
 // the one sparse engine, so the batch/--no-batch ratio is lane parallelism
-// alone. Four claims:
+// alone. Three claims:
 //
 //   1. Lockstep batching is not slower than --no-batch on the 16x16
 //      transistor-level `array` flow (serial workers, adaptive scheduling
 //      on — the array command's default shape); the ratio is reported.
 //   2. Codes are bit-identical batch vs --no-batch.
 //   3. Codes are invariant across worker counts with batching on.
-//   4. Codes are identical on the vector kernels and the forced-scalar
-//      fallback.
 //
 // Engagement is witnessed through the circuit.batch.* counters, so a
 // disengaged batch path can never pass the identity checks silently.
@@ -1064,15 +1065,10 @@ void run_batch_acceptance(std::size_t jobs, JsonSink& json) {
       lanes_it == bsnap.counters.end() ? 0 : lanes_it->second;
 
   const auto b_jobs = extraction::extract(sample, req_of(0, jobs));
-  circuit::kernels::set_force_scalar(true);
-  const auto b_forced = extraction::extract(sample, req_of(0, 1));
-  circuit::kernels::set_force_scalar(false);
 
   const bool batch_identical =
       identical16 && batched.bitmap.codes() == ref.bitmap.codes();
   const bool jobs_identical = b_jobs.bitmap.codes() == batched.bitmap.codes();
-  const bool scalar_identical =
-      b_forced.bitmap.codes() == batched.bitmap.codes();
   exp.check("batched codes are bit-identical to --no-batch",
             batch_identical ? "identical (16x16 + 8x8 sample)" : "MISMATCH",
             batch_identical);
@@ -1081,9 +1077,6 @@ void run_batch_acceptance(std::size_t jobs, JsonSink& json) {
                                  " workers)"
                            : "MISMATCH",
             jobs_identical);
-  exp.check("vector kernels and forced-scalar fallback produce identical "
-            "codes",
-            scalar_identical ? "identical" : "MISMATCH", scalar_identical);
   exp.check("the batch engine actually engaged (circuit.batch.lanes > 0)",
             std::to_string(lanes) + " lane-simulations", lanes > 0);
   exp.note("both arms run the same sparse engine; the speedup is lane "
@@ -1100,7 +1093,6 @@ void run_batch_acceptance(std::size_t jobs, JsonSink& json) {
   json.add("ext_a13_batch_lanes", static_cast<long long>(lanes));
   json.add("ext_a13_codes_identical", batch_identical);
   json.add("ext_a13_jobs_identical", jobs_identical);
-  json.add("ext_a13_forced_scalar_identical", scalar_identical);
 }
 
 void BM_CircuitExtractionBySize(benchmark::State& state) {

@@ -1,14 +1,15 @@
-// Batched SoA kernel microbenchmark (DESIGN.md §14).
+// Lane LU microbenchmark (DESIGN.md §14).
 //
 // Times the three hot phases of the lockstep batch engine — a full SoA
 // value-image copy (the "restamp" column: what a lane's gather pays after its
-// static image is rebuilt; a plain std::copy on both backends), the numeric
-// refactorization over the frozen pivot order, and the forward/backward
-// triangular solves — on the bare transistor-level
-// array netlist (the same system EXT-A9 uses for its per-phase split), at
-// lane widths 1/4/8/16, on both the runtime-dispatched backend and the
-// forced-scalar fallback. Numbers are reported *per lane*: the vector payoff
-// is the scalar column divided by the dispatched column at the same width.
+// static image is rebuilt; a plain std::copy), the numeric refactorization
+// over the frozen pivot order with its pivot check (lu_refactor_lanes), and
+// the forward/backward triangular solves (lu_solve_lanes) — on the bare
+// transistor-level array netlist (the same system EXT-A9 uses for its
+// per-phase split), at lane widths 1/3/4/8/16, against the one-lane
+// SparseLu::refactor / solve_in_place of the scalar engine on the same
+// system. Numbers are reported *per lane*: the lane payoff is the SparseLu
+// row divided by the lanes row at that width.
 //
 // --json FILE writes the numbers as one flat object (the CI artifact shape
 // bench_array_scale uses); --size N picks the macro-cell (default 8).
@@ -26,6 +27,7 @@
 
 #include "circuit/kernels.hpp"
 #include "circuit/netlist.hpp"
+#include "circuit/sparse.hpp"
 #include "circuit/solver.hpp"
 #include "edram/netlister.hpp"
 #include "tech/tech.hpp"
@@ -46,9 +48,6 @@ class JsonSink {
   }
   void add(const std::string& key, long long v) {
     fields_.emplace_back(key, std::to_string(v));
-  }
-  void add_str(const std::string& key, const std::string& v) {
-    fields_.emplace_back(key, "\"" + v + "\"");
   }
 
   bool write(const std::string& path) const {
@@ -77,7 +76,8 @@ class JsonSink {
 struct System {
   circuit::Circuit ckt;
   std::size_t unknowns = 0;
-  std::vector<double> a_vals;  ///< assembled matrix values (one lane)
+  circuit::SparseMatrix mat;   ///< assembled matrix (one lane)
+  std::vector<double> a_vals;  ///< mat's values
   std::vector<double> rhs;     ///< assembled RHS (one lane)
   std::shared_ptr<const circuit::LuSymbolic> sym;
 };
@@ -98,7 +98,8 @@ System build_system(std::size_t n) {
   eng.begin_point();
   eng.assemble(s.ckt, ctx, 1e-12);  // discovery
   eng.factor();                     // symbolic + numeric
-  s.a_vals.assign(eng.matrix().values().begin(), eng.matrix().values().end());
+  s.mat = eng.matrix();
+  s.a_vals.assign(s.mat.values().begin(), s.mat.values().end());
   s.rhs.assign(eng.rhs().begin(), eng.rhs().end());
   s.sym = eng.lu_symbolic();
   return s;
@@ -120,17 +121,19 @@ struct PhaseTimes {
   double solve_us = 0.0;
 };
 
-/// Times one backend at one width on the shared system, per-lane cost.
-/// Every lane carries the same values — the kernels are oblivious to lane
-/// content and this bench prices instructions, not convergence.
-PhaseTimes run_width(const System& s, const circuit::kernels::Kernels& kk,
-                     std::size_t width) {
+constexpr int kReps = 400;
+
+/// Times the lane LU at one width on the shared system, per-lane cost.
+/// Every lane carries the same values — the elimination is oblivious to
+/// lane content and this bench prices instructions, not convergence.
+PhaseTimes run_lanes(const System& s, std::size_t width) {
   const circuit::LuSymbolic& sy = *s.sym;
   const std::size_t n = s.unknowns;
   const std::size_t nnz = s.a_vals.size();
   std::vector<double> a(nnz * width), static_img(nnz * width),
       l_vals(sy.l_cols.size() * width), u_vals(sy.u_cols.size() * width),
       work(n * width), pb(n * width), pb_src(n * width);
+  std::vector<long> bad(width);
   for (std::size_t l = 0; l < width; ++l) {
     for (std::size_t k = 0; k < nnz; ++k) {
       static_img[k * width + l] = s.a_vals[k];
@@ -140,18 +143,17 @@ PhaseTimes run_width(const System& s, const circuit::kernels::Kernels& kk,
     }
   }
 
-  constexpr int kReps = 400;
   PhaseTimes t;
   t.restamp_us = time_us_per_rep(kReps, [&] {
     std::copy(static_img.begin(), static_img.end(), a.begin());
     benchmark::DoNotOptimize(a.data());
   });
   t.refactor_us = time_us_per_rep(kReps, [&] {
-    kk.refactor(sy, a.data(), l_vals.data(), u_vals.data(), work.data(),
-                width);
+    circuit::lu_refactor_lanes(sy, a.data(), l_vals.data(), u_vals.data(),
+                               work.data(), bad.data(), width);
     benchmark::DoNotOptimize(u_vals.data());
   });
-  // solve() works in place, so each rep reloads the permuted RHS; the
+  // The solve works in place, so each rep reloads the permuted RHS; the
   // reload is priced separately and subtracted.
   const double reload_us = time_us_per_rep(kReps, [&] {
     std::copy(pb_src.begin(), pb_src.end(), pb.begin());
@@ -159,7 +161,8 @@ PhaseTimes run_width(const System& s, const circuit::kernels::Kernels& kk,
   });
   const double pair_us = time_us_per_rep(kReps, [&] {
     std::copy(pb_src.begin(), pb_src.end(), pb.begin());
-    kk.solve(sy, l_vals.data(), u_vals.data(), pb.data(), width);
+    circuit::lu_solve_lanes(sy, l_vals.data(), u_vals.data(), pb.data(),
+                            width);
     benchmark::DoNotOptimize(pb.data());
   });
   const double w = static_cast<double>(width);
@@ -169,47 +172,68 @@ PhaseTimes run_width(const System& s, const circuit::kernels::Kernels& kk,
   return t;
 }
 
+/// The same three phases through one scalar SparseLu, the engine's own
+/// per-cell path.
+PhaseTimes run_sparse_lu(const System& s) {
+  circuit::SparseMatrix m = s.mat;
+  circuit::SparseLu lu;
+  lu.adopt_symbolic(s.sym);
+  std::vector<double> b(s.unknowns);
+
+  PhaseTimes t;
+  t.restamp_us = time_us_per_rep(kReps, [&] {
+    std::copy(s.a_vals.begin(), s.a_vals.end(), m.values().begin());
+    benchmark::DoNotOptimize(m.values().data());
+  });
+  t.refactor_us = time_us_per_rep(kReps, [&] {
+    benchmark::DoNotOptimize(lu.refactor(m));
+  });
+  const double reload_us = time_us_per_rep(kReps, [&] {
+    std::copy(s.rhs.begin(), s.rhs.end(), b.begin());
+    benchmark::DoNotOptimize(b.data());
+  });
+  const double pair_us = time_us_per_rep(kReps, [&] {
+    std::copy(s.rhs.begin(), s.rhs.end(), b.begin());
+    lu.solve_in_place(b);
+    benchmark::DoNotOptimize(b.data());
+  });
+  t.solve_us = std::max(0.0, pair_us - reload_us);
+  return t;
+}
+
 void run_bench(std::size_t n, const std::string& json_path) {
   const System s = build_system(n);
-  std::printf("batched SoA kernels on the bare %zux%zu array netlist "
-              "(%zu unknowns, %zu nnz)\n",
+  std::printf("lane LU on the bare %zux%zu array netlist "
+              "(%zu unknowns, %zu nnz)\n\n",
               n, n, s.unknowns, s.a_vals.size());
-  std::printf("dispatch: %s\n\n", circuit::kernels::isa_summary());
 
   JsonSink json;
-  json.add_str("batch_isa", circuit::kernels::active().name);
   json.add("batch_unknowns", static_cast<long long>(s.unknowns));
   json.add("batch_preferred_width",
            static_cast<long long>(circuit::kernels::preferred_width()));
 
-  Table table({"width", "backend", "restamp (us/lane)", "refactor (us/lane)",
+  Table table({"width", "path", "restamp (us/lane)", "refactor (us/lane)",
                "solve (us/lane)"});
-  for (std::size_t width : {1u, 4u, 8u, 16u}) {
-    circuit::kernels::set_force_scalar(false);
-    const PhaseTimes v = run_width(s, circuit::kernels::active(), width);
-    circuit::kernels::set_force_scalar(true);
-    const PhaseTimes sc = run_width(s, circuit::kernels::active(), width);
-    circuit::kernels::set_force_scalar(false);
-
+  const PhaseTimes one = run_sparse_lu(s);
+  table.add_row({"1", "SparseLu", Table::num(one.restamp_us, 3),
+                 Table::num(one.refactor_us, 3), Table::num(one.solve_us, 3)});
+  json.add("sparse_lu_restamp_us", one.restamp_us);
+  json.add("sparse_lu_refactor_us", one.refactor_us);
+  json.add("sparse_lu_solve_us", one.solve_us);
+  for (std::size_t width : {1u, 3u, 4u, 8u, 16u}) {
+    const PhaseTimes v = run_lanes(s, width);
     const std::string w = std::to_string(width);
-    table.add_row({w, circuit::kernels::vector_available() ? "vector"
-                                                           : "scalar",
-                   Table::num(v.restamp_us, 3), Table::num(v.refactor_us, 3),
-                   Table::num(v.solve_us, 3)});
-    table.add_row({w, "scalar", Table::num(sc.restamp_us, 3),
-                   Table::num(sc.refactor_us, 3), Table::num(sc.solve_us, 3)});
+    table.add_row({w, "lanes", Table::num(v.restamp_us, 3),
+                   Table::num(v.refactor_us, 3), Table::num(v.solve_us, 3)});
     json.add("batch_restamp_us_w" + w, v.restamp_us);
     json.add("batch_refactor_us_w" + w, v.refactor_us);
     json.add("batch_solve_us_w" + w, v.solve_us);
-    json.add("batch_scalar_restamp_us_w" + w, sc.restamp_us);
-    json.add("batch_scalar_refactor_us_w" + w, sc.refactor_us);
-    json.add("batch_scalar_solve_us_w" + w, sc.solve_us);
   }
   std::cout << table << '\n';
 
   if (!json_path.empty()) {
     if (json.write(json_path)) {
-      std::printf("kernel numbers written to %s\n", json_path.c_str());
+      std::printf("lane LU numbers written to %s\n", json_path.c_str());
     } else {
       std::fprintf(stderr, "error: could not write %s\n", json_path.c_str());
       std::exit(1);

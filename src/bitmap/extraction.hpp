@@ -51,11 +51,10 @@ struct ExtractRequest {
   msu::ExtractOptions options = {.dt = 20e-12, .record_trace = false};
 
   /// Circuit engine only: lockstep batch width per tile (DESIGN.md §14).
-  /// 0 = auto (lane count picked by the host's vector ISA), 1 = scalar
-  /// per-cell measurement, N >= 2 = exactly N lanes. Batching needs a
-  /// program cache and no solve hooks, and silently runs scalar when those
-  /// preconditions fail; codes are bit-identical either way, at any width
-  /// and worker count.
+  /// 0 = auto (16 lanes), 1 = scalar per-cell measurement, N >= 2 = exactly
+  /// N lanes. Batching needs a program cache and no solve hooks, and
+  /// silently runs scalar when those preconditions fail; codes are
+  /// bit-identical either way, at any width and worker count.
   int batch_width = 0;
 
   /// The array is measured tile-by-tile, each tile by its own structure

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "circuit/sparse.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -36,6 +37,7 @@ BatchEngine::BatchEngine(std::span<Circuit* const> lanes, const Options& opts)
   nv_ = lanes[0]->node_count() - 1;
 
   lanes_.resize(lanes.size());
+  bad_rows_.assign(lanes.size(), -1);
   for (std::size_t li = 0; li < lanes.size(); ++li) {
     Lane& lane = lanes_[li];
     lane.ckt = lanes[li];
@@ -252,7 +254,7 @@ bool BatchEngine::solve_point(const StampContext& ctx_proto) {
   };
 
   // newton_solve's damped update + convergence test, per lane over its own
-  // x_new (from the vector scatter or the scalar solve).
+  // x_new (from the lane LU or the scalar solve).
   auto newton_update = [&](std::size_t li, int iter) {
     Lane& L = lanes_[li];
     const NewtonUpdate up = damped_update(L.x_try, L.x_new, nv_, opts_.newton);
@@ -265,7 +267,7 @@ bool BatchEngine::solve_point(const StampContext& ctx_proto) {
   };
 
   // Adopts lane li's pivot order as the batch's shared symbolic and sizes
-  // the SoA kernel operands for it.
+  // the SoA LU operands for it.
   auto adopt_shared = [&](std::size_t li) {
     shared_sym_ = lanes_[li].eng->lu_symbolic();
     shared_pat_ = lanes_[li].eng->matrix().pattern();
@@ -332,8 +334,8 @@ bool BatchEngine::solve_point(const StampContext& ctx_proto) {
     const LuSymbolic& sy = *shared_sym_;
     const std::size_t nnz = shared_pat_->cols.size();
 
-    // Gather lane values and right-hand sides into SoA form. The kernels
-    // compute every one of the W columns; columns of retired / scalar /
+    // Gather lane values and right-hand sides into SoA form. The lane LU
+    // computes every one of the W columns; columns of retired / scalar /
     // finished lanes hold stale data whose results are never read.
     for (std::size_t li : vec_lanes) {
       Lane& L = lanes_[li];
@@ -353,17 +355,16 @@ bool BatchEngine::solve_point(const StampContext& ctx_proto) {
       }
     }
 
-    const kernels::Kernels& kk = kernels::active();
-    kk.refactor(sy, a_soa_.data(), l_soa_.data(), u_soa_.data(),
-                work_soa_.data(), W);
+    lu_refactor_lanes(sy, a_soa_.data(), l_soa_.data(), u_soa_.data(),
+                      work_soa_.data(), bad_rows_.data(), W);
 
-    // Pivot health per lane, by SparseLu::refactor()'s own predicate. A
-    // degraded lane re-pivots through its engine, exactly as the scalar
-    // path's refactor-failure -> full-factor sequence does; its new private
-    // order routes it to the scalar solve from the next iteration on.
+    // A lane whose pivot degraded re-pivots through its engine, exactly as
+    // the scalar path's refactor-failure -> full-factor sequence does; its
+    // new private order routes it to the scalar solve from the next
+    // iteration on.
     std::size_t kept = 0;
     for (std::size_t li : vec_lanes) {
-      if (kernels::first_degraded_row(sy, u_soa_.data(), W, li) >= 0) {
+      if (bad_rows_[li] >= 0) {
         ECMS_METRIC_COUNT("circuit.batch.divergences", 1);
         if (scalar_factor_solve(li)) newton_update(li, iter);
         continue;
@@ -374,7 +375,7 @@ bool BatchEngine::solve_point(const StampContext& ctx_proto) {
     vec_lanes.resize(kept);
     if (vec_lanes.empty()) continue;
 
-    kk.solve(sy, l_soa_.data(), u_soa_.data(), pb_soa_.data(), W);
+    lu_solve_lanes(sy, l_soa_.data(), u_soa_.data(), pb_soa_.data(), W);
 
     for (std::size_t li : vec_lanes) {
       Lane& L = lanes_[li];

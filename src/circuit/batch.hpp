@@ -5,12 +5,15 @@
 // values, so after the first cell publishes its compiled program (pattern,
 // stamp tapes, pivot order) all K cells can be advanced through the same
 // time grid together: per-lane node voltages and per-lane CSR value arrays
-// in structure-of-arrays form, one shared stamp-slot tape, and the numeric
-// refactorization / triangular solves vectorized across lanes
-// (circuit/kernels.hpp). Device evaluation and stamping stay scalar per
-// lane through each lane's own SparseEngine — exactly the scalar assembly
-// path, so tape divergence detection, static-image reuse and program-cache
-// accounting are inherited rather than re-implemented.
+// in structure-of-arrays form, one shared stamp-slot tape, and one numeric
+// refactorization / triangular solve across all lanes. That LU is
+// lu_refactor_lanes / lu_solve_lanes (sparse.hpp), the same template
+// SparseLu::refactor / solve_in_place instantiate for one lane, so a lane's
+// LU arithmetic is the scalar engine's by construction. Device evaluation
+// and stamping stay scalar per lane through each lane's own SparseEngine —
+// exactly the scalar assembly path, so tape divergence detection,
+// static-image reuse and program-cache accounting are inherited rather than
+// re-implemented.
 //
 // Identity: with a fixed base step (no adaptive growth) and no rejected
 // steps, the transient's StepGrid is value-independent — time points are a
@@ -36,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "circuit/kernels.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/newton.hpp"
 #include "circuit/transient.hpp"
@@ -149,8 +151,9 @@ class BatchEngine {
   // Deduplicated value slots the dynamic tape touches (empty = gather the
   // full image every iteration).
   std::vector<std::uint32_t> shared_dyn_slots_;
-  // SoA kernel operands, [slot * width + lane].
+  // SoA LU operands, [slot * width + lane].
   util::ArenaBuf<double> a_soa_, l_soa_, u_soa_, work_soa_, pb_soa_;
+  std::vector<long> bad_rows_;  ///< per lane: first degraded pivot row or -1
   double t_ = 0.0;
   bool force_be_ = true;
   bool first_advance_ = true;

@@ -124,11 +124,10 @@ class SparseEngine final : public StampSink {
 
   std::span<const double> rhs() const { return b_work_.span(); }
   const SparseMatrix& matrix() const { return mat_; }
-  double pivot_ratio() const { return lu_.pivot_ratio(); }
   /// The pivot order this engine actually factors with (adopted or locally
   /// computed; null before the first assemble/factor). The batch engine
   /// compares this against its shared symbolic to decide whether a lane may
-  /// ride the vector kernels or must solve through this engine directly.
+  /// ride the shared lane LU or must solve through this engine directly.
   const std::shared_ptr<const LuSymbolic>& lu_symbolic() const {
     return lu_.symbolic();
   }

@@ -45,10 +45,10 @@ inline constexpr std::uint32_t kNoSlot =
 /// does not trigger spurious re-pivots, but a genuinely collapsed pivot does.
 inline constexpr double kRepivotThreshold = 1e-10;
 
-/// The pivot-health predicate of every numeric refactorization (SparseLu
-/// and the lockstep kernels): a pivot is degraded when it is non-finite,
-/// exactly zero, or below kRepivotThreshold times its U row's largest
-/// magnitude, and the pivot order must then be recomputed.
+/// The pivot-health predicate of the numeric refactorization: a pivot is
+/// degraded when it is non-finite, exactly zero, or below kRepivotThreshold
+/// times its U row's largest magnitude, and the pivot order must then be
+/// recomputed.
 inline bool pivot_degraded(double pivot, double row_max) {
   const double mag = std::abs(pivot);
   return !std::isfinite(pivot) || mag == 0.0 ||
@@ -188,10 +188,6 @@ class SparseLu {
   /// Solves A x = b in place. Requires a successful factor()/refactor().
   void solve_in_place(std::span<double> b) const;
 
-  /// |smallest| / |largest| U-diagonal magnitude — the same cheap
-  /// conditioning heuristic the dense backend reports. 0 means singular-ish.
-  double pivot_ratio() const { return pivot_ratio_; }
-
  private:
   std::size_t n_ = 0;
   bool factored_ = false;
@@ -200,9 +196,27 @@ class SparseLu {
   // sym_->l_cols order, u_vals_ in sym_->u_cols order).
   std::vector<double> l_vals_;
   std::vector<double> u_vals_;
-  double pivot_ratio_ = 0.0;
   util::ArenaBuf<double> work_;                  // refactor scatter vector
   mutable util::ArenaBuf<double> solve_scratch_; // permuted rhs
 };
+
+/// The numeric elimination behind SparseLu::refactor() and the lockstep
+/// lanes (batch.hpp): refactors `w` systems side by side over one frozen
+/// symbolic. Every array is lane-minor — the value of (slot, lane) sits at
+/// [slot * w + lane] — with `a` in CSR slot order, `l`/`u` in sy.l_cols /
+/// sy.u_cols order and `work` sy.n * w scratch. Per lane: scatter each
+/// permuted row of A, eliminate against the finished rows in ascending
+/// column order, gather the U row and judge its pivot by pivot_degraded().
+/// `bad[lane]` becomes that lane's first degraded permuted row, or -1; a
+/// degraded lane's later rows are garbage confined to that lane.
+void lu_refactor_lanes(const LuSymbolic& sy, const double* a, double* l,
+                       double* u, double* work, long* bad, std::size_t w);
+
+/// Forward/backward substitution of `w` lanes in place on `pb`, each lane's
+/// right-hand side in permuted row order (pb[i * w + lane] = b[perm_row[i]]);
+/// the solution comes back in permuted column order (x[perm_col[j]] =
+/// pb[j * w + lane]). Requires a healthy lu_refactor_lanes() of those lanes.
+void lu_solve_lanes(const LuSymbolic& sy, const double* l, const double* u,
+                    double* pb, std::size_t w);
 
 }  // namespace ecms::circuit

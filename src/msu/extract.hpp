@@ -96,11 +96,10 @@ struct ExtractPlan {
   /// (the fault-injection point, see ecms::fault::CellFaultPlan).
   std::function<void(std::size_t, std::size_t, int)> cell_hook = {};
   /// Lockstep batch width (DESIGN.md §14): 1 = scalar per-cell measurement
-  /// (default), 0 = auto (lane count picked by the host's vector ISA),
-  /// N >= 2 = exactly N lanes. Only engages when the plan is batchable (no
-  /// solve hooks, a shared program cache); otherwise the scalar path runs
-  /// regardless. Batched results are bit-identical to the
-  /// scalar path by construction.
+  /// (default), 0 = auto (16 lanes), N >= 2 = exactly N lanes. Only engages
+  /// when the plan is batchable (no solve hooks, a shared program cache);
+  /// otherwise the scalar path runs regardless. Batched results are
+  /// bit-identical to the scalar path by construction.
   int batch_width = 1;
 };
 
@@ -109,8 +108,8 @@ struct ExtractPlan {
 /// one pivot order only through a published program).
 bool batch_engageable(const ExtractPlan& plan);
 
-/// Lane count for a requested ExtractPlan::batch_width (0 = auto by host
-/// ISA, otherwise the request).
+/// Lane count for a requested ExtractPlan::batch_width (0 = auto, 16
+/// lanes; otherwise the request).
 std::size_t resolved_batch_width(int batch_width);
 
 /// Measures every cell of the macro-cell at transistor level under `plan`

@@ -1,18 +1,20 @@
-// Bit-identity of the batched SoA kernels against the scalar SparseLu path
-// on randomized MNA-shaped systems: the vector refactor / triangular solves
-// must reproduce the scalar backend's results to the last bit at every lane
-// width, on both the dispatched and the forced-scalar backend, and a
-// degraded (fault-injected) lane must be flagged by first_degraded_row()
-// without contaminating its neighbors.
-#include "circuit/kernels.hpp"
+// Bit-identity of the lane LU (lu_refactor_lanes / lu_solve_lanes) against
+// the scalar SparseLu path on randomized MNA-shaped systems: every lane must
+// reproduce SparseLu's results to the last bit at every width, both on the
+// vectorized lane blocks and on the one-lane instantiation that widths not
+// a multiple of the block run, and a degraded lane must be flagged in
+// bad[] at its first degraded pivot row without contaminating its
+// neighbors.
+#include "circuit/sparse.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
-#include "circuit/sparse.hpp"
 #include "util/rng.hpp"
 
 namespace ecms::circuit {
@@ -74,11 +76,62 @@ SparseMatrix matrix_of(std::size_t n, const std::vector<Entry>& es) {
          << a << " != " << b << " (bit patterns differ)";
 }
 
+// Gathers per-lane matrices and right-hand sides into the lane-minor
+// layout the lane LU takes, the way BatchEngine does.
+struct Lanes {
+  std::size_t width;
+  std::vector<double> a, l, u, work, pb;
+  std::vector<long> bad;
+
+  Lanes(const LuSymbolic& sy, const std::vector<SparseMatrix>& mats,
+        const std::vector<std::vector<double>>& rhs)
+      : width(mats.size()),
+        a(mats[0].nnz() * width),
+        l(sy.l_cols.size() * width),
+        u(sy.u_cols.size() * width),
+        work(sy.n * width),
+        pb(sy.n * width),
+        bad(width, -2) {
+    for (std::size_t k = 0; k < width; ++k) {
+      const auto av = mats[k].values();
+      for (std::size_t s = 0; s < av.size(); ++s) a[s * width + k] = av[s];
+      for (std::size_t i = 0; i < sy.n; ++i) {
+        pb[i * width + k] = rhs[k][sy.perm_row[i]];
+      }
+    }
+  }
+
+  void refactor(const LuSymbolic& sy) {
+    lu_refactor_lanes(sy, a.data(), l.data(), u.data(), work.data(),
+                      bad.data(), width);
+  }
+  void solve(const LuSymbolic& sy) {
+    lu_solve_lanes(sy, l.data(), u.data(), pb.data(), width);
+  }
+};
+
+// Lane k of the solved lanes must equal SparseLu's solve of mats[k], bit
+// for bit.
+void expect_lane_matches_sparse_lu(const Lanes& lanes, std::size_t k,
+                                   const std::shared_ptr<const LuSymbolic>& sym,
+                                   const SparseMatrix& m,
+                                   std::vector<double> ref) {
+  const LuSymbolic& sy = *sym;
+  SparseLu lu;
+  lu.adopt_symbolic(sym);
+  ASSERT_TRUE(lu.refactor(m)) << "lane " << k;
+  lu.solve_in_place(ref);
+  for (std::size_t j = 0; j < sy.n; ++j) {
+    EXPECT_TRUE(bits_equal(lanes.pb[j * lanes.width + k], ref[sy.perm_col[j]]))
+        << "lane " << k << " unknown " << sy.perm_col[j] << " width "
+        << lanes.width;
+  }
+}
+
 // Runs one width-W equivalence round: W value-perturbed copies of one
 // MNA-shaped topology, scalar SparseLu refactor+solve per lane as the
-// reference, kernel refactor+solve over the SoA gather as the candidate.
-void run_round(const kernels::Kernels& kk, std::size_t width,
-               std::uint64_t seed) {
+// reference, the lane LU over the lane-minor gather as the candidate.
+void run_round(std::size_t width, std::uint64_t seed) {
   Rng rng(seed);
   const std::size_t nv = 8 + rng.uniform_index(8);
   const std::size_t nb = 1 + rng.uniform_index(3);
@@ -91,90 +144,39 @@ void run_round(const kernels::Kernels& kk, std::size_t width,
   lu0.factor(m0);
   const std::shared_ptr<const LuSymbolic> sym = lu0.symbolic();
   ASSERT_NE(sym, nullptr);
-  const LuSymbolic& sy = *sym;
 
   // Per-lane value sets (lane 0 keeps the base values) and RHS vectors.
   std::vector<SparseMatrix> mats;
   std::vector<std::vector<double>> rhs(width, std::vector<double>(n));
-  for (std::size_t l = 0; l < width; ++l) {
+  for (std::size_t k = 0; k < width; ++k) {
     std::vector<Entry> es = base;
-    if (l > 0) {
+    if (k > 0) {
       for (auto& e : es) e.v *= rng.uniform(0.9, 1.1);
     }
     mats.push_back(matrix_of(n, es));
-    for (double& v : rhs[l]) v = rng.uniform(-1.0, 1.0);
+    for (double& v : rhs[k]) v = rng.uniform(-1.0, 1.0);
   }
 
-  // Reference: scalar numeric refactor + solve on the shared symbolic.
-  std::vector<std::vector<double>> ref = rhs;
-  for (std::size_t l = 0; l < width; ++l) {
-    SparseLu lu;
-    lu.adopt_symbolic(sym);
-    ASSERT_TRUE(lu.refactor(mats[l])) << "lane " << l;
-    lu.solve_in_place(ref[l]);
-  }
-
-  // Candidate: SoA gather, kernel refactor + solve, scatter.
-  const std::size_t nnz = mats[0].nnz();
-  std::vector<double> a(nnz * width), l_vals(sy.l_cols.size() * width),
-      u_vals(sy.u_cols.size() * width), work(n * width), pb(n * width);
-  for (std::size_t l = 0; l < width; ++l) {
-    const auto av = mats[l].values();
-    for (std::size_t s = 0; s < nnz; ++s) a[s * width + l] = av[s];
-    for (std::size_t i = 0; i < n; ++i) {
-      pb[i * width + l] = rhs[l][sy.perm_row[i]];
-    }
-  }
-  kk.refactor(sy, a.data(), l_vals.data(), u_vals.data(), work.data(), width);
-  for (std::size_t l = 0; l < width; ++l) {
-    EXPECT_EQ(kernels::first_degraded_row(sy, u_vals.data(), width, l), -1);
-  }
-  kk.solve(sy, l_vals.data(), u_vals.data(), pb.data(), width);
-  for (std::size_t l = 0; l < width; ++l) {
-    for (std::size_t j = 0; j < n; ++j) {
-      EXPECT_TRUE(bits_equal(pb[j * width + l], ref[l][sy.perm_col[j]]))
-          << "lane " << l << " unknown " << sy.perm_col[j] << " width "
-          << width;
-    }
+  Lanes lanes(*sym, mats, rhs);
+  lanes.refactor(*sym);
+  for (std::size_t k = 0; k < width; ++k) EXPECT_EQ(lanes.bad[k], -1);
+  lanes.solve(*sym);
+  for (std::size_t k = 0; k < width; ++k) {
+    expect_lane_matches_sparse_lu(lanes, k, sym, mats[k], rhs[k]);
   }
 }
 
-class BatchKernelT : public ::testing::Test {
- protected:
-  void TearDown() override { kernels::set_force_scalar(false); }
-};
-
-TEST_F(BatchKernelT, ScalarBackendMatchesSparseLuAtEveryWidth) {
-  for (std::size_t w : {1u, 4u, 8u, 16u}) {
+TEST(BatchKernelT, LanesMatchSparseLuAtEveryWidth) {
+  // 3 is not a multiple of the lane block, so it runs the one-lane
+  // instantiation across lanes; the others run the vectorized blocks.
+  for (std::size_t w : {1u, 3u, 4u, 8u, 16u}) {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-      run_round(kernels::scalar(), w, seed * 977 + w);
+      run_round(w, seed * 977 + w);
     }
   }
 }
 
-TEST_F(BatchKernelT, DispatchedBackendMatchesSparseLuAtEveryWidth) {
-  // On hosts without a vector unit this re-checks the scalar backend; with
-  // one it proves the AVX2 lanes agree with SparseLu to the last bit.
-  for (std::size_t w : {1u, 4u, 8u, 16u}) {
-    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-      run_round(kernels::active(), w, seed * 1409 + w);
-    }
-  }
-}
-
-TEST_F(BatchKernelT, ForceScalarOverridesDispatch) {
-  kernels::set_force_scalar(true);
-  EXPECT_STREQ(kernels::active().name, "scalar");
-  EXPECT_TRUE(kernels::force_scalar());
-  run_round(kernels::active(), 8, 42);
-  kernels::set_force_scalar(false);
-  EXPECT_FALSE(kernels::force_scalar());
-  if (kernels::vector_available()) {
-    EXPECT_STRNE(kernels::active().name, "scalar");
-  }
-}
-
-TEST_F(BatchKernelT, DegradedLaneIsFlaggedAndConfined) {
+TEST(BatchKernelT, DegradedLaneIsFlaggedAndConfined) {
   Rng rng(7);
   const std::size_t nv = 10, nb = 2, n = nv + nb;
   const std::vector<Entry> base = random_mna(nv, nb, rng);
@@ -184,61 +186,46 @@ TEST_F(BatchKernelT, DegradedLaneIsFlaggedAndConfined) {
   const auto sym = lu0.symbolic();
   const LuSymbolic& sy = *sym;
 
-  const std::size_t width = 4, bad = 2;
-  const std::size_t nnz = m0.nnz();
-  std::vector<double> a(nnz * width, 0.0), l_vals(sy.l_cols.size() * width),
-      u_vals(sy.u_cols.size() * width), work(n * width), pb(n * width);
-  std::vector<std::vector<double>> rhs(width, std::vector<double>(n));
-  for (std::size_t l = 0; l < width; ++l) {
-    for (double& v : rhs[l]) v = rng.uniform(-1.0, 1.0);
-    if (l == bad) continue;  // lane `bad` keeps an all-zero (singular) matrix
-    const auto av = m0.values();
-    for (std::size_t s = 0; s < nnz; ++s) a[s * width + l] = av[s];
-  }
-  for (std::size_t l = 0; l < width; ++l) {
-    for (std::size_t i = 0; i < n; ++i) {
-      pb[i * width + l] = rhs[l][sy.perm_row[i]];
-    }
-  }
-
-  const kernels::Kernels& kk = kernels::active();
-  kk.refactor(sy, a.data(), l_vals.data(), u_vals.data(), work.data(), width);
-  for (std::size_t l = 0; l < width; ++l) {
-    const long row = kernels::first_degraded_row(sy, u_vals.data(), width, l);
-    if (l == bad) {
-      EXPECT_GE(row, 0) << "singular lane must be flagged";
-    } else {
-      EXPECT_EQ(row, -1) << "lane " << l;
-    }
-  }
-  // The scalar engine agrees the bad lane's refactor is degraded.
-  SparseLu lu_bad;
-  lu_bad.adopt_symbolic(sym);
+  // Lane 1 is all zeros, so its first pivot is zero. Lane 2 zeroes the one
+  // original row that becomes permuted row `mid`: the rows before it
+  // eliminate cleanly, and its pivot collapses to exactly zero there.
+  const std::size_t zero_lane = 1, mid_lane = 2, mid = n / 2;
   SparseMatrix zero = m0;
-  for (double& v : zero.values()) v = 0.0;
-  EXPECT_FALSE(lu_bad.refactor(zero));
-
-  // Healthy lanes still solve bit-identically to the scalar reference.
-  kk.solve(sy, l_vals.data(), u_vals.data(), pb.data(), width);
-  for (std::size_t l = 0; l < width; ++l) {
-    if (l == bad) continue;
-    std::vector<double> ref = rhs[l];
-    SparseLu lu;
-    lu.adopt_symbolic(sym);
-    ASSERT_TRUE(lu.refactor(m0));
-    lu.solve_in_place(ref);
-    for (std::size_t j = 0; j < n; ++j) {
-      EXPECT_TRUE(bits_equal(pb[j * width + l], ref[sy.perm_col[j]]))
-          << "lane " << l;
-    }
+  zero.clear_values();
+  SparseMatrix mid_bad = m0;
+  const std::uint32_t r = sy.perm_row[mid];
+  for (std::uint32_t s = mid_bad.row_begin(r); s < mid_bad.row_end(r); ++s) {
+    mid_bad.values()[s] = 0.0;
   }
-}
 
-TEST_F(BatchKernelT, IsaReportAndPreferredWidthAreSane) {
-  EXPECT_NE(kernels::isa_summary(), nullptr);
-  EXPECT_GE(kernels::preferred_width(), 4u);
-  if (kernels::vector_available()) {
-    EXPECT_NE(kernels::active().name, nullptr);
+  // The scalar engine agrees both lanes' refactors are degraded.
+  for (const SparseMatrix* m : {&zero, &mid_bad}) {
+    SparseLu lu_bad;
+    lu_bad.adopt_symbolic(sym);
+    EXPECT_FALSE(lu_bad.refactor(*m));
+  }
+
+  // Width 3 runs the one-lane instantiation, width 4 one vectorized block.
+  for (std::size_t width : {3u, 4u}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    std::vector<SparseMatrix> mats;
+    std::vector<std::vector<double>> rhs(width, std::vector<double>(n));
+    for (std::size_t k = 0; k < width; ++k) {
+      mats.push_back(k == zero_lane ? zero : k == mid_lane ? mid_bad : m0);
+      for (double& v : rhs[k]) v = rng.uniform(-1.0, 1.0);
+    }
+    Lanes lanes(sy, mats, rhs);
+    lanes.refactor(sy);
+    EXPECT_EQ(lanes.bad[zero_lane], 0);
+    EXPECT_EQ(lanes.bad[mid_lane], static_cast<long>(mid));
+
+    // Healthy lanes still solve bit-identically to the scalar reference.
+    lanes.solve(sy);
+    for (std::size_t k = 0; k < width; ++k) {
+      if (k == zero_lane || k == mid_lane) continue;
+      EXPECT_EQ(lanes.bad[k], -1) << "lane " << k;
+      expect_lane_matches_sparse_lu(lanes, k, sym, m0, rhs[k]);
+    }
   }
 }
 

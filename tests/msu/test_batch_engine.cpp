@@ -1,8 +1,7 @@
 // Batched lockstep extraction (DESIGN.md §14): the golden contract that
 // extract_array with batch_width > 1 produces results bit-identical to the
 // scalar per-cell path — codes, stats and recorded traces, exhaustive and
-// adaptive flows, forced-scalar
-// kernels, fault-injected cells retiring to the scalar path, and the
+// adaptive flows, fault-injected cells retiring to the scalar path, and the
 // engagement predicate that keeps hooked / cache-less plans off the batch
 // entirely.
 #include <gtest/gtest.h>
@@ -24,8 +23,8 @@ edram::MacroCell mc2x2(double cap = 30e-15) {
                                    cap);
 }
 
-// Bit-identity is claimed against the scalar sparse engine (the batch
-// kernels are that engine's refactor/solve across lanes).
+// Bit-identity is claimed against the scalar sparse engine (the lane LU is
+// that engine's refactor/solve across lanes).
 ExtractPlan sparse_plan() {
   ExtractPlan plan;
   plan.retry.max_attempts = 1;
@@ -69,12 +68,7 @@ void expect_identical(const RobustExtraction& batched,
   EXPECT_EQ(batched.report.failures.size(), scalar.report.failures.size());
 }
 
-class BatchEngineT : public ::testing::Test {
- protected:
-  void TearDown() override { circuit::kernels::set_force_scalar(false); }
-};
-
-TEST_F(BatchEngineT, EngagementPredicateGatesTheBatchPath) {
+TEST(BatchEngineT, EngagementPredicateGatesTheBatchPath) {
   ExtractPlan plan;
   EXPECT_TRUE(batch_engageable(plan));
 
@@ -94,7 +88,7 @@ TEST_F(BatchEngineT, EngagementPredicateGatesTheBatchPath) {
   EXPECT_GE(resolved_batch_width(0), 4u);
 }
 
-TEST_F(BatchEngineT, ExhaustiveArrayBitIdenticalToScalarPath) {
+TEST(BatchEngineT, ExhaustiveArrayBitIdenticalToScalarPath) {
   const auto mc = mc2x2();
   // Recorded traces must match sample for sample too: the lockstep lanes
   // bind their probes exactly as the scalar transient does.
@@ -107,7 +101,7 @@ TEST_F(BatchEngineT, ExhaustiveArrayBitIdenticalToScalarPath) {
     }
 
     // Widths that tile the 4 cells evenly (4), with a remainder chunk (3),
-    // and auto (0 resolves to the host's preferred lane count).
+    // and auto (0 resolves to the preferred lane count).
     for (int width : {4, 3, 0}) {
       ExtractPlan plan = scalar_plan;
       plan.batch_width = width;
@@ -119,7 +113,7 @@ TEST_F(BatchEngineT, ExhaustiveArrayBitIdenticalToScalarPath) {
   }
 }
 
-TEST_F(BatchEngineT, AdaptiveArrayBitIdenticalIncludingProbeCounts) {
+TEST(BatchEngineT, AdaptiveArrayBitIdenticalIncludingProbeCounts) {
   // The staircase-replay must reproduce the scalar scheduler probe by
   // probe, so per-cell probe counts and accumulated step/iteration stats
   // match exactly, not just the codes.
@@ -144,19 +138,7 @@ TEST_F(BatchEngineT, AdaptiveArrayBitIdenticalIncludingProbeCounts) {
   }
 }
 
-TEST_F(BatchEngineT, ForcedScalarKernelsProduceIdenticalResults) {
-  const auto mc = mc2x2();
-  ExtractPlan plan = sparse_plan();
-  plan.batch_width = 4;
-  const auto dispatched = extract_array(mc, {}, plan);
-
-  circuit::kernels::set_force_scalar(true);
-  const auto forced = extract_array(mc, {}, plan);
-  circuit::kernels::set_force_scalar(false);
-  expect_identical(forced, dispatched);
-}
-
-TEST_F(BatchEngineT, HookFailedCellsRetireToScalarRetryPath) {
+TEST(BatchEngineT, HookFailedCellsRetireToScalarRetryPath) {
   // Attempt 0 of cell (1, 0) throws before it can join the batch; the
   // retry budget lets attempt 1 measure it on the scalar path, exactly as
   // the scalar engine would have.
@@ -181,7 +163,7 @@ TEST_F(BatchEngineT, HookFailedCellsRetireToScalarRetryPath) {
   EXPECT_EQ(batched.report.recovered, 1u);
 }
 
-TEST_F(BatchEngineT, UnmeasurableCellsAreContainedIdentically) {
+TEST(BatchEngineT, UnmeasurableCellsAreContainedIdentically) {
   // Cell (0, 1) fails every attempt: the batch path must produce the same
   // clamped placeholder and failure report as the scalar engine.
   const auto mc = mc2x2();
@@ -207,7 +189,7 @@ TEST_F(BatchEngineT, UnmeasurableCellsAreContainedIdentically) {
   EXPECT_EQ(batched.report.failures[0].col, 1u);
 }
 
-TEST_F(BatchEngineT, AutoSolverEngagesAndCodesMatch) {
+TEST(BatchEngineT, AutoSolverEngagesAndCodesMatch) {
   // The default plan, with the solver left to the library, engages the
   // batch and matches the scalar path bit for bit.
   const auto mc = mc2x2();
@@ -221,7 +203,7 @@ TEST_F(BatchEngineT, AutoSolverEngagesAndCodesMatch) {
   expect_identical(extract_array(mc, {}, plan), scalar);
 }
 
-TEST_F(BatchEngineT, NonSquareArrayChunksCoverEveryCell) {
+TEST(BatchEngineT, NonSquareArrayChunksCoverEveryCell) {
   const auto mc = edram::MacroCell::uniform({.rows = 2, .cols = 3},
                                             tech::tech018(), 30e-15);
   const ExtractPlan scalar_plan = sparse_plan();

@@ -172,9 +172,9 @@ struct CliRunConfig {
   /// for cache-accounting runs; codes are bit-identical either way).
   bool program_cache = true;
   /// --batch / --batch-width N / --no-batch: lockstep batch width for the
-  /// circuit engine (DESIGN.md §14). 0 = auto (lane count picked by the
-  /// host's vector ISA), 1 = scalar per-cell measurement, N >= 2 = exactly
-  /// N lanes. Codes are bit-identical either way.
+  /// circuit engine (DESIGN.md §14). 0 = auto (16 lanes), 1 = scalar
+  /// per-cell measurement, N >= 2 = exactly N lanes. Codes are
+  /// bit-identical either way.
   int batch_width = 0;
 };
 
@@ -696,8 +696,8 @@ serve::ExtractSpec extract_spec_of(const Args& args) {
   spec.adaptive = args.flag("no-adaptive") ? 0 : 1;
   spec.retries = static_cast<std::uint32_t>(args.integer("retries", 2));
   // Same spelling as the one-shot run shape: --no-batch pins scalar,
-  // --batch-width pins a lane count, the default lets the server pick by
-  // its own vector ISA (the server's, not this client's).
+  // --batch-width pins a lane count, the default lets the server pick its
+  // auto width.
   if (args.flag("no-batch") &&
       (args.flag("batch") || args.flag("batch-width"))) {
     throw UsageError("--no-batch and --batch/--batch-width are mutually "
@@ -866,21 +866,13 @@ int cmd_client(const Args& args) {
   return any_unmeasurable ? kExitDegraded : kExitOk;
 }
 
-/// Build/runtime capability report: which batched-kernel ISA backend the
-/// dispatcher resolved on this host, what batch_width = auto means here,
-/// and whether a forced-scalar override is in effect. The serve protocol
-/// version rides along so client/daemon pairings can be checked by eye.
+/// Build/runtime capability report: what batch_width = auto means, plus
+/// the serve protocol version so client/daemon pairings can be checked by
+/// eye.
 int cmd_version(const Args&) {
   std::printf("ecms_tool — eDRAM capacitor measurement structure\n");
-  std::printf("  simd kernels     %s\n", circuit::kernels::isa_summary());
-  std::printf("  vector backend   %s\n",
-              circuit::kernels::vector_available() ? "available" : "absent");
   std::printf("  batch auto width %zu lanes\n",
               circuit::kernels::preferred_width());
-  std::printf("  scalar override  %s\n",
-              circuit::kernels::force_scalar()
-                  ? "on (ECMS_FORCE_SCALAR_KERNELS)"
-                  : "off");
   std::printf("  serve protocol   v%u\n",
               static_cast<unsigned>(serve::kProtocolVersion));
   return kExitOk;
@@ -936,9 +928,8 @@ int usage() {
       "           --batch | --batch-width N | --no-batch\n"
       "           --metrics | --trace   print the server's JSON export\n"
       "           --calibrate [--rows N --cols N --steps N --points N]\n"
-      "  version  report the batched-kernel ISA dispatch on this host\n"
-      "           (active backend, auto lane width, scalar override) and\n"
-      "           the serve protocol version\n"
+      "  version  report the auto lane width and the serve protocol\n"
+      "           version\n"
       "\n"
       "run shape (extract, bitmap, array — parsed once, same everywhere):\n"
       "  --jobs N        worker threads (default 1; 0 = one per hardware\n"
@@ -959,10 +950,9 @@ int usage() {
       "                  instead of sharing the process-wide topology\n"
       "                  cache (A/B switch for cache accounting; codes\n"
       "                  are bit-identical either way)\n"
-      "  --batch         lockstep batched cell simulation, auto lane\n"
-      "                  width from the host's vector ISA (the default\n"
-      "                  for the circuit engine; spelled out for A/B\n"
-      "                  runs against --no-batch)\n"
+      "  --batch         lockstep batched cell simulation, auto = 16\n"
+      "                  lanes (the default for the circuit engine;\n"
+      "                  spelled out for A/B runs against --no-batch)\n"
       "  --batch-width N exactly N lockstep lanes (2..64)\n"
       "  --no-batch      scalar per-cell measurement; codes are\n"
       "                  bit-identical to every batched shape\n"
