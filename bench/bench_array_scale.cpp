@@ -436,9 +436,8 @@ void run_solver_acceptance(std::size_t jobs, JsonSink& json,
     const std::size_t bw = circuit::kernels::preferred_width();
     const circuit::LuSymbolic& sy = *eng.lu_symbolic();
     const std::size_t nnz = eng.matrix().nnz();
-    std::vector<double> ba(nnz * bw), bimg(nnz * bw),
-        bl(sy.l_cols.size() * bw), bu(sy.u_cols.size() * bw),
-        bwork(unknowns * bw), bpb(unknowns * bw), bpb_src(unknowns * bw);
+    std::vector<double> ba(nnz * bw), bimg(nnz * bw), blu(sy.factor_nnz() * bw),
+        bpb(unknowns * bw), bpb_src(unknowns * bw);
     std::vector<long> bbad(bw);
     const auto av = eng.matrix().values();
     const auto rv = eng.rhs();
@@ -454,8 +453,7 @@ void run_solver_acceptance(std::size_t jobs, JsonSink& json,
         lanes;
     const double b_fac = time_us([&] {
                            circuit::lu_refactor_lanes(
-                               sy, ba.data(), bl.data(), bu.data(),
-                               bwork.data(), bbad.data(), bw);
+                               sy, ba.data(), blu.data(), bbad.data(), bw);
                          }) /
                          lanes;
     // solve() runs in place, so each rep reloads the permuted RHS; the
@@ -465,8 +463,8 @@ void run_solver_acceptance(std::size_t jobs, JsonSink& json,
     const double b_sol =
         std::max(0.0, time_us([&] {
                         std::copy(bpb_src.begin(), bpb_src.end(), bpb.begin());
-                        circuit::lu_solve_lanes(sy, bl.data(), bu.data(),
-                                                bpb.data(), bw);
+                        circuit::lu_solve_lanes(sy, blu.data(), bpb.data(),
+                                                bw);
                       }) -
                           b_reload) /
         lanes;

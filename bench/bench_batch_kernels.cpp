@@ -131,8 +131,7 @@ PhaseTimes run_lanes(const System& s, std::size_t width) {
   const std::size_t n = s.unknowns;
   const std::size_t nnz = s.a_vals.size();
   std::vector<double> a(nnz * width), static_img(nnz * width),
-      l_vals(sy.l_cols.size() * width), u_vals(sy.u_cols.size() * width),
-      work(n * width), pb(n * width), pb_src(n * width);
+      lu_vals(sy.factor_nnz() * width), pb(n * width), pb_src(n * width);
   std::vector<long> bad(width);
   for (std::size_t l = 0; l < width; ++l) {
     for (std::size_t k = 0; k < nnz; ++k) {
@@ -149,9 +148,9 @@ PhaseTimes run_lanes(const System& s, std::size_t width) {
     benchmark::DoNotOptimize(a.data());
   });
   t.refactor_us = time_us_per_rep(kReps, [&] {
-    circuit::lu_refactor_lanes(sy, a.data(), l_vals.data(), u_vals.data(),
-                               work.data(), bad.data(), width);
-    benchmark::DoNotOptimize(u_vals.data());
+    circuit::lu_refactor_lanes(sy, a.data(), lu_vals.data(), bad.data(),
+                               width);
+    benchmark::DoNotOptimize(lu_vals.data());
   });
   // The solve works in place, so each rep reloads the permuted RHS; the
   // reload is priced separately and subtracted.
@@ -161,8 +160,7 @@ PhaseTimes run_lanes(const System& s, std::size_t width) {
   });
   const double pair_us = time_us_per_rep(kReps, [&] {
     std::copy(pb_src.begin(), pb_src.end(), pb.begin());
-    circuit::lu_solve_lanes(sy, l_vals.data(), u_vals.data(), pb.data(),
-                            width);
+    circuit::lu_solve_lanes(sy, lu_vals.data(), pb.data(), width);
     benchmark::DoNotOptimize(pb.data());
   });
   const double w = static_cast<double>(width);

@@ -27,9 +27,7 @@ BatchEngine::BatchEngine(std::span<Circuit* const> lanes, const Options& opts)
   // any engine carves from it (and so util.arena.resets reflects the batch).
   arena_.reset();
   a_soa_.bind(&arena_);
-  l_soa_.bind(&arena_);
-  u_soa_.bind(&arena_);
-  work_soa_.bind(&arena_);
+  lu_soa_.bind(&arena_);
   pb_soa_.bind(&arena_);
 
   lanes[0]->finalize();
@@ -61,7 +59,7 @@ BatchEngine::BatchEngine(std::span<Circuit* const> lanes, const Options& opts)
     ctx.x = lane.x;
     ctx.time = 0.0;
     ctx.dt = 0.0;
-    for (const auto& d : lane.ckt->devices()) d->init_state(ctx);
+    lane.ckt->init_state(ctx);
   }
   force_be_ = opts_.be_after_breakpoint;  // first step from t = 0 uses BE
   ECMS_METRIC_COUNT("circuit.batch.lanes", lanes.size());
@@ -199,7 +197,7 @@ void BatchEngine::advance(
       std::swap(L.x, L.x_try);
       StampContext actx = proto;
       actx.x = L.x;
-      for (const auto& d : L.ckt->devices()) d->accept_step(actx);
+      L.ckt->accept_step(actx);
       ++L.stats.accepted_steps;
       L.stats.newton_iterations += static_cast<std::size_t>(L.point_iters);
       ++L.points;
@@ -273,9 +271,7 @@ bool BatchEngine::solve_point(const StampContext& ctx_proto) {
     shared_pat_ = lanes_[li].eng->matrix().pattern();
     const LuSymbolic& sy = *shared_sym_;
     a_soa_.resize(shared_pat_->cols.size() * W);
-    l_soa_.resize(sy.l_cols.size() * W);
-    u_soa_.resize(sy.u_cols.size() * W);
-    work_soa_.resize(sy.n * W);
+    lu_soa_.resize(sy.factor_nnz() * W);
     pb_soa_.resize(sy.n * W);
     // Only the dynamic tape's slots change while a lane's static matrix
     // image stays put (across iterations, and across points whose image
@@ -355,8 +351,7 @@ bool BatchEngine::solve_point(const StampContext& ctx_proto) {
       }
     }
 
-    lu_refactor_lanes(sy, a_soa_.data(), l_soa_.data(), u_soa_.data(),
-                      work_soa_.data(), bad_rows_.data(), W);
+    lu_refactor_lanes(sy, a_soa_.data(), lu_soa_.data(), bad_rows_.data(), W);
 
     // A lane whose pivot degraded re-pivots through its engine, exactly as
     // the scalar path's refactor-failure -> full-factor sequence does; its
@@ -375,7 +370,7 @@ bool BatchEngine::solve_point(const StampContext& ctx_proto) {
     vec_lanes.resize(kept);
     if (vec_lanes.empty()) continue;
 
-    lu_solve_lanes(sy, l_soa_.data(), u_soa_.data(), pb_soa_.data(), W);
+    lu_solve_lanes(sy, lu_soa_.data(), pb_soa_.data(), W);
 
     for (std::size_t li : vec_lanes) {
       Lane& L = lanes_[li];

@@ -152,7 +152,7 @@ class BatchEngine {
   // full image every iteration).
   std::vector<std::uint32_t> shared_dyn_slots_;
   // SoA LU operands, [slot * width + lane].
-  util::ArenaBuf<double> a_soa_, l_soa_, u_soa_, work_soa_, pb_soa_;
+  util::ArenaBuf<double> a_soa_, lu_soa_, pb_soa_;
   std::vector<long> bad_rows_;  ///< per lane: first degraded pivot row or -1
   double t_ = 0.0;
   bool force_be_ = true;

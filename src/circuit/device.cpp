@@ -1,5 +1,9 @@
 #include "circuit/device.hpp"
 
+#include <type_traits>
+
+#include "util/error.hpp"
+
 namespace ecms::circuit {
 
 void stamp_conductance(MnaView& a_mat, NodeId a, NodeId b, double g) {
@@ -30,45 +34,94 @@ void stamp_current(std::span<double> b_vec, NodeId a, NodeId b, double i) {
   if (b != kGround) b_vec[unknown_of(b)] += i;
 }
 
-double CapCompanion::geq(const StampContext& ctx) const {
-  return ctx.method == Integrator::kBackwardEuler ? c_ / ctx.dt
-                                                  : 2.0 * c_ / ctx.dt;
+void stamp_companion(const StampContext& ctx, NodeId a, NodeId b, double c,
+                     MnaView& a_mat) {
+  if (ctx.is_dc() || c == 0.0) return;  // open in DC
+  stamp_conductance(a_mat, a, b, companion_geq(c, ctx));
 }
 
-void CapCompanion::stamp(const StampContext& ctx, NodeId a, NodeId b,
-                         MnaView& a_mat) const {
-  if (ctx.is_dc() || c_ == 0.0) return;  // open in DC
-  stamp_conductance(a_mat, a, b, geq(ctx));
+std::size_t CompanionBank::add(NodeId a, NodeId b, double c) {
+  if (c == 0.0) open_.push_back(size());
+  a_.push_back(a);
+  b_.push_back(b);
+  c_.push_back(c);
+  geq_.push_back(0.0);
+  v_.push_back(0.0);
+  i_.push_back(0.0);
+  geq_valid_ = false;
+  return size() - 1;
 }
 
-void CapCompanion::stamp_rhs(const StampContext& ctx, NodeId a, NodeId b,
-                             std::span<double> b_vec) const {
-  if (ctx.is_dc() || c_ == 0.0) return;
-  // Companion: i(a->b) = g * v - j, with
-  //   BE:   j = g * v_prev
-  //   trap: j = g * v_prev + i_prev
-  double j = geq(ctx) * v_prev_;
-  if (ctx.method == Integrator::kTrapezoidal) j += i_prev_;
-  // The equivalent source j flows b->a (it opposes the conductance term).
-  stamp_current(b_vec, b, a, j);
+void CompanionBank::stamp_rhs(const StampContext& ctx, std::size_t begin,
+                              std::size_t end, std::span<double> b) const {
+  // One loop, instantiated per integrator and conductance source.
+  auto run = [&](auto trap, auto geq) {
+    for (std::size_t k = begin; k < end; ++k) {
+      double j = geq(k) * v_[k];
+      if constexpr (decltype(trap)::value) j += i_[k];
+      // The equivalent source j flows b->a (it opposes the conductance).
+      b[b_[k]] -= j;
+      b[a_[k]] += j;
+    }
+  };
+  auto cached = [&](std::size_t k) { return geq_[k]; };
+  auto fresh = [&](std::size_t k) { return companion_geq(c_[k], ctx); };
+  const bool trap = ctx.method == Integrator::kTrapezoidal;
+  if (geq_cached(ctx)) {
+    trap ? run(std::true_type{}, cached) : run(std::false_type{}, cached);
+  } else {
+    trap ? run(std::true_type{}, fresh) : run(std::false_type{}, fresh);
+  }
 }
 
-void CapCompanion::init_state(const StampContext& ctx, NodeId a, NodeId b) {
-  v_prev_ = ctx.v(a) - ctx.v(b);
-  i_prev_ = 0.0;
+void CompanionBank::init_state(const StampContext& ctx) {
+  for (std::size_t k = 0; k < size(); ++k) {
+    v_[k] = ctx.v(a_[k]) - ctx.v(b_[k]);
+    i_[k] = 0.0;
+  }
 }
 
-void CapCompanion::accept_step(const StampContext& ctx, NodeId a, NodeId b) {
-  if (ctx.is_dc() || c_ == 0.0) {
-    init_state(ctx, a, b);
+void CompanionBank::accept_step(const StampContext& ctx) {
+  if (ctx.is_dc()) {
+    init_state(ctx);
     return;
   }
-  const double g = geq(ctx);
-  const double v_new = ctx.v(a) - ctx.v(b);
-  double i_new = g * (v_new - v_prev_);
-  if (ctx.method == Integrator::kTrapezoidal) i_new -= i_prev_;
-  v_prev_ = v_new;
-  i_prev_ = i_new;
+  if (!geq_cached(ctx)) {
+    for (std::size_t k = 0; k < size(); ++k) {
+      geq_[k] = companion_geq(c_[k], ctx);
+    }
+    geq_valid_ = true;
+    geq_dt_ = ctx.dt;
+    geq_method_ = ctx.method;
+  }
+  const bool trap = ctx.method == Integrator::kTrapezoidal;
+  const double* x = ctx.x.data();
+  for (std::size_t k = 0; k < size(); ++k) {
+    const NodeId a = a_[k], b = b_[k];
+    const double v_new = (a == kGround ? 0.0 : x[a - 1]) -
+                         (b == kGround ? 0.0 : x[b - 1]);
+    double i_new = geq_[k] * (v_new - v_[k]);
+    if (trap) i_new -= i_[k];
+    v_[k] = v_new;
+    i_[k] = i_new;
+  }
+  for (const std::size_t k : open_) i_[k] = 0.0;  // C = 0: no current
+}
+
+void CompanionBank::save_state(std::vector<double>& out) const {
+  for (std::size_t k = 0; k < size(); ++k) {
+    out.push_back(v_[k]);
+    out.push_back(i_[k]);
+  }
+}
+
+void CompanionBank::restore_state(std::span<const double> in) {
+  ECMS_REQUIRE(in.size() == 2 * size(),
+               "checkpoint device state size mismatch");
+  for (std::size_t k = 0; k < size(); ++k) {
+    v_[k] = in[2 * k];
+    i_[k] = in[2 * k + 1];
+  }
 }
 
 }  // namespace ecms::circuit

@@ -4,8 +4,8 @@
 // ground and is eliminated. Devices contribute a linearized companion model
 // each Newton iteration: A x = b where A holds conductances/incidences and b
 // holds equivalent source currents. Dynamic devices (capacitors, MOSFET
-// intrinsic caps) carry per-step history which the solver latches through
-// init_state()/accept_step().
+// intrinsic caps) bind their companions into the circuit's CompanionBank,
+// which carries the per-step history the solver latches.
 #pragma once
 
 #include <cstddef>
@@ -125,60 +125,72 @@ void stamp_transconductance(MnaView& a_mat, NodeId out_p, NodeId out_n,
 /// entering b).
 void stamp_current(std::span<double> b_vec, NodeId a, NodeId b, double i);
 
-/// Shared companion model for a linear capacitor (used by the Capacitor
-/// device and by MOSFET intrinsic capacitances). Charge-conserving under both
-/// integrators.
-class CapCompanion {
+/// Companion conductance of a linear capacitor C over the step ctx.dt:
+/// C/dt under backward Euler, 2C/dt under the trapezoidal rule.
+inline double companion_geq(double c, const StampContext& ctx) {
+  return ctx.method == Integrator::kBackwardEuler ? c / ctx.dt
+                                                  : 2.0 * c / ctx.dt;
+}
+
+/// Stamps a capacitor's companion conductance between nodes a, b: a
+/// function of (dt, method) only. No-op in DC (capacitor open) and at C = 0.
+void stamp_companion(const StampContext& ctx, NodeId a, NodeId b, double c,
+                     MnaView& a_mat);
+
+/// Every linear capacitor companion of a circuit (capacitors, MOSFET
+/// intrinsic capacitances) as structure-of-arrays in device order:
+/// terminals, C, history v_prev = v(a) - v(b) and i_prev, and the
+/// conductances g of the last accepted (dt, integrator). The companion is
+/// i(a->b) = g·v - j, j = g·v_prev (+ i_prev under the trapezoidal rule).
+class CompanionBank {
  public:
-  CapCompanion() = default;
-  explicit CapCompanion(double farads) : c_(farads) {}
+  /// Appends a companion across (a, b); returns its index.
+  std::size_t add(NodeId a, NodeId b, double c);
 
-  double capacitance() const { return c_; }
+  std::size_t size() const { return c_.size(); }
+  NodeId a(std::size_t k) const { return a_[k]; }
+  NodeId b(std::size_t k) const { return b_[k]; }
+  double capacitance(std::size_t k) const { return c_[k]; }
+  double v_prev(std::size_t k) const { return v_[k]; }
+  double i_prev(std::size_t k) const { return i_[k]; }
 
-  /// Stamps the companion conductance between nodes a, b: a function of
-  /// (dt, method) only. No-op in DC (capacitor open).
-  void stamp(const StampContext& ctx, NodeId a, NodeId b, MnaView& a_mat) const;
+  /// Adds companions [begin, end)'s history sources j to the node-indexed
+  /// `b` (b[0]: ground sink), subtracting j at b then adding it at a.
+  /// Transient points only; every C in the range must be nonzero.
+  void stamp_rhs(const StampContext& ctx, std::size_t begin, std::size_t end,
+                 std::span<double> b) const;
 
-  /// Stamps the companion's history source g·v_prev (+ i_prev under the
-  /// trapezoidal rule) into the RHS. No-op in DC.
-  void stamp_rhs(const StampContext& ctx, NodeId a, NodeId b,
-                 std::span<double> b_vec) const;
-
-  /// Latches v across (a - b) as history; zeroes the current history.
-  void init_state(const StampContext& ctx, NodeId a, NodeId b);
-
-  /// Latches history after an accepted transient step.
-  void accept_step(const StampContext& ctx, NodeId a, NodeId b);
-
-  double history_voltage() const { return v_prev_; }
-  double history_current() const { return i_prev_; }
-
-  /// Appends the integration history (v_prev, i_prev) for checkpointing.
-  void save_state(std::vector<double>& out) const {
-    out.push_back(v_prev_);
-    out.push_back(i_prev_);
-  }
-  /// Restores history appended by save_state(); returns values consumed.
-  std::size_t restore_state(std::span<const double> in) {
-    v_prev_ = in[0];
-    i_prev_ = in[1];
-    return 2;
-  }
+  /// Latches v(a) - v(b) of the iterate as history; zeroes the currents.
+  void init_state(const StampContext& ctx);
+  /// Latches history after an accepted transient step (a DC context, or
+  /// C = 0, latches as init_state does).
+  void accept_step(const StampContext& ctx);
+  /// Appends (v_prev, i_prev) per companion: the checkpoint blob.
+  void save_state(std::vector<double>& out) const;
+  /// Restores exactly what save_state() wrote; throws on a size mismatch.
+  void restore_state(std::span<const double> in);
 
  private:
-  double geq(const StampContext& ctx) const;
-  double c_ = 0.0;
-  double v_prev_ = 0.0;
-  double i_prev_ = 0.0;
+  bool geq_cached(const StampContext& ctx) const {
+    return geq_valid_ && ctx.dt == geq_dt_ && ctx.method == geq_method_;
+  }
+
+  std::vector<NodeId> a_, b_;
+  std::vector<double> c_, geq_, v_, i_;
+  std::vector<std::size_t> open_;  // companions with C = 0
+  bool geq_valid_ = false;  // geq_ holds (geq_dt_, geq_method_)'s values
+  double geq_dt_ = 0.0;
+  Integrator geq_method_ = Integrator::kTrapezoidal;
 };
 
 /// Abstract circuit element.
 ///
-/// A device's contribution comes in three tiers, one method each:
-/// stamp_static() (matrix entries that never read the iterate, history or
-/// time), stamp_static_rhs() (the iterate-independent RHS: companion
-/// history and source values at ctx.time) and stamp() (everything that
-/// reads the iterate; nonlinear devices only). Element values that reach
+/// A device's contribution comes in three tiers: stamp_static() (matrix
+/// entries that never read the iterate, history or time), the
+/// iterate-independent RHS (its capacitor companions' history sources,
+/// which the circuit's CompanionBank stamps, or stamp_static_rhs() for
+/// source values at ctx.time) and stamp() (everything that reads the
+/// iterate; nonlinear devices only). Element values that reach
 /// the matrix are fixed at construction (only source waves, which reach the
 /// RHS alone, can be replaced) and a Circuit's device list is append-only,
 /// so the stamp_static() values are a pure function of the circuit and
@@ -203,8 +215,9 @@ class Device {
   virtual void stamp_static(const StampContext& /*ctx*/,
                             MnaView& /*a_mat*/) const {}
 
-  /// The static RHS half: contributions that read latched history and
-  /// ctx.time / ctx.source_scale but never ctx.x. Re-stamped every point.
+  /// The static RHS half outside the companion bank: contributions that
+  /// read ctx.time / ctx.source_scale but never ctx.x. Re-stamped every
+  /// point (Circuit::stamp_static_rhs).
   virtual void stamp_static_rhs(const StampContext& /*ctx*/,
                                 std::span<double> /*b_vec*/) const {}
 
@@ -221,14 +234,12 @@ class Device {
   /// Called by Circuit::finalize() with the first branch unknown index.
   virtual void set_branch_base(std::size_t /*base*/) {}
 
+  /// Called once by Circuit::finalize(): appends this device's capacitor
+  /// companions to the bank, in a fixed (stamp and checkpoint) order.
+  virtual void bind_companions(CompanionBank& /*bank*/) {}
+
   /// True if stamp() depends on the iterate x.
   virtual bool nonlinear() const { return false; }
-
-  /// Latches initial history from a consistent DC solution.
-  virtual void init_state(const StampContext& /*ctx*/) {}
-
-  /// Latches history after an accepted transient step.
-  virtual void accept_step(const StampContext& /*ctx*/) {}
 
   /// Appends times where this device's stimulus has corners.
   virtual void collect_breakpoints(std::vector<double>& /*out*/) const {}
@@ -236,16 +247,6 @@ class Device {
   /// Branch or terminal current for probing, where meaningful (positive from
   /// the first terminal into the device). Default: unknown → 0.
   virtual double probe_current(const StampContext& /*ctx*/) const { return 0.0; }
-
-  /// Serializes the device's integration history (companion-model charge
-  /// state) so a transient can be checkpointed and resumed bit-identically.
-  /// save_state appends to `out`; restore_state consumes the same number of
-  /// values from the front of `in` and returns how many it consumed.
-  /// Stateless devices keep the no-op defaults.
-  virtual void save_state(std::vector<double>& /*out*/) const {}
-  virtual std::size_t restore_state(std::span<const double> /*in*/) {
-    return 0;
-  }
 
  private:
   std::string name_;

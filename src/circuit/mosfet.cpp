@@ -36,15 +36,15 @@ Interp ekv_f(double u) {
 }
 
 // n-type core evaluation (both models); voltages are absolute.
-MosEval eval_ncore(const MosParams& p, double vg, double vd, double vs,
-                   double vb) {
+MosEval eval_ncore(const MosParams& p, const MosConstants& k, double vg,
+                   double vd, double vs, double vb) {
   MosEval e;
-  const double vt = phys::thermal_voltage(p.temp_k);
-  const double beta = p.kp * p.w / p.l;
+  const double vt = k.vt;
+  const double beta = k.beta;
 
   if (p.model == MosModel::kEkv) {
     const double n = p.n_slope;
-    const double is = 2.0 * n * beta * vt * vt;
+    const double is = k.is;
     const double vp = (vg - vb - p.vth0) / n;
     const double uf = (vp - (vs - vb)) / vt;
     const double ur = (vp - (vd - vb)) / vt;
@@ -55,10 +55,10 @@ MosEval eval_ncore(const MosParams& p, double vg, double vd, double vs,
     const double ids0 = is * (ff - fr);
     e.ids = ids0 * clm;
     const double a = is * clm;
-    e.d_vg = a * (dff - dfr) / (n * vt);
+    e.d_vg = a * (dff - dfr) / k.n_vt;
     e.d_vd = a * dfr / vt + ids0 * p.lambda;
     e.d_vs = -a * dff / vt - ids0 * p.lambda;
-    e.d_vb = a * (dff - dfr) * (n - 1.0) / (n * vt);
+    e.d_vb = a * (dff - dfr) * (n - 1.0) / k.n_vt;
     return e;
   }
 
@@ -116,12 +116,24 @@ MosEval eval_ncore(const MosParams& p, double vg, double vd, double vs,
 
 }  // namespace
 
+MosConstants MosConstants::of(const MosParams& p) {
+  const double vt = phys::thermal_voltage(p.temp_k);
+  const double beta = p.kp * p.w / p.l;
+  const double n = p.n_slope;
+  return {vt, beta, 2.0 * n * beta * vt * vt, n * vt};
+}
+
 MosEval mos_eval(const MosParams& p, double vg, double vd, double vs,
                  double vb) {
-  if (p.type == MosType::kNmos) return eval_ncore(p, vg, vd, vs, vb);
+  return mos_eval(p, MosConstants::of(p), vg, vd, vs, vb);
+}
+
+MosEval mos_eval(const MosParams& p, const MosConstants& k, double vg,
+                 double vd, double vs, double vb) {
+  if (p.type == MosType::kNmos) return eval_ncore(p, k, vg, vd, vs, vb);
   // PMOS: mirror all voltages, evaluate the n-core, negate the current.
   // d(-I(-v))/dv = +dI/dv' so derivatives carry over unchanged.
-  MosEval m = eval_ncore(p, -vg, -vd, -vs, -vb);
+  MosEval m = eval_ncore(p, k, -vg, -vd, -vs, -vb);
   MosEval e;
   e.ids = -m.ids;
   e.d_vg = m.d_vg;
@@ -138,10 +150,7 @@ double mos_ids(const MosParams& p, double vgs, double vds) {
 Mosfet::Mosfet(std::string name, NodeId d, NodeId g, NodeId s, NodeId b,
                MosParams params)
     : Device(std::move(name)), d_(d), g_(g), s_(s), b_(b), p_(params),
-      // Intrinsic capacitance split: overlap caps to S/D, the full channel
-      // capacitance to bulk, junction caps at the diffusions. See header.
-      cgs_(p_.c_overlap()), cgd_(p_.c_overlap()), cgb_(p_.c_gate_channel()),
-      cdb_(p_.c_junction()), csb_(p_.c_junction()) {
+      k_(MosConstants::of(params)) {
   ECMS_REQUIRE(p_.w > 0 && p_.l > 0, "MOSFET geometry must be positive");
   ECMS_REQUIRE(p_.kp > 0, "MOSFET kp must be positive");
 }
@@ -149,7 +158,7 @@ Mosfet::Mosfet(std::string name, NodeId d, NodeId g, NodeId s, NodeId b,
 void Mosfet::stamp(const StampContext& ctx, MnaView& a_mat,
                    std::span<double> b_vec) const {
   const double vg = ctx.v(g_), vd = ctx.v(d_), vs = ctx.v(s_), vb = ctx.v(b_);
-  const MosEval e = mos_eval(p_, vg, vd, vs, vb);
+  const MosEval e = mos_eval(p_, k_, vg, vd, vs, vb);
 
   // Newton companion for the channel current I(d->s):
   // I ~ I0 + sum_k dI/dvk (vk - vk0).
@@ -174,46 +183,17 @@ void Mosfet::stamp_static(const StampContext& ctx, MnaView& a_mat) const {
   // Intrinsic capacitances. Their companion conductances read only dt and
   // the integrator, so they stay out of the per-iteration stamp: ~3/4 of
   // the MOSFET's matrix stamps join the sparse backend's static image.
-  each_cap(*this, [&](const CapCompanion& c, NodeId a, NodeId b) {
-    c.stamp(ctx, a, b, a_mat);
+  each_cap([&](double c, NodeId a, NodeId b) {
+    stamp_companion(ctx, a, b, c, a_mat);
   });
 }
 
-void Mosfet::stamp_static_rhs(const StampContext& ctx,
-                              std::span<double> b_vec) const {
-  each_cap(*this, [&](const CapCompanion& c, NodeId a, NodeId b) {
-    c.stamp_rhs(ctx, a, b, b_vec);
-  });
-}
-
-void Mosfet::init_state(const StampContext& ctx) {
-  each_cap(*this, [&](CapCompanion& c, NodeId a, NodeId b) {
-    c.init_state(ctx, a, b);
-  });
-}
-
-void Mosfet::accept_step(const StampContext& ctx) {
-  each_cap(*this, [&](CapCompanion& c, NodeId a, NodeId b) {
-    c.accept_step(ctx, a, b);
-  });
+void Mosfet::bind_companions(CompanionBank& bank) {
+  each_cap([&](double c, NodeId a, NodeId b) { bank.add(a, b, c); });
 }
 
 double Mosfet::probe_current(const StampContext& ctx) const {
-  return mos_eval(p_, ctx.v(g_), ctx.v(d_), ctx.v(s_), ctx.v(b_)).ids;
-}
-
-void Mosfet::save_state(std::vector<double>& out) const {
-  each_cap(*this, [&](const CapCompanion& c, NodeId, NodeId) {
-    c.save_state(out);
-  });
-}
-
-std::size_t Mosfet::restore_state(std::span<const double> in) {
-  std::size_t off = 0;
-  each_cap(*this, [&](CapCompanion& c, NodeId, NodeId) {
-    off += c.restore_state(in.subspan(off));
-  });
-  return off;
+  return mos_eval(p_, k_, ctx.v(g_), ctx.v(d_), ctx.v(s_), ctx.v(b_)).ids;
 }
 
 }  // namespace ecms::circuit

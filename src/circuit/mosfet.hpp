@@ -53,6 +53,13 @@ struct MosParams {
   double c_junction() const { return cj_per_area * w * diff_len; }
 };
 
+/// Bias-independent model constants: thermal voltage, beta = kp·W/L, the
+/// EKV specific current 2·n·beta·vt² and n·vt.
+struct MosConstants {
+  double vt, beta, is, n_vt;
+  static MosConstants of(const MosParams& p);
+};
+
 /// Channel current and its partial derivatives at one bias point.
 struct MosEval {
   double ids = 0.0;  ///< drain->source channel current (n-type convention)
@@ -67,6 +74,9 @@ struct MosEval {
 /// tests can share the exact same I-V surface as the transient simulator.
 MosEval mos_eval(const MosParams& p, double vg, double vd, double vs,
                  double vb);
+/// mos_eval() with the constants already derived (MosConstants::of(p)).
+MosEval mos_eval(const MosParams& p, const MosConstants& k, double vg,
+                 double vd, double vs, double vb);
 
 /// Convenience: drain saturation-ish current at a given Vgs with Vds = vds,
 /// Vsb = 0 (used by the ramp-ADC fast model).
@@ -82,16 +92,10 @@ class Mosfet : public Device {
              std::span<double> b_vec) const override;
   /// gmin tie and the five intrinsic capacitances' companion conductances.
   void stamp_static(const StampContext& ctx, MnaView& a_mat) const override;
-  /// The five intrinsic capacitances' history sources.
-  void stamp_static_rhs(const StampContext& ctx,
-                        std::span<double> b_vec) const override;
+  void bind_companions(CompanionBank& bank) override;
   bool nonlinear() const override { return true; }
-  void init_state(const StampContext& ctx) override;
-  void accept_step(const StampContext& ctx) override;
   /// Channel current (drain->source, n-type convention) at the iterate.
   double probe_current(const StampContext& ctx) const override;
-  void save_state(std::vector<double>& out) const override;
-  std::size_t restore_state(std::span<const double> in) override;
 
   const MosParams& params() const { return p_; }
   NodeId drain() const { return d_; }
@@ -100,20 +104,20 @@ class Mosfet : public Device {
   NodeId bulk() const { return b_; }
 
  private:
-  /// Calls f(companion, a, b) for the five intrinsic capacitances in their
-  /// fixed stamp / checkpoint order.
-  template <typename Self, typename F>
-  static void each_cap(Self& self, F&& f) {
-    f(self.cgs_, self.g_, self.s_);
-    f(self.cgd_, self.g_, self.d_);
-    f(self.cgb_, self.g_, self.b_);
-    f(self.cdb_, self.d_, self.b_);
-    f(self.csb_, self.s_, self.b_);
+  /// Calls f(farads, a, b) for the five intrinsic capacitances in their
+  /// fixed order: overlaps to S/D, channel to bulk, junctions.
+  template <typename F>
+  void each_cap(F&& f) const {
+    f(p_.c_overlap(), g_, s_);
+    f(p_.c_overlap(), g_, d_);
+    f(p_.c_gate_channel(), g_, b_);
+    f(p_.c_junction(), d_, b_);
+    f(p_.c_junction(), s_, b_);
   }
 
   NodeId d_, g_, s_, b_;
   MosParams p_;
-  CapCompanion cgs_, cgd_, cgb_, cdb_, csb_;
+  MosConstants k_;
 };
 
 }  // namespace ecms::circuit

@@ -106,7 +106,37 @@ void Circuit::finalize() {
       branch_unknowns_ += static_cast<std::size_t>(nb);
     }
   }
+  // Devices are append-only, so the bank and the RHS program only grow.
+  for (; bound_devices_ < devices_.size(); ++bound_devices_) {
+    Device& d = *devices_[bound_devices_];
+    const std::size_t first = bank_->size();
+    d.bind_companions(*bank_);
+    if (bank_->size() == first) rhs_ops_.push_back({&d, 0, 0});
+    // Companion runs, split around C = 0 (open: no history source).
+    for (std::size_t k = first; k < bank_->size(); ++k) {
+      if (bank_->capacitance(k) == 0.0) continue;
+      if (rhs_ops_.empty() || rhs_ops_.back().device != nullptr ||
+          rhs_ops_.back().end != k) {
+        rhs_ops_.push_back({nullptr, k, k});
+      }
+      ++rhs_ops_.back().end;
+    }
+  }
   finalized_ = true;
+}
+
+void Circuit::stamp_static_rhs(const StampContext& ctx,
+                               std::span<double> b) const {
+  ECMS_REQUIRE(finalized_ && b.size() == unknown_count() + 1,
+               "static rhs needs a finalized circuit and a node-indexed rhs");
+  const std::span<double> unknowns = b.subspan(1);
+  for (const RhsOp& op : rhs_ops_) {
+    if (op.device != nullptr) {
+      op.device->stamp_static_rhs(ctx, unknowns);
+    } else if (!ctx.is_dc()) {
+      bank_->stamp_rhs(ctx, op.begin, op.end, b);
+    }
+  }
 }
 
 std::size_t Circuit::unknown_count() const {

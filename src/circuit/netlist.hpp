@@ -1,8 +1,8 @@
 // Circuit: the netlist container.
 //
-// Owns devices, maps node names to ids, and assigns MNA unknown indices.
-// Construction is additive; finalize() freezes branch indices (called lazily
-// by the solvers, idempotent).
+// Owns devices and their capacitor companion bank, maps node names to ids,
+// and assigns MNA unknown indices. Construction is additive; finalize()
+// freezes branch indices and banks companions (lazy, idempotent).
 #pragma once
 
 #include <cstdint>
@@ -55,12 +55,25 @@ class Circuit {
   VcSwitch& add_switch(const std::string& name, NodeId a, NodeId b,
                        NodeId ctrl_p, NodeId ctrl_n, VcSwitch::Params params);
 
-  /// Assigns branch unknowns. Safe to call repeatedly; devices added after a
-  /// finalize trigger re-finalization on the next call.
+  /// Assigns branch unknowns and banks the companions of devices added
+  /// since the last call (latched history stays). Safe to call repeatedly;
+  /// devices added after a finalize trigger it again on the next call.
   void finalize();
 
   /// Total MNA unknowns: (nodes - 1) + branch currents. Requires finalize().
   std::size_t unknown_count() const;
+
+  /// Adds every device's static RHS to `b` in device order: the bank's
+  /// companion history sources (transient points only) and the other
+  /// devices' stamp_static_rhs(). `b` is indexed by node id: b[0] is a
+  /// sink for ground's terms and b[1 + i] is unknown i. Needs finalize().
+  void stamp_static_rhs(const StampContext& ctx, std::span<double> b) const;
+  // The bank's passes: history latching and the checkpoint blob.
+  void init_state(const StampContext& ctx) { bank_->init_state(ctx); }
+  void accept_step(const StampContext& ctx) { bank_->accept_step(ctx); }
+  void save_state(std::vector<double>& out) const { bank_->save_state(out); }
+  void restore_state(std::span<const double> in) { bank_->restore_state(in); }
+  const CompanionBank& companions() const { return *bank_; }
 
   const std::vector<std::unique_ptr<Device>>& devices() const {
     return devices_;
@@ -98,6 +111,16 @@ class Circuit {
   std::size_t branch_unknowns_ = 0;
   bool finalized_ = false;
   std::uint64_t id_;
+  // On the heap: devices point into it, and a Circuit moves.
+  std::unique_ptr<CompanionBank> bank_ = std::make_unique<CompanionBank>();
+  std::size_t bound_devices_ = 0;  // devices whose companions are banked
+  // The static-RHS program: a device's stamp_static_rhs() when `device` is
+  // set, else the bank's companions [begin, end).
+  struct RhsOp {
+    const Device* device = nullptr;
+    std::size_t begin = 0, end = 0;
+  };
+  std::vector<RhsOp> rhs_ops_;
 };
 
 }  // namespace ecms::circuit

@@ -15,11 +15,12 @@ void assemble(const Circuit& ckt, const StampContext& ctx, double gmin_ground,
   ECMS_REQUIRE(b.size() == n, "assemble: rhs has wrong size");
   if (a_mat.rows() != n) a_mat.resize(n, n);
   a_mat.clear();
-  std::fill(b.begin(), b.end(), 0.0);
+  std::vector<double> b_static(n + 1, 0.0);
+  ckt.stamp_static_rhs(ctx, b_static);
+  std::copy(b_static.begin() + 1, b_static.end(), b.begin());
   MnaView view(a_mat);
   for (const auto& d : ckt.devices()) {
     d->stamp_static(ctx, view);
-    d->stamp_static_rhs(ctx, b);
     d->stamp(ctx, view, b);
   }
   // Floating-node safety net: every node leaks to ground through gmin_ground.
@@ -36,20 +37,18 @@ void assemble(const Circuit& ckt, const StampContext& ctx, double gmin_ground,
 NewtonUpdate damped_update(std::span<double> x, std::span<const double> x_new,
                            std::size_t nv, const NewtonOptions& opts) {
   NewtonUpdate up;
-  double max_dv = 0.0;
+  double max_dv = 0.0, max_x = 0.0;  // over the voltages, x before the move
   for (std::size_t i = 0; i < nv; ++i) {
     const double dv = std::abs(x_new[i] - x[i]);
     if (dv > max_dv) {
       max_dv = dv;
       up.worst_unknown = i;
     }
+    max_x = std::max(max_x, std::abs(x[i]));
   }
   // Voltage-part damping: branch currents are left free.
   double scale = 1.0;
   if (max_dv > opts.max_delta_v) scale = opts.max_delta_v / max_dv;
-
-  double max_x = 0.0;
-  for (std::size_t i = 0; i < nv; ++i) max_x = std::max(max_x, std::abs(x[i]));
   for (std::size_t i = 0; i < x.size(); ++i) x[i] += scale * (x_new[i] - x[i]);
 
   up.final_delta = max_dv * scale;

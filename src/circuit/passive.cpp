@@ -21,30 +21,22 @@ double Resistor::probe_current(const StampContext& ctx) const {
 }
 
 Capacitor::Capacitor(std::string name, NodeId a, NodeId b, double farads)
-    : Device(std::move(name)), a_(a), b_(b), comp_(farads) {
+    : Device(std::move(name)), a_(a), b_(b), farads_(farads) {
   ECMS_REQUIRE(farads >= 0.0, "capacitance must be non-negative");
   ECMS_REQUIRE(a != b, "capacitor terminals must differ");
 }
 
 void Capacitor::stamp_static(const StampContext& ctx, MnaView& a_mat) const {
-  comp_.stamp(ctx, a_, b_, a_mat);
+  stamp_companion(ctx, a_, b_, farads_, a_mat);
 }
 
-void Capacitor::stamp_static_rhs(const StampContext& ctx,
-                                 std::span<double> b_vec) const {
-  comp_.stamp_rhs(ctx, a_, b_, b_vec);
-}
-
-void Capacitor::init_state(const StampContext& ctx) {
-  comp_.init_state(ctx, a_, b_);
-}
-
-void Capacitor::accept_step(const StampContext& ctx) {
-  comp_.accept_step(ctx, a_, b_);
+void Capacitor::bind_companions(CompanionBank& bank) {
+  bank_ = &bank;
+  slot_ = bank.add(a_, b_, farads_);
 }
 
 double Capacitor::probe_current(const StampContext&) const {
-  return comp_.history_current();
+  return bank_ != nullptr ? bank_->i_prev(slot_) : 0.0;
 }
 
 VcSwitch::VcSwitch(std::string name, NodeId a, NodeId b, NodeId ctrl_p,

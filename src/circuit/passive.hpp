@@ -24,31 +24,25 @@ class Resistor : public Device {
   double ohms_;
 };
 
-/// Two-terminal linear capacitor.
+/// Two-terminal linear capacitor: one companion in the circuit's bank.
 class Capacitor : public Device {
  public:
   Capacitor(std::string name, NodeId a, NodeId b, double farads);
 
   void stamp_static(const StampContext& ctx, MnaView& a_mat) const override;
-  void stamp_static_rhs(const StampContext& ctx,
-                        std::span<double> b_vec) const override;
-  void init_state(const StampContext& ctx) override;
-  void accept_step(const StampContext& ctx) override;
+  void bind_companions(CompanionBank& bank) override;
+  /// The companion current latched at the last accepted step.
   double probe_current(const StampContext& ctx) const override;
-  void save_state(std::vector<double>& out) const override {
-    comp_.save_state(out);
-  }
-  std::size_t restore_state(std::span<const double> in) override {
-    return comp_.restore_state(in);
-  }
 
-  double capacitance() const { return comp_.capacitance(); }
+  double capacitance() const { return farads_; }
   NodeId a() const { return a_; }
   NodeId b() const { return b_; }
 
  private:
   NodeId a_, b_;
-  CapCompanion comp_;
+  double farads_;
+  const CompanionBank* bank_ = nullptr;  // set with slot_ when banked
+  std::size_t slot_ = 0;
 };
 
 /// Voltage-controlled switch with a smooth (logistic) conductance transition

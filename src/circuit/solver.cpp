@@ -34,12 +34,6 @@ SparseEngine::ImageKey SparseEngine::ImageKey::of(const Circuit& ckt,
           std::bit_cast<std::uint64_t>(gmin_ground), ctx.method};
 }
 
-void SparseEngine::stamp_static_rhs(const Circuit& ckt,
-                                    const StampContext& ctx) {
-  b_static_.assign(n_, 0.0);
-  for (const auto& d : ckt.devices()) d->stamp_static_rhs(ctx, b_static_);
-}
-
 void SparseEngine::discover(const Circuit& ckt, const StampContext& ctx,
                             double gmin_ground) {
   MnaView view(static_cast<StampSink&>(*this));
@@ -52,8 +46,9 @@ void SparseEngine::discover(const Circuit& ckt, const StampContext& ctx,
   phase_ = Phase::kRecord;
   active_tape_ = &static_tape_;
   for (const auto& d : ckt.devices()) d->stamp_static(ctx, view);
-  stamp_static_rhs(ckt, ctx);
-  b_work_.copy_from(b_static_.span());
+  b_static_.assign(n_ + 1, 0.0);
+  ckt.stamp_static_rhs(ctx, b_static_);
+  b_work_.copy_from(b_static_.span().subspan(1));
   active_tape_ = &dynamic_tape_;
   for (const auto& d : ckt.devices()) {
     if (d->nonlinear()) d->stamp(ctx, view, b_work_);
@@ -171,7 +166,8 @@ void SparseEngine::assemble(const Circuit& ckt, const StampContext& ctx,
       }
     }
     if (!diverged_) {
-      stamp_static_rhs(ckt, ctx);
+      b_static_.assign(n_ + 1, 0.0);
+      ckt.stamp_static_rhs(ctx, b_static_);
       point_dirty_ = false;
     }
   } else {
@@ -181,7 +177,7 @@ void SparseEngine::assemble(const Circuit& ckt, const StampContext& ctx,
   if (!diverged_) {
     std::span<double> vals = mat_.values();
     std::copy(static_values_.begin(), static_values_.end(), vals.begin());
-    b_work_.copy_from(b_static_.span());
+    b_work_.copy_from(b_static_.span().subspan(1));
     ReplayTape rt;
     rt.coords = dynamic_tape_.coords.data();
     rt.slots = dynamic_tape_.slots.data();

@@ -178,8 +178,6 @@ class SparseEngine final : public StampSink {
 
   void discover(const Circuit& ckt, const StampContext& ctx,
                 double gmin_ground);
-  /// Rebuilds the static RHS in device order.
-  void stamp_static_rhs(const Circuit& ckt, const StampContext& ctx);
   void resolve_slots(Tape& tape);
   /// This engine's topology and current pivot order as a fresh program.
   std::shared_ptr<NetlistProgram> compile_program() const;
@@ -200,7 +198,7 @@ class SparseEngine final : public StampSink {
   std::vector<std::uint32_t> diag_slots_;
   SparseMatrix mat_;
   util::ArenaBuf<double> static_values_;  // kept matrix image (nnz values)
-  util::ArenaBuf<double> b_static_;       // this point's static rhs
+  util::ArenaBuf<double> b_static_;  // this point's static rhs, [0] ground
   util::ArenaBuf<double> b_work_;         // working rhs
   SparseLu lu_;
   ProgramCache* cache_ = nullptr;

@@ -69,7 +69,6 @@ void SparseMatrix::multiply(std::span<const double> x,
 }
 
 void SparseLu::bind_arena(util::Arena* arena) {
-  work_.bind(arena);
   solve_scratch_.bind(arena);
   reset();
 }
@@ -77,8 +76,7 @@ void SparseLu::bind_arena(util::Arena* arena) {
 void SparseLu::reset() {
   factored_ = false;
   sym_.reset();
-  l_vals_.clear();
-  u_vals_.clear();
+  lu_vals_.clear();
   n_ = 0;
 }
 
@@ -87,9 +85,7 @@ void SparseLu::adopt_symbolic(std::shared_ptr<const LuSymbolic> symbolic) {
   sym_ = std::move(symbolic);
   n_ = sym_->n;
   factored_ = false;  // values undefined until the first refactor()
-  l_vals_.assign(sym_->l_cols.size(), 0.0);
-  u_vals_.assign(sym_->u_cols.size(), 0.0);
-  work_.assign(n_, 0.0);
+  lu_vals_.assign(sym_->factor_nnz(), 0.0);
 }
 
 void SparseLu::factor(const SparseMatrix& a) {
@@ -213,19 +209,18 @@ void SparseLu::factor(const SparseMatrix& a) {
     active.erase(std::remove(active.begin(), active.end(), pr), active.end());
   }
 
-  // Compress into CSR over permuted indices.
+  // Compress into CSR over permuted indices, the values into the combined
+  // L|U array (every L entry, then every U entry).
   sym->l_ptr.assign(n + 1, 0);
-  l_vals_.clear();
   sym->u_ptr.assign(n + 1, 0);
-  u_vals_.clear();
-  sym->a_ptr.assign(n + 1, 0);
+  lu_vals_.clear();
+  std::vector<double> u_vals;
   std::vector<std::pair<std::uint32_t, double>> tmp;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t orig = sym->perm_row[i];
     // L entries were appended in ascending elimination step, already sorted.
-    for (const auto& [k, f] : l_by_row[orig]) {
+    for (const auto& [k, f] : l_by_row[sym->perm_row[i]]) {
       sym->l_cols.push_back(k);
-      l_vals_.push_back(f);
+      lu_vals_.push_back(f);
     }
     sym->l_ptr[i + 1] = static_cast<std::uint32_t>(sym->l_cols.size());
     // U row i: map original columns to permuted ones and sort ascending;
@@ -236,18 +231,38 @@ void SparseLu::factor(const SparseMatrix& a) {
               [](const auto& x, const auto& y) { return x.first < y.first; });
     for (const auto& [c, v] : tmp) {
       sym->u_cols.push_back(c);
-      u_vals_.push_back(v);
+      u_vals.push_back(v);
     }
     sym->u_ptr[i + 1] = static_cast<std::uint32_t>(sym->u_cols.size());
-    // A scatter map for refactor: slots of original row `orig`.
-    for (std::uint32_t s = a.row_begin(orig); s < a.row_end(orig); ++s) {
-      sym->a_slot.push_back(s);
-      sym->a_pcol.push_back(sym->pinv_col[a.col_of(s)]);
+  }
+  lu_vals_.insert(lu_vals_.end(), u_vals.begin(), u_vals.end());
+
+  // The refactor stream, row by row: where each A slot lands, then one step
+  // per L entry with its updates' destinations, all in row i's pattern.
+  const auto nl = static_cast<std::uint32_t>(sym->l_cols.size());
+  sym->a_dst.resize(a.nnz());
+  std::vector<std::uint32_t> pos(n);  // column -> L|U position in row i
+  for (std::size_t i = 0; i < n; ++i) {
+    for (auto s = sym->l_ptr[i]; s < sym->l_ptr[i + 1]; ++s) {
+      pos[sym->l_cols[s]] = s;
     }
-    sym->a_ptr[i + 1] = static_cast<std::uint32_t>(sym->a_slot.size());
+    for (auto t = sym->u_ptr[i]; t < sym->u_ptr[i + 1]; ++t) {
+      pos[sym->u_cols[t]] = nl + t;
+    }
+    const std::uint32_t r = sym->perm_row[i];
+    for (std::uint32_t s = a.row_begin(r); s < a.row_end(r); ++s) {
+      sym->a_dst[s] = pos[sym->pinv_col[a.col_of(s)]];
+    }
+    for (std::uint32_t s = sym->l_ptr[i]; s < sym->l_ptr[i + 1]; ++s) {
+      const std::uint32_t j = sym->l_cols[s];
+      sym->elim.push_back({s, nl + sym->u_ptr[j], nl + sym->u_ptr[j] + 1,
+                           sym->u_ptr[j + 1] - sym->u_ptr[j] - 1});
+      for (std::uint32_t t = sym->u_ptr[j] + 1; t < sym->u_ptr[j + 1]; ++t) {
+        sym->upd_dst.push_back(pos[sym->u_cols[t]]);
+      }
+    }
   }
 
-  work_.assign(n, 0.0);
   sym_ = std::move(sym);
   factored_ = true;
 }
@@ -256,8 +271,7 @@ bool SparseLu::refactor(const SparseMatrix& a) {
   ECMS_REQUIRE(sym_ != nullptr && a.dim() == n_,
                "refactor needs a factored/adopted symbolic of this pattern");
   long bad = -1;
-  lu_refactor_lanes(*sym_, a.values().data(), l_vals_.data(), u_vals_.data(),
-                    work_.data(), &bad, 1);
+  lu_refactor_lanes(*sym_, a.values().data(), lu_vals_.data(), &bad, 1);
   if (bad >= 0) return false;  // degraded: caller must re-pivot via factor()
   factored_ = true;
   return true;
@@ -271,7 +285,7 @@ void SparseLu::solve_in_place(std::span<double> b) const {
   solve_scratch_.resize(n);
   double* pb = solve_scratch_.data();
   for (std::size_t i = 0; i < n; ++i) pb[i] = b[sy.perm_row[i]];
-  lu_solve_lanes(sy, l_vals_.data(), u_vals_.data(), pb, 1);
+  lu_solve_lanes(sy, lu_vals_.data(), pb, 1);
   for (std::size_t j = 0; j < n; ++j) b[sy.perm_col[j]] = pb[j];
 }
 
@@ -289,84 +303,76 @@ constexpr std::size_t kLaneBlock = 4;
 // lanewise IEEE-754 +, -, *, / only, with contraction off
 // (-ffp-contract=off) — so vectorized or not, its lanes are bit-identical.
 //
-// Instead of clearing each row's L+U pattern of `work` before scattering
-// into it, the whole vector is cleared on entry and every value is reset to
-// zero as it is read out of `work` (an L entry when its multiplier is
-// formed, a U entry when it is gathered). The symbolic pattern is closed
-// under elimination, so every position a row writes is read back by that
-// row: each row starts from the same +0.0 the textbook clear writes.
+// It runs in place on the combined L|U array, driven by the compiled
+// stream (LuSymbolic): the array starts at +0.0, A's values are added in,
+// then each L entry (rows in order, columns ascending) becomes its
+// multiplier f = l / u_jj and subtracts f times pivot row j's off-diagonal
+// U entries at the positions upd_dst names. Row i reads only finished rows
+// and writes only its own positions, so every value sees the textbook
+// dense-work-vector elimination's operations, operand for operand; and
+// finished U rows are never written again, so pivots are judged at the end.
 template <std::size_t B, std::size_t kW>
 void refactor_lanes(const LuSymbolic& sy, const double* __restrict a,
-                    double* __restrict l, double* __restrict u,
-                    double* __restrict work, long* bad, std::size_t width) {
+                    double* __restrict lu, long* bad, std::size_t width) {
   const std::size_t w = kW != 0 ? kW : width;
-  const std::size_t n = sy.n;
-  std::fill(work, work + n * w, 0.0);
-  std::fill(bad, bad + w, -1L);
-  std::size_t degraded = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    // Scatter row i of PAQ into the dense work vector.
-    for (std::uint32_t s = sy.a_ptr[i]; s < sy.a_ptr[i + 1]; ++s) {
-      double* row = work + std::size_t{sy.a_pcol[s]} * w;
-      const double* av = a + std::size_t{sy.a_slot[s]} * w;
-      for (std::size_t l0 = 0; l0 < w; l0 += B)
-        for (std::size_t k = l0; k < l0 + B; ++k) row[k] += av[k];
-    }
+  std::fill(lu, lu + sy.factor_nnz() * w, 0.0);
+  for (std::size_t s = 0; s < sy.a_dst.size(); ++s) {
+    double* dst = lu + std::size_t{sy.a_dst[s]} * w;
+    const double* av = a + s * w;
+    for (std::size_t l0 = 0; l0 < w; l0 += B)
+      for (std::size_t k = l0; k < l0 + B; ++k) dst[k] += av[k];
+  }
 
-    // Eliminate with the already-refactored rows, in ascending column
-    // order (l_cols is sorted, which the update order requires).
-    for (std::uint32_t s = sy.l_ptr[i]; s < sy.l_ptr[i + 1]; ++s) {
-      const std::uint32_t j = sy.l_cols[s];
-      double* wj = work + std::size_t{j} * w;
-      const double* upiv = u + std::size_t{sy.u_ptr[j]} * w;
-      double* ls = l + std::size_t{s} * w;
-      for (std::size_t l0 = 0; l0 < w; l0 += B) {
-        double f[B];
+  const std::uint32_t* upd = sy.upd_dst.data();
+  for (const LuSymbolic::Elim& e : sy.elim) {
+    double* ls = lu + std::size_t{e.l} * w;
+    const double* upiv = lu + std::size_t{e.piv} * w;
+    // Operands are read into locals before each store: every access goes
+    // through `lu`, and this way no store can alias a later load.
+    for (std::size_t l0 = 0; l0 < w; l0 += B) {
+      double f[B];
+      for (std::size_t k = 0; k < B; ++k) f[k] = ls[l0 + k] / upiv[l0 + k];
+      for (std::size_t k = 0; k < B; ++k) ls[l0 + k] = f[k];
+      for (std::uint32_t q = 0; q < e.count; ++q) {
+        double ut[B];
         for (std::size_t k = 0; k < B; ++k) {
-          f[k] = wj[l0 + k] / upiv[l0 + k];
-          wj[l0 + k] = 0.0;
-          ls[l0 + k] = f[k];
+          ut[k] = lu[(std::size_t{e.src} + q) * w + l0 + k];
         }
-        for (std::uint32_t t = sy.u_ptr[j] + 1; t < sy.u_ptr[j + 1]; ++t) {
-          double* row = work + std::size_t{sy.u_cols[t]} * w + l0;
-          const double* ut = u + std::size_t{t} * w + l0;
-          for (std::size_t k = 0; k < B; ++k) row[k] -= f[k] * ut[k];
-        }
+        double* row = lu + std::size_t{upd[q]} * w + l0;
+        for (std::size_t k = 0; k < B; ++k) row[k] -= f[k] * ut[k];
       }
     }
+    upd += e.count;
+  }
 
-    // Gather U row i and judge each lane's pivot against the row's largest
-    // magnitude.
+  // Each lane's first pivot degraded against its U row's largest |u|.
+  std::fill(bad, bad + w, -1L);
+  const double* u = lu + sy.l_cols.size() * w;  // U entry t
+  for (std::size_t i = 0; i < sy.n; ++i) {
     for (std::size_t l0 = 0; l0 < w; l0 += B) {
       double rmax[B] = {};
-      for (std::uint32_t s = sy.u_ptr[i]; s < sy.u_ptr[i + 1]; ++s) {
-        double* row = work + std::size_t{sy.u_cols[s]} * w + l0;
-        double* us = u + std::size_t{s} * w + l0;
+      for (std::uint32_t t = sy.u_ptr[i]; t < sy.u_ptr[i + 1]; ++t) {
+        const double* us = u + std::size_t{t} * w + l0;
         for (std::size_t k = 0; k < B; ++k) {
-          const double v = row[k];
-          row[k] = 0.0;
-          us[k] = v;
-          rmax[k] = std::max(rmax[k], std::abs(v));
+          rmax[k] = std::max(rmax[k], std::abs(us[k]));
         }
       }
       const double* piv = u + std::size_t{sy.u_ptr[i]} * w + l0;
       for (std::size_t k = 0; k < B; ++k) {
         if (pivot_degraded(piv[k], rmax[k]) && bad[l0 + k] < 0) {
           bad[l0 + k] = static_cast<long>(i);
-          ++degraded;
         }
       }
     }
-    if (degraded == w) return;  // no healthy lane left to finish
   }
 }
 
 template <std::size_t B, std::size_t kW>
-void solve_lanes(const LuSymbolic& sy, const double* __restrict l,
-                 const double* __restrict u, double* __restrict pb,
-                 std::size_t width) {
+void solve_lanes(const LuSymbolic& sy, const double* __restrict lu,
+                 double* __restrict pb, std::size_t width) {
   const std::size_t w = kW != 0 ? kW : width;
   const std::size_t n = sy.n;
+  const double* u = lu + sy.l_cols.size() * w;  // U entry t
   // Forward substitution (unit lower-triangular L).
   for (std::size_t i = 0; i < n; ++i) {
     double* pi = pb + i * w;
@@ -374,7 +380,7 @@ void solve_lanes(const LuSymbolic& sy, const double* __restrict l,
       double acc[B];
       for (std::size_t k = 0; k < B; ++k) acc[k] = pi[l0 + k];
       for (std::uint32_t s = sy.l_ptr[i]; s < sy.l_ptr[i + 1]; ++s) {
-        const double* ls = l + std::size_t{s} * w + l0;
+        const double* ls = lu + std::size_t{s} * w + l0;
         const double* pj = pb + std::size_t{sy.l_cols[s]} * w + l0;
         for (std::size_t k = 0; k < B; ++k) acc[k] -= ls[k] * pj[k];
       }
@@ -401,25 +407,25 @@ void solve_lanes(const LuSymbolic& sy, const double* __restrict l,
 
 }  // namespace
 
-void lu_refactor_lanes(const LuSymbolic& sy, const double* a, double* l,
-                       double* u, double* work, long* bad, std::size_t w) {
+void lu_refactor_lanes(const LuSymbolic& sy, const double* a, double* lu,
+                       long* bad, std::size_t w) {
   if (w == 1) {
-    refactor_lanes<1, 1>(sy, a, l, u, work, bad, w);
+    refactor_lanes<1, 1>(sy, a, lu, bad, w);
   } else if (w % kLaneBlock == 0) {
-    refactor_lanes<kLaneBlock, 0>(sy, a, l, u, work, bad, w);
+    refactor_lanes<kLaneBlock, 0>(sy, a, lu, bad, w);
   } else {
-    refactor_lanes<1, 0>(sy, a, l, u, work, bad, w);
+    refactor_lanes<1, 0>(sy, a, lu, bad, w);
   }
 }
 
-void lu_solve_lanes(const LuSymbolic& sy, const double* l, const double* u,
-                    double* pb, std::size_t w) {
+void lu_solve_lanes(const LuSymbolic& sy, const double* lu, double* pb,
+                    std::size_t w) {
   if (w == 1) {
-    solve_lanes<1, 1>(sy, l, u, pb, w);
+    solve_lanes<1, 1>(sy, lu, pb, w);
   } else if (w % kLaneBlock == 0) {
-    solve_lanes<kLaneBlock, 0>(sy, l, u, pb, w);
+    solve_lanes<kLaneBlock, 0>(sy, lu, pb, w);
   } else {
-    solve_lanes<1, 0>(sy, l, u, pb, w);
+    solve_lanes<1, 0>(sy, lu, pb, w);
   }
 }
 

@@ -11,7 +11,7 @@
 //
 // The structural halves are split out as immutable, shareable objects:
 // SparsePattern (the CSR skeleton) and LuSymbolic (pivot order + fill
-// closure + A-scatter map). Both are topology-only — no values — so a
+// closure + refactor stream). Both are topology-only — no values — so a
 // NetlistProgram (program.hpp) can hand one read-only copy to every engine
 // solving the same netlist shape, across threads. Values (CSR entries,
 // L/U factors, scratch) always stay per-owner.
@@ -110,10 +110,14 @@ class SparseMatrix {
 
 /// The structural output of one full threshold-Markowitz factorization:
 /// permutations, the L/U fill closure (CSR over permuted indices, columns
-/// ascending, each U row led by its diagonal), and the A-scatter map that
-/// routes matrix value slots into permuted rows. Value-free and immutable
-/// once built, so many SparseLu instances — on different threads — can
-/// refactor numerically against one shared LuSymbolic.
+/// ascending, each U row led by its diagonal), and the compiled refactor
+/// stream. Value-free and immutable once built, so many SparseLu instances
+/// — on different threads — can refactor numerically against one shared
+/// LuSymbolic.
+///
+/// Factor values live in one combined L|U array: L entry s (l_cols order)
+/// at position s, then U entry t (u_cols order) at l_cols.size() + t. The
+/// refactor stream addresses that array directly.
 struct LuSymbolic {
   std::size_t n = 0;
   // Permutations: permuted index -> original index, plus inverses.
@@ -121,10 +125,19 @@ struct LuSymbolic {
   std::vector<std::uint32_t> pinv_row, pinv_col;
   std::vector<std::uint32_t> l_ptr, l_cols;
   std::vector<std::uint32_t> u_ptr, u_cols;
-  // Scatter map grouped by permuted row: A value slot -> permuted column.
-  std::vector<std::uint32_t> a_ptr, a_slot, a_pcol;
 
-  /// Nonzeros in L + U, fill-in included.
+  // --- the compiled refactor stream ---
+  /// One elimination step: L entry `l` becomes l / piv, and the pivot
+  /// row's `count` off-diagonal U entries from position `src` on are
+  /// subtracted, times it, at the next `count` positions of upd_dst.
+  struct Elim {
+    std::uint32_t l, piv, src, count;
+  };
+  std::vector<std::uint32_t> a_dst;    ///< A value slot -> L|U position
+  std::vector<Elim> elim;              ///< every L entry, in row order
+  std::vector<std::uint32_t> upd_dst;  ///< update targets, in stream order
+
+  /// Nonzeros in L + U, fill-in included: the combined array's length.
   std::size_t factor_nnz() const { return l_cols.size() + u_cols.size(); }
 };
 
@@ -192,31 +205,29 @@ class SparseLu {
   std::size_t n_ = 0;
   bool factored_ = false;
   std::shared_ptr<const LuSymbolic> sym_;  // shared, immutable structure
-  // Numeric halves, strictly per-instance (l_vals_ has L's entries in
-  // sym_->l_cols order, u_vals_ in sym_->u_cols order).
-  std::vector<double> l_vals_;
-  std::vector<double> u_vals_;
-  util::ArenaBuf<double> work_;                  // refactor scatter vector
+  std::vector<double> lu_vals_;  // per-instance combined L|U values
   mutable util::ArenaBuf<double> solve_scratch_; // permuted rhs
 };
 
 /// The numeric elimination behind SparseLu::refactor() and the lockstep
 /// lanes (batch.hpp): refactors `w` systems side by side over one frozen
-/// symbolic. Every array is lane-minor — the value of (slot, lane) sits at
-/// [slot * w + lane] — with `a` in CSR slot order, `l`/`u` in sy.l_cols /
-/// sy.u_cols order and `work` sy.n * w scratch. Per lane: scatter each
-/// permuted row of A, eliminate against the finished rows in ascending
-/// column order, gather the U row and judge its pivot by pivot_degraded().
-/// `bad[lane]` becomes that lane's first degraded permuted row, or -1; a
-/// degraded lane's later rows are garbage confined to that lane.
-void lu_refactor_lanes(const LuSymbolic& sy, const double* a, double* l,
-                       double* u, double* work, long* bad, std::size_t w);
+/// symbolic, in place. Every array is lane-minor — the value of (position,
+/// lane) sits at [position * w + lane] — with `a` in CSR slot order and
+/// `lu` the combined L|U array (LuSymbolic). Per lane: add A into the
+/// zeroed array, run the elimination steps (each L entry becomes its
+/// multiplier and applies its pivot row's updates; rows in order, columns
+/// ascending within a row), then judge every U row's pivot by
+/// pivot_degraded(). `bad[lane]` becomes that lane's first degraded
+/// permuted row, or -1; a degraded lane's later rows are garbage confined
+/// to that lane.
+void lu_refactor_lanes(const LuSymbolic& sy, const double* a, double* lu,
+                       long* bad, std::size_t w);
 
 /// Forward/backward substitution of `w` lanes in place on `pb`, each lane's
 /// right-hand side in permuted row order (pb[i * w + lane] = b[perm_row[i]]);
 /// the solution comes back in permuted column order (x[perm_col[j]] =
 /// pb[j * w + lane]). Requires a healthy lu_refactor_lanes() of those lanes.
-void lu_solve_lanes(const LuSymbolic& sy, const double* l, const double* u,
-                    double* pb, std::size_t w);
+void lu_solve_lanes(const LuSymbolic& sy, const double* lu, double* pb,
+                    std::size_t w);
 
 }  // namespace ecms::circuit

@@ -82,7 +82,7 @@ void capture_checkpoint(const Circuit& ckt, double t, double dt, bool force_be,
   out.force_be = force_be;
   out.x = x;
   out.device_state.clear();
-  for (const auto& d : ckt.devices()) d->save_state(out.device_state);
+  ckt.save_state(out.device_state);
   out.device_count = ckt.devices().size();
   out.pivot_order = eng.pivot_program();
 }
@@ -119,13 +119,7 @@ TranResult run_transient(Circuit& ckt, const TranParams& params,
     ECMS_REQUIRE(resume->device_count == ckt.devices().size(),
                  "checkpoint does not match this circuit (device count)");
     x = resume->x;
-    std::size_t off = 0;
-    const std::span<const double> blob(resume->device_state);
-    for (const auto& d : ckt.devices()) {
-      ECMS_REQUIRE(off <= blob.size(), "checkpoint device state truncated");
-      off += d->restore_state(blob.subspan(off));
-    }
-    ECMS_REQUIRE(off == blob.size(), "checkpoint device state size mismatch");
+    ckt.restore_state(resume->device_state);
     if (resume->dt > 0.0) dt = resume->dt;
     if (!params.adaptive) dt = std::min(dt, params.dt);
     force_be = resume->force_be;
@@ -145,7 +139,7 @@ TranResult run_transient(Circuit& ckt, const TranParams& params,
     ctx.x = x;
     ctx.time = 0.0;
     ctx.dt = 0.0;
-    for (const auto& d : ckt.devices()) d->init_state(ctx);
+    ckt.init_state(ctx);
   }
 
   probe.record(res.trace, t_start, x);
@@ -251,7 +245,7 @@ TranResult run_transient(Circuit& ckt, const TranParams& params,
     // Accept. Swap keeps x_try's storage alive for the next step's copy.
     std::swap(x, x_try);
     ctx.x = x;
-    for (const auto& d : ckt.devices()) d->accept_step(ctx);
+    ckt.accept_step(ctx);
     t += step;
     ++res.stats.accepted_steps;
     probe.record(res.trace, t, x);

@@ -64,7 +64,7 @@ class StepGrid {
 /// branch many cheap continuations off the snapshot).
 ///
 /// A checkpoint is tied to the Circuit it was captured from: the unknown
-/// vector and the per-device history blob are validated against the
+/// vector and the companion history blob are validated against the
 /// circuit's unknown/device counts on resume, but the caller is responsible
 /// for not mutating the topology in between.
 struct SolverCheckpoint {
@@ -72,7 +72,7 @@ struct SolverCheckpoint {
   double dt = 0.0;      ///< step size the next step would have used
   bool force_be = false;  ///< next step forced to backward Euler?
   std::vector<double> x;             ///< unknown vector at `time`
-  std::vector<double> device_state;  ///< concatenated Device::save_state blobs
+  std::vector<double> device_state;  ///< Circuit::save_state (companion history)
   std::size_t device_count = 0;
   /// The topology and pivot order the capturing engine was factoring with
   /// (null if it had not factored yet). Markowitz derives its pivot order

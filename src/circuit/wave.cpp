@@ -77,12 +77,19 @@ double SourceWave::value(double t) const {
   const auto& pts = points_;
   if (t <= pts.front().t) return pts.front().v;
   if (t >= pts.back().t) return pts.back().v;
-  // Binary search for the segment containing t.
-  const auto it = std::upper_bound(
-      pts.begin(), pts.end(), t,
-      [](double tv, const PwlPoint& p) { return tv < p.t; });
-  const auto& hi = *it;
-  const auto& lo = *(it - 1);
+  // The segment [pts[k].t, pts[k + 1].t) containing t: the hinted one if it
+  // does, else the binary search's (times are strictly increasing, so both
+  // name the same segment).
+  std::size_t k = hint_.load(std::memory_order_relaxed);
+  if (k + 1 >= pts.size() || !(pts[k].t <= t && t < pts[k + 1].t)) {
+    const auto it = std::upper_bound(
+        pts.begin(), pts.end(), t,
+        [](double tv, const PwlPoint& p) { return tv < p.t; });
+    k = static_cast<std::size_t>(it - pts.begin()) - 1;
+    hint_.store(k, std::memory_order_relaxed);
+  }
+  const auto& hi = pts[k + 1];
+  const auto& lo = pts[k];
   const double f = (t - lo.t) / (hi.t - lo.t);
   return lo.v + f * (hi.v - lo.v);
 }

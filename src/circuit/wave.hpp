@@ -6,6 +6,8 @@
 // current source I_REFP: a staircase of `steps` equal increments.
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <vector>
 
 namespace ecms::circuit {
@@ -37,7 +39,9 @@ class SourceWave {
   static SourceWave pulse(double low, double high, double t_on, double t_off,
                           double edge);
 
-  /// Instantaneous value at time t.
+  /// Instantaneous value at time t. Consecutive calls usually fall in the
+  /// same segment (a transient walks forward in time), so the segment last
+  /// found is tried before the binary search.
   double value(double t) const;
 
   /// Times at which the derivative is discontinuous (transient solver
@@ -54,7 +58,20 @@ class SourceWave {
 
  private:
   SourceWave() = default;
+
+  // The segment value() last used: a relaxed-atomic hint (any reader of a
+  // const wave may move it), copied with the wave.
+  struct Hint : std::atomic<std::size_t> {
+    Hint() : atomic(0) {}
+    Hint(const Hint& o) : atomic(o.load(std::memory_order_relaxed)) {}
+    Hint& operator=(const Hint& o) {
+      store(o.load(std::memory_order_relaxed), std::memory_order_relaxed);
+      return *this;
+    }
+  };
+
   std::vector<PwlPoint> points_;  // always represented as PWL internally
+  mutable Hint hint_;
   std::vector<double> breakpoints_;
   // Ramp metadata (valid when is_ramp_)
   bool is_ramp_ = false;

@@ -27,13 +27,15 @@ struct Entry {
 
 // Same MNA shape the sparse-LU equivalence tests use: conductance block
 // with structural symmetry plus voltage-source incidence rows with zero
-// diagonals (forces real pivoting).
-std::vector<Entry> random_mna(std::size_t nv, std::size_t nb, Rng& rng) {
+// diagonals (forces real pivoting). `couplings` conductances per node: 2 is
+// the usual sparse netlist, larger values make the factors fill in heavily.
+std::vector<Entry> random_mna(std::size_t nv, std::size_t nb, Rng& rng,
+                              std::size_t couplings = 2) {
   std::vector<Entry> es;
   for (std::size_t i = 0; i < nv; ++i) {
     es.push_back({i, i, rng.uniform(0.5, 2.0)});
   }
-  for (std::size_t k = 0; k < 2 * nv; ++k) {
+  for (std::size_t k = 0; k < couplings * nv; ++k) {
     const std::size_t a = rng.uniform_index(nv);
     const std::size_t b = rng.uniform_index(nv);
     if (a == b) continue;
@@ -80,16 +82,14 @@ SparseMatrix matrix_of(std::size_t n, const std::vector<Entry>& es) {
 // layout the lane LU takes, the way BatchEngine does.
 struct Lanes {
   std::size_t width;
-  std::vector<double> a, l, u, work, pb;
+  std::vector<double> a, lu, pb;
   std::vector<long> bad;
 
   Lanes(const LuSymbolic& sy, const std::vector<SparseMatrix>& mats,
         const std::vector<std::vector<double>>& rhs)
       : width(mats.size()),
         a(mats[0].nnz() * width),
-        l(sy.l_cols.size() * width),
-        u(sy.u_cols.size() * width),
-        work(sy.n * width),
+        lu(sy.factor_nnz() * width),
         pb(sy.n * width),
         bad(width, -2) {
     for (std::size_t k = 0; k < width; ++k) {
@@ -102,11 +102,10 @@ struct Lanes {
   }
 
   void refactor(const LuSymbolic& sy) {
-    lu_refactor_lanes(sy, a.data(), l.data(), u.data(), work.data(),
-                      bad.data(), width);
+    lu_refactor_lanes(sy, a.data(), lu.data(), bad.data(), width);
   }
   void solve(const LuSymbolic& sy) {
-    lu_solve_lanes(sy, l.data(), u.data(), pb.data(), width);
+    lu_solve_lanes(sy, lu.data(), pb.data(), width);
   }
 };
 
@@ -131,12 +130,13 @@ void expect_lane_matches_sparse_lu(const Lanes& lanes, std::size_t k,
 // Runs one width-W equivalence round: W value-perturbed copies of one
 // MNA-shaped topology, scalar SparseLu refactor+solve per lane as the
 // reference, the lane LU over the lane-minor gather as the candidate.
-void run_round(std::size_t width, std::uint64_t seed) {
+void run_round(std::size_t width, std::uint64_t seed,
+               std::size_t couplings = 2) {
   Rng rng(seed);
   const std::size_t nv = 8 + rng.uniform_index(8);
   const std::size_t nb = 1 + rng.uniform_index(3);
   const std::size_t n = nv + nb;
-  const std::vector<Entry> base = random_mna(nv, nb, rng);
+  const std::vector<Entry> base = random_mna(nv, nb, rng, couplings);
 
   // Lane 0 defines the shared pivot order, as in the batch engine.
   SparseMatrix m0 = matrix_of(n, base);
@@ -173,6 +173,11 @@ TEST(BatchKernelT, LanesMatchSparseLuAtEveryWidth) {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
       run_round(w, seed * 977 + w);
     }
+    // Fill-heavy patterns: long L rows whose updates land on fill-in.
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      SCOPED_TRACE("fill-heavy seed " + std::to_string(seed));
+      run_round(w, seed * 613 + w, /*couplings=*/6);
+    }
   }
 }
 
@@ -203,6 +208,14 @@ TEST(BatchKernelT, DegradedLaneIsFlaggedAndConfined) {
     SparseLu lu_bad;
     lu_bad.adopt_symbolic(sym);
     EXPECT_FALSE(lu_bad.refactor(*m));
+  }
+
+  // Width 1 is SparseLu's own instantiation: its single lane is the
+  // mid-matrix one.
+  {
+    Lanes lanes(sy, {mid_bad}, {std::vector<double>(n, 1.0)});
+    lanes.refactor(sy);
+    EXPECT_EQ(lanes.bad[0], static_cast<long>(mid));
   }
 
   // Width 3 runs the one-lane instantiation, width 4 one vectorized block.

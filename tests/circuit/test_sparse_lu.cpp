@@ -48,13 +48,15 @@ SparseMatrix pattern_of(std::size_t n, const std::vector<Entry>& es) {
 // A random MNA-shaped system: nv voltage unknowns coupled by two-terminal
 // conductances (SPD-ish block, diagonally loaded), plus nb voltage-source
 // branches whose incidence rows/columns carry +-1 and a structurally zero
-// diagonal — the shape that forces real pivoting.
-std::vector<Entry> random_mna(std::size_t nv, std::size_t nb, Rng& rng) {
+// diagonal — the shape that forces real pivoting. `couplings` conductances
+// per node: 2 is a typical netlist, larger values fill the factors in.
+std::vector<Entry> random_mna(std::size_t nv, std::size_t nb, Rng& rng,
+                              std::size_t couplings = 2) {
   std::vector<Entry> es;
   for (std::size_t i = 0; i < nv; ++i) {
     es.push_back({i, i, rng.uniform(0.5, 2.0)});  // leak to ground
   }
-  const std::size_t pairs = 2 * nv;
+  const std::size_t pairs = couplings * nv;
   for (std::size_t k = 0; k < pairs; ++k) {
     const std::size_t a = rng.uniform_index(nv);
     const std::size_t b = rng.uniform_index(nv);
@@ -167,11 +169,10 @@ TEST(SparseLuT, RefactorReportsDegradedPivot) {
 class SparseRandomMna
     : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {};
 
-TEST_P(SparseRandomMna, MatchesDenseBackend) {
-  const auto [nv, nb] = GetParam();
+void check_against_dense(std::size_t nv, std::size_t nb, Rng& rng,
+                         std::size_t couplings) {
   const std::size_t n = nv + nb;
-  Rng rng(4200 + 13 * n);
-  const std::vector<Entry> es = random_mna(nv, nb, rng);
+  const std::vector<Entry> es = random_mna(nv, nb, rng, couplings);
 
   Matrix dm(n, n);
   fill_dense(es, dm);
@@ -214,6 +215,20 @@ TEST_P(SparseRandomMna, MatchesDenseBackend) {
   for (double v : xd2) scale = std::max(scale, std::abs(v));
   for (std::size_t i = 0; i < n; ++i)
     EXPECT_NEAR(xs2[i], xd2[i], 1e-9 * scale);
+}
+
+TEST_P(SparseRandomMna, MatchesDenseBackend) {
+  const auto [nv, nb] = GetParam();
+  Rng rng(4200 + 13 * (nv + nb));
+  check_against_dense(nv, nb, rng, /*couplings=*/2);
+}
+
+// Three times the couplings: long L rows, most of the factor is fill-in,
+// and the refactor stream's updates land on fill positions.
+TEST_P(SparseRandomMna, FillHeavyMatchesDenseBackend) {
+  const auto [nv, nb] = GetParam();
+  Rng rng(5300 + 17 * (nv + nb));
+  check_against_dense(nv, nb, rng, /*couplings=*/6);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace ecms::circuit {
@@ -76,6 +83,62 @@ TEST(WaveT, StepRampValidation) {
 
 TEST(WaveT, NonRampStepIndexIsZero) {
   EXPECT_EQ(SourceWave::dc(1.0).ramp_step_at(1.0), 0);
+}
+
+// value() without its segment hint: clamp, binary search, interpolate.
+double searched_value(const SourceWave& w, double t) {
+  const auto& pts = w.points();
+  if (t <= pts.front().t) return pts.front().v;
+  if (t >= pts.back().t) return pts.back().v;
+  const auto it = std::upper_bound(
+      pts.begin(), pts.end(), t,
+      [](double tv, const PwlPoint& p) { return tv < p.t; });
+  const auto& hi = *it;
+  const auto& lo = *(it - 1);
+  const double f = (t - lo.t) / (hi.t - lo.t);
+  return lo.v + f * (hi.v - lo.v);
+}
+
+TEST(WaveT, SegmentHintMatchesBinarySearchBitwise) {
+  const auto ramp = SourceWave::step_ramp(10_ns, 1_ns, 1e-6, 20, 0.1_ns);
+  const auto& pts = ramp.points();
+  std::vector<double> times;
+  // Every breakpoint exactly, and one ulp either side.
+  for (const PwlPoint& p : pts) {
+    times.push_back(p.t);
+    times.push_back(std::nextafter(p.t, -1.0));
+    times.push_back(std::nextafter(p.t, 1.0));
+  }
+  // Before the first point and after the last.
+  times.push_back(-1_ns);
+  times.push_back(pts.back().t + 5_ns);
+  // A forward walk in transient-sized steps.
+  for (double t = 0.0; t < pts.back().t + 1_ns; t += 0.02_ns) {
+    times.push_back(t);
+  }
+  // Backward jumps, as a checkpoint restart makes them: back to the start
+  // of the ramp, into the middle, and forward again.
+  for (const double t : {12.05_ns, 10.5_ns, 25.3_ns, 11.0_ns, 29.99_ns}) {
+    times.push_back(t);
+  }
+  // Random times over and around the ramp.
+  Rng rng(11);
+  for (int i = 0; i < 2000; ++i) times.push_back(rng.uniform(-1_ns, 35_ns));
+
+  for (const double t : times) {
+    const double got = ramp.value(t);
+    const double want = searched_value(ramp, t);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << "t = " << t << ": " << got << " vs " << want;
+  }
+
+  // A copied wave carries the hint along and agrees too.
+  const SourceWave copy = ramp;
+  for (const double t : {29.99_ns, 10.05_ns, 20.5_ns}) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(copy.value(t)),
+              std::bit_cast<std::uint64_t>(searched_value(ramp, t)));
+  }
 }
 
 }  // namespace
