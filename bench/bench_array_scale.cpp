@@ -429,20 +429,22 @@ void run_solver_acceptance(std::size_t jobs, JsonSink& json,
 
     // The lane LU at the preferred lane width over the same system
     // (DESIGN.md §14), per-lane cost: the restamp row is a full value-image
-    // copy into SoA form (what a lane's gather pays after its static image
-    // was rebuilt), refactor (pivot check included) and solve are
+    // copy (what each lane's engine pays to restore its static image before
+    // the dynamic stamps), refactor (pivot check included) and solve are
     // lu_refactor_lanes / lu_solve_lanes over the frozen pivot order eng
-    // just computed.
+    // just computed, reading each lane's values from its own array.
     const std::size_t bw = circuit::kernels::preferred_width();
     const circuit::LuSymbolic& sy = *eng.lu_symbolic();
     const std::size_t nnz = eng.matrix().nnz();
     std::vector<double> ba(nnz * bw), bimg(nnz * bw), blu(sy.factor_nnz() * bw),
         bpb(unknowns * bw), bpb_src(unknowns * bw);
+    std::vector<const double*> bav(bw);
     std::vector<long> bbad(bw);
     const auto av = eng.matrix().values();
     const auto rv = eng.rhs();
     for (std::size_t l = 0; l < bw; ++l) {
-      for (std::size_t k = 0; k < nnz; ++k) bimg[k * bw + l] = av[k];
+      for (std::size_t k = 0; k < nnz; ++k) bimg[l * nnz + k] = av[k];
+      bav[l] = ba.data() + l * nnz;
       for (std::size_t i = 0; i < unknowns; ++i) {
         bpb_src[i * bw + l] = rv[sy.perm_row[i]];
       }
@@ -453,7 +455,7 @@ void run_solver_acceptance(std::size_t jobs, JsonSink& json,
         lanes;
     const double b_fac = time_us([&] {
                            circuit::lu_refactor_lanes(
-                               sy, ba.data(), blu.data(), bbad.data(), bw);
+                               sy, bav.data(), blu.data(), bbad.data(), bw);
                          }) /
                          lanes;
     // solve() runs in place, so each rep reloads the permuted RHS; the

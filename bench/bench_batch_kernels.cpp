@@ -1,8 +1,8 @@
 // Lane LU microbenchmark (DESIGN.md §14).
 //
-// Times the three hot phases of the lockstep batch engine — a full SoA
-// value-image copy (the "restamp" column: what a lane's gather pays after its
-// static image is rebuilt; a plain std::copy), the numeric refactorization
+// Times the three hot phases of the lockstep batch engine — a full
+// value-image copy (the "restamp" column: what each lane's engine pays to
+// restore its static image; a plain std::copy), the numeric refactorization
 // over the frozen pivot order with its pivot check (lu_refactor_lanes), and
 // the forward/backward triangular solves (lu_solve_lanes) — on the bare
 // transistor-level array netlist (the same system EXT-A9 uses for its
@@ -132,11 +132,13 @@ PhaseTimes run_lanes(const System& s, std::size_t width) {
   const std::size_t nnz = s.a_vals.size();
   std::vector<double> a(nnz * width), static_img(nnz * width),
       lu_vals(sy.factor_nnz() * width), pb(n * width), pb_src(n * width);
+  std::vector<const double*> a_lanes(width);
   std::vector<long> bad(width);
   for (std::size_t l = 0; l < width; ++l) {
     for (std::size_t k = 0; k < nnz; ++k) {
-      static_img[k * width + l] = s.a_vals[k];
+      static_img[l * nnz + k] = s.a_vals[k];
     }
+    a_lanes[l] = a.data() + l * nnz;
     for (std::size_t i = 0; i < n; ++i) {
       pb_src[i * width + l] = s.rhs[sy.perm_row[i]];
     }
@@ -148,7 +150,7 @@ PhaseTimes run_lanes(const System& s, std::size_t width) {
     benchmark::DoNotOptimize(a.data());
   });
   t.refactor_us = time_us_per_rep(kReps, [&] {
-    circuit::lu_refactor_lanes(sy, a.data(), lu_vals.data(), bad.data(),
+    circuit::lu_refactor_lanes(sy, a_lanes.data(), lu_vals.data(), bad.data(),
                                width);
     benchmark::DoNotOptimize(lu_vals.data());
   });

@@ -26,7 +26,6 @@ BatchEngine::BatchEngine(std::span<Circuit* const> lanes, const Options& opts)
   // One reset up front so a reused arena starts a fresh generation before
   // any engine carves from it (and so util.arena.resets reflects the batch).
   arena_.reset();
-  a_soa_.bind(&arena_);
   lu_soa_.bind(&arena_);
   pb_soa_.bind(&arena_);
 
@@ -36,6 +35,7 @@ BatchEngine::BatchEngine(std::span<Circuit* const> lanes, const Options& opts)
 
   lanes_.resize(lanes.size());
   bad_rows_.assign(lanes.size(), -1);
+  a_lanes_.assign(lanes.size(), nullptr);
   for (std::size_t li = 0; li < lanes.size(); ++li) {
     Lane& lane = lanes_[li];
     lane.ckt = lanes[li];
@@ -268,26 +268,8 @@ bool BatchEngine::solve_point(const StampContext& ctx_proto) {
   // the SoA LU operands for it.
   auto adopt_shared = [&](std::size_t li) {
     shared_sym_ = lanes_[li].eng->lu_symbolic();
-    shared_pat_ = lanes_[li].eng->matrix().pattern();
-    const LuSymbolic& sy = *shared_sym_;
-    a_soa_.resize(shared_pat_->cols.size() * W);
-    lu_soa_.resize(sy.factor_nnz() * W);
-    pb_soa_.resize(sy.n * W);
-    // Only the dynamic tape's slots change while a lane's static matrix
-    // image stays put (across iterations, and across points whose image
-    // key repeats), so between image rebuilds the gather touches these
-    // alone.
-    shared_dyn_slots_.clear();
-    const auto& prog = lanes_[li].eng->program();
-    if (prog != nullptr && prog->symbolic.get() == shared_sym_.get()) {
-      shared_dyn_slots_.assign(prog->dynamic_slots.begin(),
-                               prog->dynamic_slots.end());
-      std::sort(shared_dyn_slots_.begin(), shared_dyn_slots_.end());
-      shared_dyn_slots_.erase(
-          std::unique(shared_dyn_slots_.begin(), shared_dyn_slots_.end()),
-          shared_dyn_slots_.end());
-    }
-    for (Lane& L : lanes_) L.soa_gen = 0;  // a_soa_ was re-carved
+    lu_soa_.resize(shared_sym_->factor_nnz() * W);
+    pb_soa_.resize(shared_sym_->n * W);
   };
 
   std::vector<std::size_t> vec_lanes;
@@ -299,6 +281,7 @@ bool BatchEngine::solve_point(const StampContext& ctx_proto) {
     if (!pending) break;
 
     vec_lanes.clear();
+    std::fill(a_lanes_.begin(), a_lanes_.end(), nullptr);
     for (std::size_t li = 0; li < lanes_.size(); ++li) {
       Lane& L = lanes_[li];
       if (L.state != LaneState::kActive || !L.unfinished) continue;
@@ -319,6 +302,15 @@ bool BatchEngine::solve_point(const StampContext& ctx_proto) {
       }
       if (L.eng->lu_symbolic().get() == shared_sym_.get()) {
         vec_lanes.push_back(li);
+        // The lane LU reads A straight from the lane's value array; the
+        // right-hand side is gathered into SoA form while it is still hot.
+        a_lanes_[li] = L.eng->matrix().values().data();
+        const LuSymbolic& sy = *shared_sym_;
+        const std::span<const double> b = L.eng->rhs();
+        double* pb = pb_soa_.data();
+        for (std::size_t i = 0; i < sy.n; ++i) {
+          pb[i * W + li] = b[sy.perm_row[i]];
+        }
       } else {
         // Private pivot order (publication race or an earlier re-pivot):
         // the lane stays in lockstep but solves through its own engine.
@@ -328,30 +320,16 @@ bool BatchEngine::solve_point(const StampContext& ctx_proto) {
 
     if (vec_lanes.empty()) continue;
     const LuSymbolic& sy = *shared_sym_;
-    const std::size_t nnz = shared_pat_->cols.size();
 
-    // Gather lane values and right-hand sides into SoA form. The lane LU
-    // computes every one of the W columns; columns of retired / scalar /
-    // finished lanes hold stale data whose results are never read.
-    for (std::size_t li : vec_lanes) {
-      Lane& L = lanes_[li];
-      const std::span<const double> av = L.eng->matrix().values();
-      double* a = a_soa_.data();
-      if (L.soa_gen != L.eng->image_generation() ||
-          shared_dyn_slots_.empty()) {
-        for (std::size_t s = 0; s < nnz; ++s) a[s * W + li] = av[s];
-        L.soa_gen = L.eng->image_generation();
-      } else {
-        for (const std::uint32_t s : shared_dyn_slots_) a[s * W + li] = av[s];
-      }
-      const std::span<const double> b = L.eng->rhs();
-      double* pb = pb_soa_.data();
-      for (std::size_t i = 0; i < sy.n; ++i) {
-        pb[i * W + li] = b[sy.perm_row[i]];
-      }
+    // The lane LU computes every one of the W columns; columns of retired /
+    // scalar / finished lanes read a solving lane's values, and their
+    // results are never read.
+    for (const double*& a : a_lanes_) {
+      if (a == nullptr) a = a_lanes_[vec_lanes.front()];
     }
 
-    lu_refactor_lanes(sy, a_soa_.data(), lu_soa_.data(), bad_rows_.data(), W);
+    lu_refactor_lanes(sy, a_lanes_.data(), lu_soa_.data(), bad_rows_.data(),
+                      W);
 
     // A lane whose pivot degraded re-pivots through its engine, exactly as
     // the scalar path's refactor-failure -> full-factor sequence does; its

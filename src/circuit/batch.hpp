@@ -131,9 +131,6 @@ class BatchEngine {
     std::size_t points = 0;
     std::size_t iters = 0;
     std::size_t vector_refactors = 0;
-    // The engine's image_generation() at this lane's last full gather into
-    // a_soa_ (0 = none); while it holds, gathers touch dynamic slots only.
-    std::uint64_t soa_gen = 0;
   };
 
   void flush_counters(Lane& lane);
@@ -147,12 +144,10 @@ class BatchEngine {
   std::vector<Lane> lanes_;
   util::Arena arena_;
   std::shared_ptr<const LuSymbolic> shared_sym_;
-  std::shared_ptr<const SparsePattern> shared_pat_;
-  // Deduplicated value slots the dynamic tape touches (empty = gather the
-  // full image every iteration).
-  std::vector<std::uint32_t> shared_dyn_slots_;
-  // SoA LU operands, [slot * width + lane].
-  util::ArenaBuf<double> a_soa_, lu_soa_, pb_soa_;
+  // Per lane: the CSR value array the lane LU reads A from.
+  std::vector<const double*> a_lanes_;
+  // SoA LU operands, [position * width + lane].
+  util::ArenaBuf<double> lu_soa_, pb_soa_;
   std::vector<long> bad_rows_;  ///< per lane: first degraded pivot row or -1
   double t_ = 0.0;
   bool force_be_ = true;

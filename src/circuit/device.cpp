@@ -52,25 +52,33 @@ std::size_t CompanionBank::add(NodeId a, NodeId b, double c) {
   return size() - 1;
 }
 
+void CompanionBank::refresh_geq(const StampContext& ctx) const {
+  if (geq_valid_ && ctx.dt == geq_dt_ && ctx.method == geq_method_) return;
+  for (std::size_t k = 0; k < size(); ++k) {
+    geq_[k] = companion_geq(c_[k], ctx);
+  }
+  geq_valid_ = true;
+  geq_dt_ = ctx.dt;
+  geq_method_ = ctx.method;
+}
+
 void CompanionBank::stamp_rhs(const StampContext& ctx, std::size_t begin,
                               std::size_t end, std::span<double> b) const {
-  // One loop, instantiated per integrator and conductance source.
-  auto run = [&](auto trap, auto geq) {
+  refresh_geq(ctx);
+  // One loop, instantiated per integrator.
+  auto run = [&](auto trap) {
     for (std::size_t k = begin; k < end; ++k) {
-      double j = geq(k) * v_[k];
+      double j = geq_[k] * v_[k];
       if constexpr (decltype(trap)::value) j += i_[k];
       // The equivalent source j flows b->a (it opposes the conductance).
       b[b_[k]] -= j;
       b[a_[k]] += j;
     }
   };
-  auto cached = [&](std::size_t k) { return geq_[k]; };
-  auto fresh = [&](std::size_t k) { return companion_geq(c_[k], ctx); };
-  const bool trap = ctx.method == Integrator::kTrapezoidal;
-  if (geq_cached(ctx)) {
-    trap ? run(std::true_type{}, cached) : run(std::false_type{}, cached);
+  if (ctx.method == Integrator::kTrapezoidal) {
+    run(std::true_type{});
   } else {
-    trap ? run(std::true_type{}, fresh) : run(std::false_type{}, fresh);
+    run(std::false_type{});
   }
 }
 
@@ -86,14 +94,7 @@ void CompanionBank::accept_step(const StampContext& ctx) {
     init_state(ctx);
     return;
   }
-  if (!geq_cached(ctx)) {
-    for (std::size_t k = 0; k < size(); ++k) {
-      geq_[k] = companion_geq(c_[k], ctx);
-    }
-    geq_valid_ = true;
-    geq_dt_ = ctx.dt;
-    geq_method_ = ctx.method;
-  }
+  refresh_geq(ctx);
   const bool trap = ctx.method == Integrator::kTrapezoidal;
   const double* x = ctx.x.data();
   for (std::size_t k = 0; k < size(); ++k) {

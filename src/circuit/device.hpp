@@ -140,8 +140,9 @@ void stamp_companion(const StampContext& ctx, NodeId a, NodeId b, double c,
 /// Every linear capacitor companion of a circuit (capacitors, MOSFET
 /// intrinsic capacitances) as structure-of-arrays in device order:
 /// terminals, C, history v_prev = v(a) - v(b) and i_prev, and the
-/// conductances g of the last accepted (dt, integrator). The companion is
+/// conductances g of the last (dt, integrator) seen. The companion is
 /// i(a->b) = g·v - j, j = g·v_prev (+ i_prev under the trapezoidal rule).
+/// Even const stamp_rhs() refreshes g: stamp a bank from one thread.
 class CompanionBank {
  public:
   /// Appends a companion across (a, b); returns its index.
@@ -171,16 +172,17 @@ class CompanionBank {
   void restore_state(std::span<const double> in);
 
  private:
-  bool geq_cached(const StampContext& ctx) const {
-    return geq_valid_ && ctx.dt == geq_dt_ && ctx.method == geq_method_;
-  }
+  /// Makes geq_ hold ctx's (dt, integrator) conductances.
+  void refresh_geq(const StampContext& ctx) const;
 
   std::vector<NodeId> a_, b_;
-  std::vector<double> c_, geq_, v_, i_;
+  std::vector<double> c_, v_, i_;
   std::vector<std::size_t> open_;  // companions with C = 0
-  bool geq_valid_ = false;  // geq_ holds (geq_dt_, geq_method_)'s values
-  double geq_dt_ = 0.0;
-  Integrator geq_method_ = Integrator::kTrapezoidal;
+  // Conductance cache: geq_ holds (geq_dt_, geq_method_)'s values.
+  mutable std::vector<double> geq_;
+  mutable bool geq_valid_ = false;
+  mutable double geq_dt_ = 0.0;
+  mutable Integrator geq_method_ = Integrator::kTrapezoidal;
 };
 
 /// Abstract circuit element.
@@ -217,7 +219,7 @@ class Device {
 
   /// The static RHS half outside the companion bank: contributions that
   /// read ctx.time / ctx.source_scale but never ctx.x. Re-stamped every
-  /// point (Circuit::stamp_static_rhs).
+  /// point (Circuit::stamp_static_rhs) unless bind_companions() banks any.
   virtual void stamp_static_rhs(const StampContext& /*ctx*/,
                                 std::span<double> /*b_vec*/) const {}
 
@@ -236,6 +238,8 @@ class Device {
 
   /// Called once by Circuit::finalize(): appends this device's capacitor
   /// companions to the bank, in a fixed (stamp and checkpoint) order.
+  /// Contract: a device that banks any has no static RHS term of its own;
+  /// finalize() never schedules its stamp_static_rhs().
   virtual void bind_companions(CompanionBank& /*bank*/) {}
 
   /// True if stamp() depends on the iterate x.

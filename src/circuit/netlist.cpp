@@ -109,6 +109,7 @@ void Circuit::finalize() {
   // Devices are append-only, so the bank and the RHS program only grow.
   for (; bound_devices_ < devices_.size(); ++bound_devices_) {
     Device& d = *devices_[bound_devices_];
+    if (d.nonlinear()) nonlinear_.push_back(&d);
     const std::size_t first = bank_->size();
     d.bind_companions(*bank_);
     if (bank_->size() == first) rhs_ops_.push_back({&d, 0, 0});
@@ -152,11 +153,6 @@ Device* Circuit::find(const std::string& name) {
 const Device* Circuit::find(const std::string& name) const {
   const auto it = by_name_.find(name);
   return it == by_name_.end() ? nullptr : it->second;
-}
-
-bool Circuit::has_nonlinear() const {
-  return std::any_of(devices_.begin(), devices_.end(),
-                     [](const auto& d) { return d->nonlinear(); });
 }
 
 std::vector<double> Circuit::breakpoints(double t_stop) const {

@@ -78,6 +78,10 @@ class Circuit {
   const std::vector<std::unique_ptr<Device>>& devices() const {
     return devices_;
   }
+  /// The nonlinear devices in device order. Requires finalize().
+  std::span<const Device* const> nonlinear_devices() const {
+    return nonlinear_;
+  }
 
   /// Device lookup by unique name; nullptr if absent.
   Device* find(const std::string& name);
@@ -91,9 +95,6 @@ class Circuit {
     if (t == nullptr) throw_wrong_type(name);
     return *t;
   }
-
-  /// True if any device is nonlinear (needs Newton iterations).
-  bool has_nonlinear() const;
 
   /// All stimulus breakpoints in [0, t_stop], sorted and deduplicated.
   std::vector<double> breakpoints(double t_stop) const;
@@ -114,6 +115,7 @@ class Circuit {
   // On the heap: devices point into it, and a Circuit moves.
   std::unique_ptr<CompanionBank> bank_ = std::make_unique<CompanionBank>();
   std::size_t bound_devices_ = 0;  // devices whose companions are banked
+  std::vector<const Device*> nonlinear_;  // bound nonlinear devices, in order
   // The static-RHS program: a device's stamp_static_rhs() when `device` is
   // set, else the bank's companions [begin, end).
   struct RhsOp {

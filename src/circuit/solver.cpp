@@ -17,6 +17,21 @@ void SparseEngine::add(std::size_t row, std::size_t col, double v) {
   t.rec_vals.push_back(v);
 }
 
+ReplayTape SparseEngine::replay(bool dynamic, double* values) const {
+  const Tape& own = dynamic ? dynamic_tape_ : static_tape_;
+  ReplayTape rt;
+  rt.coords = own.coords.data();
+  rt.slots = own.slots.data();
+  if (shared_tapes_ != nullptr) {
+    const NetlistProgram& p = *shared_tapes_;
+    rt.coords = (dynamic ? p.dynamic_coords : p.static_coords).data();
+    rt.slots = (dynamic ? p.dynamic_slots : p.static_slots).data();
+  }
+  rt.size = own.coords.size();
+  rt.values = values;
+  return rt;
+}
+
 void SparseEngine::resolve_slots(Tape& tape) {
   tape.slots.resize(tape.coords.size());
   for (std::size_t i = 0; i < tape.coords.size(); ++i) {
@@ -50,8 +65,8 @@ void SparseEngine::discover(const Circuit& ckt, const StampContext& ctx,
   ckt.stamp_static_rhs(ctx, b_static_);
   b_work_.copy_from(b_static_.span().subspan(1));
   active_tape_ = &dynamic_tape_;
-  for (const auto& d : ckt.devices()) {
-    if (d->nonlinear()) d->stamp(ctx, view, b_work_);
+  for (const Device* d : ckt.nonlinear_devices()) {
+    d->stamp(ctx, view, b_work_);
   }
   phase_ = Phase::kIdle;
 
@@ -89,7 +104,9 @@ void SparseEngine::discover(const Circuit& ckt, const StampContext& ctx,
     dynamic_tape_.slots = program_->dynamic_slots;
     diag_slots_ = program_->diag_slots;
     lu_.adopt_symbolic(program_->symbolic);
+    shared_tapes_ = program_;
   } else {
+    shared_tapes_.reset();
     // Freeze the pattern: every recorded coordinate plus the gmin ground
     // diagonal, then resolve the tapes to value slots.
     std::vector<std::uint64_t> coords;
@@ -149,11 +166,7 @@ void SparseEngine::assemble(const Circuit& ckt, const StampContext& ctx,
     } else {
       image_key_ = ImageKey{};  // no valid image until the replay completes
       std::fill(static_values_.begin(), static_values_.end(), 0.0);
-      ReplayTape rt;
-      rt.coords = static_tape_.coords.data();
-      rt.slots = static_tape_.slots.data();
-      rt.size = static_tape_.coords.size();
-      rt.values = static_values_.data();
+      ReplayTape rt = replay(/*dynamic=*/false, static_values_.data());
       MnaView view(rt);
       for (const auto& d : ckt.devices()) d->stamp_static(ctx, view);
       if (rt.diverged || rt.cursor != rt.size) diverged_ = true;
@@ -178,14 +191,10 @@ void SparseEngine::assemble(const Circuit& ckt, const StampContext& ctx,
     std::span<double> vals = mat_.values();
     std::copy(static_values_.begin(), static_values_.end(), vals.begin());
     b_work_.copy_from(b_static_.span().subspan(1));
-    ReplayTape rt;
-    rt.coords = dynamic_tape_.coords.data();
-    rt.slots = dynamic_tape_.slots.data();
-    rt.size = dynamic_tape_.coords.size();
-    rt.values = vals.data();
+    ReplayTape rt = replay(/*dynamic=*/true, vals.data());
     MnaView view(rt);
-    for (const auto& d : ckt.devices()) {
-      if (d->nonlinear()) d->stamp(ctx, view, b_work_);
+    for (const Device* d : ckt.nonlinear_devices()) {
+      d->stamp(ctx, view, b_work_);
     }
     if (rt.diverged || rt.cursor != rt.size) diverged_ = true;
   }

@@ -147,9 +147,6 @@ class SparseEngine final : public StampSink {
   std::uint64_t static_hits() const { return static_hits_; }
   std::uint64_t static_restamps() const { return static_restamps_; }
   std::uint64_t rhs_restamps() const { return rhs_restamps_; }
-  /// Bumped whenever the static matrix image is rebuilt: values outside
-  /// the dynamic tape's slots are unchanged while it stays put.
-  std::uint64_t image_generation() const { return static_restamps_; }
 
   // StampSink: records a coordinate during discovery, or replays one
   // cached slot write.
@@ -179,6 +176,8 @@ class SparseEngine final : public StampSink {
   void discover(const Circuit& ckt, const StampContext& ctx,
                 double gmin_ground);
   void resolve_slots(Tape& tape);
+  /// A replay cursor over the static or dynamic tape into `values`.
+  ReplayTape replay(bool dynamic, double* values) const;
   /// This engine's topology and current pivot order as a fresh program.
   std::shared_ptr<NetlistProgram> compile_program() const;
   /// Publishes the locally compiled program after the first clean full
@@ -203,6 +202,9 @@ class SparseEngine final : public StampSink {
   SparseLu lu_;
   ProgramCache* cache_ = nullptr;
   std::shared_ptr<const NetlistProgram> program_;
+  // The program adopted at discovery: replays read its tapes, one copy for
+  // every engine on it (hot across a batch's lanes), not the equal own.
+  std::shared_ptr<const NetlistProgram> shared_tapes_;
   std::shared_ptr<const NetlistProgram> seed_;
   std::uint64_t program_key_ = 0;
   bool publish_pending_ = false;

@@ -262,6 +262,11 @@ void SparseLu::factor(const SparseMatrix& a) {
       }
     }
   }
+  std::vector<bool> reached(sym->factor_nnz(), false);
+  for (const std::uint32_t p : sym->a_dst) reached[p] = true;
+  for (std::uint32_t p = 0; p < reached.size(); ++p) {
+    if (!reached[p]) sym->fill_dst.push_back(p);
+  }
 
   sym_ = std::move(sym);
   factored_ = true;
@@ -271,7 +276,8 @@ bool SparseLu::refactor(const SparseMatrix& a) {
   ECMS_REQUIRE(sym_ != nullptr && a.dim() == n_,
                "refactor needs a factored/adopted symbolic of this pattern");
   long bad = -1;
-  lu_refactor_lanes(*sym_, a.values().data(), lu_vals_.data(), &bad, 1);
+  const double* av = a.values().data();
+  lu_refactor_lanes(*sym_, &av, lu_vals_.data(), &bad, 1);
   if (bad >= 0) return false;  // degraded: caller must re-pivot via factor()
   factored_ = true;
   return true;
@@ -293,8 +299,8 @@ namespace {
 
 // Lanes per block in the elimination below: every lane loop runs over a
 // compile-time B, which the compiler vectorizes with whatever the target
-// ISA offers (SSE2 pairs on baseline x86-64). 4 timed best of {4, 8, 16} on
-// the lockstep tile system. Widths that are not a multiple of it run B = 1.
+// ISA offers (SSE2 pairs on baseline x86-64). 4 timed as fast as 8 on the
+// lockstep tile system. Widths that are not a multiple of it run B = 1.
 constexpr std::size_t kLaneBlock = 4;
 
 // The one numeric elimination, for `width` lanes (a compile-time kW when
@@ -304,52 +310,55 @@ constexpr std::size_t kLaneBlock = 4;
 // (-ffp-contract=off) — so vectorized or not, its lanes are bit-identical.
 //
 // It runs in place on the combined L|U array, driven by the compiled
-// stream (LuSymbolic): the array starts at +0.0, A's values are added in,
-// then each L entry (rows in order, columns ascending) becomes its
-// multiplier f = l / u_jj and subtracts f times pivot row j's off-diagonal
-// U entries at the positions upd_dst names. Row i reads only finished rows
-// and writes only its own positions, so every value sees the textbook
-// dense-work-vector elimination's operations, operand for operand; and
-// finished U rows are never written again, so pivots are judged at the end.
+// stream (LuSymbolic), one block of B lanes at a time so a block's rows
+// stay in cache from load to pivot check. A's values land as +0.0 + a (the
+// sum a zeroed array would hold; it turns -0.0 into +0.0) and the fill-in
+// positions start at +0.0; then each L entry (rows in order, columns
+// ascending) becomes its multiplier f = l / u_jj and subtracts f times
+// pivot row j's off-diagonal U entries at the positions upd_dst names. Row
+// i reads only finished rows and writes only its own positions, so every
+// value sees the textbook dense-work-vector elimination's operations,
+// operand for operand; and finished U rows are never written again, so
+// pivots are judged at the end.
 template <std::size_t B, std::size_t kW>
-void refactor_lanes(const LuSymbolic& sy, const double* __restrict a,
+void refactor_lanes(const LuSymbolic& sy, const double* const* a,
                     double* __restrict lu, long* bad, std::size_t width) {
   const std::size_t w = kW != 0 ? kW : width;
-  std::fill(lu, lu + sy.factor_nnz() * w, 0.0);
-  for (std::size_t s = 0; s < sy.a_dst.size(); ++s) {
-    double* dst = lu + std::size_t{sy.a_dst[s]} * w;
-    const double* av = a + s * w;
-    for (std::size_t l0 = 0; l0 < w; l0 += B)
-      for (std::size_t k = l0; k < l0 + B; ++k) dst[k] += av[k];
-  }
+  std::fill(bad, bad + w, -1L);
+  const double* u = lu + sy.l_cols.size() * w;  // U entry t
+  for (std::size_t l0 = 0; l0 < w; l0 += B) {
+    for (const std::uint32_t p : sy.fill_dst) {
+      double* dst = lu + std::size_t{p} * w + l0;
+      for (std::size_t k = 0; k < B; ++k) dst[k] = 0.0;
+    }
+    const double* al[B];
+    for (std::size_t k = 0; k < B; ++k) al[k] = a[l0 + k];
+    for (std::size_t s = 0; s < sy.a_dst.size(); ++s) {
+      double* dst = lu + std::size_t{sy.a_dst[s]} * w + l0;
+      for (std::size_t k = 0; k < B; ++k) dst[k] = 0.0 + al[k][s];
+    }
 
-  const std::uint32_t* upd = sy.upd_dst.data();
-  for (const LuSymbolic::Elim& e : sy.elim) {
-    double* ls = lu + std::size_t{e.l} * w;
-    const double* upiv = lu + std::size_t{e.piv} * w;
-    // Operands are read into locals before each store: every access goes
-    // through `lu`, and this way no store can alias a later load.
-    for (std::size_t l0 = 0; l0 < w; l0 += B) {
+    const std::uint32_t* upd = sy.upd_dst.data();
+    for (const LuSymbolic::Elim& e : sy.elim) {
+      double* ls = lu + std::size_t{e.l} * w + l0;
+      const double* upiv = lu + std::size_t{e.piv} * w + l0;
+      // Operands are read into locals before each store: every access goes
+      // through `lu`, and this way no store can alias a later load.
       double f[B];
-      for (std::size_t k = 0; k < B; ++k) f[k] = ls[l0 + k] / upiv[l0 + k];
-      for (std::size_t k = 0; k < B; ++k) ls[l0 + k] = f[k];
+      for (std::size_t k = 0; k < B; ++k) f[k] = ls[k] / upiv[k];
+      for (std::size_t k = 0; k < B; ++k) ls[k] = f[k];
       for (std::uint32_t q = 0; q < e.count; ++q) {
         double ut[B];
-        for (std::size_t k = 0; k < B; ++k) {
-          ut[k] = lu[(std::size_t{e.src} + q) * w + l0 + k];
-        }
+        const double* us = lu + (std::size_t{e.src} + q) * w + l0;
+        for (std::size_t k = 0; k < B; ++k) ut[k] = us[k];
         double* row = lu + std::size_t{upd[q]} * w + l0;
         for (std::size_t k = 0; k < B; ++k) row[k] -= f[k] * ut[k];
       }
+      upd += e.count;
     }
-    upd += e.count;
-  }
 
-  // Each lane's first pivot degraded against its U row's largest |u|.
-  std::fill(bad, bad + w, -1L);
-  const double* u = lu + sy.l_cols.size() * w;  // U entry t
-  for (std::size_t i = 0; i < sy.n; ++i) {
-    for (std::size_t l0 = 0; l0 < w; l0 += B) {
+    // Each lane's first pivot degraded against its U row's largest |u|.
+    for (std::size_t i = 0; i < sy.n; ++i) {
       double rmax[B] = {};
       for (std::uint32_t t = sy.u_ptr[i]; t < sy.u_ptr[i + 1]; ++t) {
         const double* us = u + std::size_t{t} * w + l0;
@@ -407,8 +416,8 @@ void solve_lanes(const LuSymbolic& sy, const double* __restrict lu,
 
 }  // namespace
 
-void lu_refactor_lanes(const LuSymbolic& sy, const double* a, double* lu,
-                       long* bad, std::size_t w) {
+void lu_refactor_lanes(const LuSymbolic& sy, const double* const* a,
+                       double* lu, long* bad, std::size_t w) {
   if (w == 1) {
     refactor_lanes<1, 1>(sy, a, lu, bad, w);
   } else if (w % kLaneBlock == 0) {

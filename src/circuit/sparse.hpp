@@ -134,6 +134,7 @@ struct LuSymbolic {
     std::uint32_t l, piv, src, count;
   };
   std::vector<std::uint32_t> a_dst;    ///< A value slot -> L|U position
+  std::vector<std::uint32_t> fill_dst; ///< L|U positions no A slot reaches
   std::vector<Elim> elim;              ///< every L entry, in row order
   std::vector<std::uint32_t> upd_dst;  ///< update targets, in stream order
 
@@ -211,17 +212,17 @@ class SparseLu {
 
 /// The numeric elimination behind SparseLu::refactor() and the lockstep
 /// lanes (batch.hpp): refactors `w` systems side by side over one frozen
-/// symbolic, in place. Every array is lane-minor — the value of (position,
-/// lane) sits at [position * w + lane] — with `a` in CSR slot order and
-/// `lu` the combined L|U array (LuSymbolic). Per lane: add A into the
-/// zeroed array, run the elimination steps (each L entry becomes its
-/// multiplier and applies its pivot row's updates; rows in order, columns
-/// ascending within a row), then judge every U row's pivot by
-/// pivot_degraded(). `bad[lane]` becomes that lane's first degraded
-/// permuted row, or -1; a degraded lane's later rows are garbage confined
-/// to that lane.
-void lu_refactor_lanes(const LuSymbolic& sy, const double* a, double* lu,
-                       long* bad, std::size_t w);
+/// symbolic, in place. `a[lane]` is that lane's CSR value array (slot
+/// order); `lu` is the combined L|U array (LuSymbolic), lane-minor — the
+/// value of (position, lane) sits at [position * w + lane]. Per lane: load
+/// A into the array (fill-in positions start at +0.0), run the elimination
+/// steps (each L entry becomes its multiplier and applies its pivot row's
+/// updates; rows in order, columns ascending within a row), then judge
+/// every U row's pivot by pivot_degraded(). `bad[lane]` becomes that lane's
+/// first degraded permuted row, or -1; a degraded lane's later rows are
+/// garbage confined to that lane.
+void lu_refactor_lanes(const LuSymbolic& sy, const double* const* a,
+                       double* lu, long* bad, std::size_t w);
 
 /// Forward/backward substitution of `w` lanes in place on `pb`, each lane's
 /// right-hand side in permuted row order (pb[i * w + lane] = b[perm_row[i]]);

@@ -78,23 +78,28 @@ SparseMatrix matrix_of(std::size_t n, const std::vector<Entry>& es) {
          << a << " != " << b << " (bit patterns differ)";
 }
 
-// Gathers per-lane matrices and right-hand sides into the lane-minor
-// layout the lane LU takes, the way BatchEngine does.
+// Copies per-lane matrix values (the lane LU reads each lane's array in
+// place) and gathers the right-hand sides into the lane-minor layout, the
+// way BatchEngine does.
 struct Lanes {
   std::size_t width;
-  std::vector<double> a, lu, pb;
+  std::vector<std::vector<double>> vals;
+  std::vector<const double*> a;
+  std::vector<double> lu, pb;
   std::vector<long> bad;
 
   Lanes(const LuSymbolic& sy, const std::vector<SparseMatrix>& mats,
         const std::vector<std::vector<double>>& rhs)
       : width(mats.size()),
-        a(mats[0].nnz() * width),
+        vals(width),
+        a(width),
         lu(sy.factor_nnz() * width),
         pb(sy.n * width),
         bad(width, -2) {
     for (std::size_t k = 0; k < width; ++k) {
       const auto av = mats[k].values();
-      for (std::size_t s = 0; s < av.size(); ++s) a[s * width + k] = av[s];
+      vals[k].assign(av.begin(), av.end());
+      a[k] = vals[k].data();
       for (std::size_t i = 0; i < sy.n; ++i) {
         pb[i * width + k] = rhs[k][sy.perm_row[i]];
       }

@@ -175,9 +175,9 @@ TEST(CompanionBankT, StaticRhsMatchesPerDeviceLoopBitwise) {
   ctx.x = x;
   ckt.init_state(ctx);
 
-  // Trapezoidal steps (the second one hits the cached conductances), a
-  // backward-Euler step after a breakpoint, a shorter breakpoint-landing
-  // step, back to the base step, and a DC point.
+  // Trapezoidal steps (the first stamp fills the conductance cache, later
+  // ones hit it), a backward-Euler step after a breakpoint, a shorter
+  // breakpoint-landing step, back to the base step, and a DC point.
   struct Point {
     double dt;
     Integrator method;
@@ -199,9 +199,56 @@ TEST(CompanionBankT, StaticRhsMatchesPerDeviceLoopBitwise) {
     x = iterate(n, p++);
     ctx.x = x;
     accept_and_check(ckt, ctx);
-    // The same point again, now with the conductances cached by the accept.
+    // The same point again, with the conductances cached.
     EXPECT_TRUE(bits_equal(circuit_rhs(ckt, ctx), reference_rhs(ckt, ctx)));
   }
+}
+
+TEST(CompanionBankT, AcceptBeforeAnyStampMatchesTextbook) {
+  // Accepts at (dt, integrator) pairs no RHS stamp has seen: the accept
+  // fills the conductance cache itself, and the next stamp reads it.
+  Circuit ckt = make_mixed();
+  ckt.finalize();
+  const std::size_t n = ckt.unknown_count();
+  std::vector<double> x = iterate(n, 0);
+  StampContext ctx;
+  ctx.x = x;
+  ckt.init_state(ctx);
+  int p = 1;
+  for (const auto method :
+       {Integrator::kBackwardEuler, Integrator::kTrapezoidal}) {
+    for (const double dt : {20e-12, 7e-12}) {
+      ctx.time += dt;
+      ctx.dt = dt;
+      ctx.method = method;
+      x = iterate(n, p++);
+      ctx.x = x;
+      accept_and_check(ckt, ctx);
+      EXPECT_TRUE(bits_equal(circuit_rhs(ckt, ctx), reference_rhs(ckt, ctx)));
+    }
+  }
+}
+
+TEST(CompanionBankT, BankingDevicesHaveNoStaticRhsOfTheirOwn) {
+  // The Device::bind_companions contract: finalize() never schedules a
+  // companion-banking device's stamp_static_rhs(), so none may add a term.
+  Circuit ckt = make_mixed();
+  ckt.finalize();
+  StampContext ctx;
+  ctx.time = 1.5e-9;
+  ctx.dt = 20e-12;
+  std::size_t banking = 0;
+  for (const auto& d : ckt.devices()) {
+    CompanionBank probe;
+    d->bind_companions(probe);
+    if (probe.size() == 0) continue;
+    ++banking;
+    std::vector<double> b(ckt.unknown_count(), 0.0);
+    d->stamp_static_rhs(ctx, b);
+    EXPECT_TRUE(bits_equal(b, std::vector<double>(b.size(), 0.0)))
+        << d->name();
+  }
+  EXPECT_EQ(banking, 6u);  // four capacitors, two MOSFETs
 }
 
 TEST(CompanionBankT, DeviceAppendedAfterFinalizeKeepsHistory) {
