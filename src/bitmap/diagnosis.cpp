@@ -150,11 +150,10 @@ DisambiguateFn make_tiled_disambiguator(const edram::MacroCell& mc,
     const std::size_t tiles_per_row = cache->mc.cols() / cache->tile_cols;
     auto& slot = cache->tiles[tr * tiles_per_row + tc];
     if (!slot) {
-      const edram::MacroCell tile =
+      slot = std::make_unique<msu::Disambiguator>(msu::FastModel(
           cache->mc.tile(tr * cache->tile_rows, tc * cache->tile_cols,
-                         cache->tile_rows, cache->tile_cols);
-      slot = std::make_unique<msu::Disambiguator>(
-          msu::FastModel(tile, cache->params));
+                         cache->tile_rows, cache->tile_cols),
+          cache->params));
     }
     return slot->classify(r % cache->tile_rows, c % cache->tile_cols);
   };

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -91,7 +92,7 @@ ExtractReport extract(const edram::MacroCell& mc, const ExtractRequest& req) {
     const std::size_t tr = (t / tiles_per_row) * tile_rows;
     const std::size_t tc = (t % tiles_per_row) * tile_cols;
     const TileProbe probe(t, tr, tc);
-    const edram::MacroCell tile = mc.tile(tr, tc, tile_rows, tile_cols);
+    edram::MacroCell tile = mc.tile(tr, tc, tile_rows, tile_cols);
 
     if (req.engine == Engine::kCircuit) {
       msu::ExtractPlan plan;
@@ -139,7 +140,7 @@ ExtractReport extract(const edram::MacroCell& mc, const ExtractRequest& req) {
     }
 
     // Fast-model engine.
-    const msu::FastModel model(tile, req.params);
+    const msu::FastModel model(std::move(tile), req.params);
     if (!req.robust) {
       if (req.noise != nullptr) {
         // Each tile draws from its own forked stream, keyed by tile index,

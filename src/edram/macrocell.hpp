@@ -46,8 +46,9 @@ class MacroCell {
   }
 
   /// Sub-array (tile) starting at (r0, c0): the macro-cell a segmented-plate
-  /// measurement structure actually sees. Bridges crossing the tile edge are
-  /// re-anchored inside the tile (a one-column approximation).
+  /// measurement structure actually sees. Its capacitances and defects are
+  /// copied from this array, nothing is re-sampled. A bridge pointing across
+  /// the tile edge re-anchors inside the tile (a one-column approximation).
   MacroCell tile(std::size_t r0, std::size_t c0, std::size_t rows,
                  std::size_t cols) const;
 

@@ -31,11 +31,12 @@ double design_ramp_imax(const edram::MacroCell& mc, const StructureParams& p) {
   return m.i_max();
 }
 
-FastModel::FastModel(const edram::MacroCell& mc, const StructureParams& p)
-    : mc_(mc), params_(p), steps_(p.ramp_steps) {
+FastModel::FastModel(edram::MacroCell mc, const StructureParams& p)
+    : mc_(std::move(mc)), params_(p), steps_(p.ramp_steps) {
   ECMS_REQUIRE(p.ramp_steps > 0, "ramp needs at least one step");
-  const auto& t = mc.tech();
+  const auto& t = mc_.tech();
   ref_params_ = t.nmos(p.ref_w, p.ref_l);
+  ref_k_ = circuit::MosConstants::of(ref_params_);
 
   // Receiving side: REF gate input capacitance, the trim capacitor, and the
   // LEC pass device's source-side junction/overlap.
@@ -44,17 +45,71 @@ FastModel::FastModel(const edram::MacroCell& mc, const StructureParams& p)
 
   // Storage-node parasitic of a cell whose access device is off.
   const circuit::MosParams acc =
-      t.nmos(mc.spec().access_w, mc.spec().access_l);
-  c_stor_par_ = acc.c_junction() + 2.0 * acc.c_overlap();
+      t.nmos(mc_.spec().access_w, mc_.spec().access_l);
+  const double c_stor_par = acc.c_junction() + 2.0 * acc.c_overlap();
 
   // Floating bit line: routing plus the select and access device loads
   // (shared definition with the sense path).
-  cbl_float_ = mc.bitline_total_cap();
+  cbl_float_ = mc_.bitline_total_cap();
 
   // Structure devices on the plate: STD source, PRG source, LEC drain.
   const circuit::MosParams stdm = t.nmos(p.std_w, t.l_min);
-  struct_junctions_ = 2.0 * (pass.c_junction() + pass.c_overlap()) +
-                      stdm.c_junction() + stdm.c_overlap();
+  const double struct_junctions = 2.0 * (pass.c_junction() + pass.c_overlap()) +
+                                  stdm.c_junction() + stdm.c_overlap();
+
+  // base_[t] sums every cell load off row t in row-major order: the prefix
+  // over the rows before t, then each later row's loads in turn. Blocks of
+  // eight accumulators take a row's loads in registers, so the work runs
+  // across rows (and vectorizes) without reordering any one sum; slots at or
+  // past the current row gather junk until their own row overwrites them.
+  const std::size_t rows = mc_.rows(), cols = mc_.cols();
+  constexpr std::size_t kBlock = 8;
+  base_.resize((rows + kBlock - 1) / kBlock * kBlock);
+  row_term_.resize(rows * cols);
+  measured_.resize(rows * cols);
+  shorted_.resize(rows * cols);
+  const std::vector<double>& true_cap = mc_.cap_field().values();
+  std::vector<double> cs(cols), load(cols);  // one row's, defect-aware
+  double prefix = mc_.plate_parasitic() + struct_junctions;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double before = prefix;
+    bool bridged = false;
+    for (std::size_t c = 0; c < cols; ++c) {
+      const std::size_t i = r * cols + c;
+      const tech::DefectElectrical e = tech::electrical_of(mc_.defect(r, c));
+      cs[c] = e.disconnected ? e.residual_cap : true_cap[i] * e.cap_scale;
+      shorted_[i] = e.shunt_r > 0.0;
+      bridged = bridged || e.bridge_r > 0.0;
+      // A shorted cell on the target row ties its floating bit line
+      // resistively to the plate: the full bit-line capacitance rides along.
+      row_term_[i] = shorted_[i] ? cbl_float_ : series_cap(cs[c], cbl_float_);
+      // A short's charge drains before the comparison: it measures 0.
+      measured_[i] = shorted_[i] ? 0.0 : cs[c];
+      // On an unselected row: the capacitor in series with the floating
+      // storage node's parasitics.
+      load[c] = series_cap(cs[c], c_stor_par);
+      prefix += load[c];
+    }
+    for (std::size_t k = 0; k < r; k += kBlock) {
+      double acc[kBlock] = {};  // spelled out below so it stays in registers
+      std::copy_n(&base_[k], kBlock, acc);
+      for (const double v : load) {
+        acc[0] += v; acc[1] += v; acc[2] += v; acc[3] += v;
+        acc[4] += v; acc[5] += v; acc[6] += v; acc[7] += v;
+      }
+      std::copy_n(acc, kBlock, &base_[k]);
+    }
+    base_[r] = before;
+    // A bridge grounds the partner's storage node through the target's bit
+    // line, so part of the partner's capacitor is measured along (most of
+    // its charge is lost to the step-2 divider; see kBridgeChargeEfficiency).
+    for (std::size_t c = 0; bridged && c < cols; ++c) {
+      const auto partner = mc_.bridge_partner_col(r, c);
+      if (partner && !shorted_[r * cols + c])
+        measured_[r * cols + c] += kBridgeChargeEfficiency * cs[*partner];
+    }
+  }
+  base_.resize(rows);
 
   ref_offset_ = plate_offset(0, 0);
   auto_ramp_ = p.ramp_i_max <= 0.0;
@@ -72,44 +127,18 @@ void FastModel::set_vgs_correction(double volts) {
   }
 }
 
-double FastModel::floating_cell_load(std::size_t r, std::size_t c) const {
-  const tech::DefectElectrical e = tech::electrical_of(mc_.defect(r, c));
-  const double cs =
-      e.disconnected ? e.residual_cap : mc_.true_cap(r, c) * e.cap_scale;
-  return series_cap(cs, c_stor_par_);
-}
-
-double FastModel::row_coupling(std::size_t r, std::size_t exclude_col) const {
-  double sum = 0.0;
-  for (std::size_t c = 0; c < mc_.cols(); ++c) {
-    if (c == exclude_col) continue;
-    const tech::DefectElectrical e = tech::electrical_of(mc_.defect(r, c));
-    if (e.shunt_r > 0.0) {
-      // A shorted cell on the target row ties its floating bit line
-      // resistively to the plate: the full bit-line capacitance rides along.
-      sum += cbl_float_;
-      continue;
-    }
-    const double cs =
-        e.disconnected ? e.residual_cap : mc_.true_cap(r, c) * e.cap_scale;
-    sum += series_cap(cs, cbl_float_);
-  }
-  return sum;
-}
-
-double FastModel::base_offset(std::size_t target_row) const {
-  double sum = mc_.plate_parasitic() + struct_junctions_;
-  for (std::size_t r = 0; r < mc_.rows(); ++r) {
-    if (r == target_row) continue;
-    for (std::size_t c = 0; c < mc_.cols(); ++c)
-      sum += floating_cell_load(r, c);
-  }
-  return sum;
+std::size_t FastModel::index(std::size_t r, std::size_t c) const {
+  ECMS_REQUIRE(r < mc_.rows() && c < mc_.cols(), "cell index out of range");
+  return r * mc_.cols() + c;
 }
 
 double FastModel::plate_offset(std::size_t r, std::size_t c) const {
-  ECMS_REQUIRE(r < mc_.rows() && c < mc_.cols(), "cell index out of range");
-  return base_offset(r) + row_coupling(r, c);
+  const double* row = &row_term_[index(r, c) - c];
+  // The target row's other cells couple through their floating bit lines.
+  double coupling = 0.0;
+  for (std::size_t j = 0; j < mc_.cols(); ++j)
+    if (j != c) coupling += row[j];
+  return base_[r] + coupling;
 }
 
 double FastModel::vgs_of_total(double total) const {
@@ -138,7 +167,7 @@ double FastModel::vgs_of_cap(double cm_eff) const {
 
 double FastModel::ref_current(double vgs) const {
   const double vdd = mc_.tech().vdd;
-  return circuit::mos_ids(ref_params_, vgs, vdd / 2.0);
+  return circuit::mos_eval(ref_params_, ref_k_, vgs, vdd / 2.0, 0.0, 0.0).ids;
 }
 
 int FastModel::code_of_vgs_current(double i) const {
@@ -154,7 +183,11 @@ int FastModel::code_of_cap(double cm_eff) const {
 int FastModel::code_of_cap(double cm_eff, const MeasureNoise& noise,
                            Rng& rng) const {
   if (!noise.enabled) return code_of_cap(cm_eff);
-  const double total = cm_eff + ref_offset_;
+  return noisy_code(cm_eff + ref_offset_, noise, rng);
+}
+
+int FastModel::noisy_code(double total, const MeasureNoise& noise,
+                          Rng& rng) const {
   double vgs = vgs_of_total(total) + miller_boost(total) + vgs_correction_;
   if (noise.vgs_sigma > 0.0) vgs += rng.normal(0.0, noise.vgs_sigma);
   double i = ref_current(std::max(vgs, 0.0));
@@ -164,38 +197,22 @@ int FastModel::code_of_cap(double cm_eff, const MeasureNoise& noise,
 }
 
 double FastModel::measured_cap_of_cell(std::size_t r, std::size_t c) const {
-  const tech::DefectElectrical e = tech::electrical_of(mc_.defect(r, c));
-  if (e.shunt_r > 0.0) return 0.0;  // charge drains before the comparison
-  double cm =
-      e.disconnected ? e.residual_cap : mc_.true_cap(r, c) * e.cap_scale;
-  // A bridge grounds the partner's storage node through the target's bit
-  // line, so part of the partner's capacitor is measured along (most of its
-  // charge is lost to the step-2 divider; see kBridgeChargeEfficiency).
-  if (const auto partner = mc_.bridge_partner_col(r, c)) {
-    cm += kBridgeChargeEfficiency * mc_.effective_cap(r, *partner);
-  }
-  return cm;
+  return measured_[index(r, c)];
 }
 
 int FastModel::code_of_cell(std::size_t r, std::size_t c) const {
-  const tech::DefectElectrical e = tech::electrical_of(mc_.defect(r, c));
-  if (e.shunt_r > 0.0) return 0;
-  const double total = measured_cap_of_cell(r, c) + plate_offset(r, c);
-  return code_of_vgs_current(decision_current(total));
+  const std::size_t i = index(r, c);
+  if (shorted_[i]) return 0;
+  return code_of_vgs_current(
+      decision_current(measured_[i] + plate_offset(r, c)));
 }
 
 int FastModel::code_of_cell(std::size_t r, std::size_t c,
                             const MeasureNoise& noise, Rng& rng) const {
   if (!noise.enabled) return code_of_cell(r, c);
-  const tech::DefectElectrical e = tech::electrical_of(mc_.defect(r, c));
-  if (e.shunt_r > 0.0) return 0;
-  const double total = measured_cap_of_cell(r, c) + plate_offset(r, c);
-  double vgs = vgs_of_total(total) + miller_boost(total) + vgs_correction_;
-  if (noise.vgs_sigma > 0.0) vgs += rng.normal(0.0, noise.vgs_sigma);
-  double i = ref_current(std::max(vgs, 0.0));
-  if (noise.comparator_sigma_i > 0.0)
-    i += rng.normal(0.0, noise.comparator_sigma_i);
-  return code_of_vgs_current(i);
+  const std::size_t i = index(r, c);
+  if (shorted_[i]) return 0;
+  return noisy_code(measured_[i] + plate_offset(r, c), noise, rng);
 }
 
 double FastModel::cap_at_code_boundary(int k) const {

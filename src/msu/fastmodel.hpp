@@ -28,6 +28,8 @@
 // therefore means "below measurable range" exactly as in the paper.
 #pragma once
 
+#include <vector>
+
 #include "edram/macrocell.hpp"
 #include "msu/structure.hpp"
 #include "util/rng.hpp"
@@ -46,9 +48,18 @@ struct MeasureNoise {
 /// many ThreadPool workers concurrently — the contract the parallel tiled
 /// extraction relies on. Noise draws go through the caller-supplied Rng,
 /// which must not be shared across threads (use Rng::fork per task).
+///
+/// Cost model, for an R x C macro-cell: the constructor fills every table a
+/// query reads — per-cell row-coupling terms, measured capacitances and short
+/// flags, and one base offset per target row — in O(R^2 C) adds vectorized
+/// across rows. plate_offset() is then one O(C) pass over the target row,
+/// and a code_* query adds one REF current evaluation. Each sum adds the
+/// same terms in the same order as a direct per-cell evaluation, so codes
+/// do not depend on how the tables are built.
 class FastModel {
  public:
-  FastModel(const edram::MacroCell& mc, const StructureParams& p);
+  /// Takes the macro-cell by value: move a temporary (a tile) in.
+  FastModel(edram::MacroCell mc, const StructureParams& p);
 
   // --- derived design quantities ---
   /// Plate offset capacitance for the reference target cell (0,0) — what the
@@ -111,21 +122,27 @@ class FastModel {
   /// REF current at the flip decision, including the Miller correction.
   double decision_current(double total_charged_cap) const;
   int code_of_vgs_current(double i) const;
-  /// Series load a floating-row cell presents at the plate.
-  double floating_cell_load(std::size_t r, std::size_t c) const;
-  /// Coupling of the target row's other cells through floating bit lines.
-  double row_coupling(std::size_t r, std::size_t exclude_col) const;
-  /// Offset excluding the target row (structure + unselected rows).
-  double base_offset(std::size_t target_row) const;
+  /// Code for a total plate-charged capacitance with noise injected.
+  int noisy_code(double total, const MeasureNoise& noise, Rng& rng) const;
+  /// Row-major index of a cell; throws when out of range.
+  std::size_t index(std::size_t r, std::size_t c) const;
 
   edram::MacroCell mc_;  // held by value: the model must outlive any
                          // temporary the caller constructed it from
   StructureParams params_;
   circuit::MosParams ref_params_;
+  circuit::MosConstants ref_k_{};
   double cref_side_ = 0.0;
   double cbl_float_ = 0.0;
-  double c_stor_par_ = 0.0;
-  double struct_junctions_ = 0.0;
+  /// Offset excluding the target row (structure + unselected rows), per row.
+  std::vector<double> base_;
+  /// Per cell: what it adds to the offset when another cell of its row is
+  /// the target (coupling through its floating bit line).
+  std::vector<double> row_term_;
+  /// Per cell: measured_cap_of_cell().
+  std::vector<double> measured_;
+  /// Per cell: a short, which reads code 0 without a comparison.
+  std::vector<char> shorted_;
   double ref_offset_ = 0.0;
   double delta_i_ = 0.0;
   double vgs_correction_ = 0.0;

@@ -52,13 +52,16 @@ void CapField::set(std::size_t r, std::size_t c, double farads) {
 
 CapField CapField::sub(std::size_t r0, std::size_t c0, std::size_t rows,
                        std::size_t cols) const {
-  ECMS_REQUIRE(r0 + rows <= rows_ && c0 + cols <= cols_,
+  ECMS_REQUIRE(rows > 0 && cols > 0 && r0 + rows <= rows_ &&
+                   c0 + cols <= cols_,
                "sub-field out of range");
-  CapField out(params_, rows, cols, 0);
-  for (std::size_t r = 0; r < rows; ++r)
-    for (std::size_t c = 0; c < cols; ++c)
-      out.set(r, c, at(r0 + r, c0 + c));
-  return out;
+  std::vector<double> v;
+  v.reserve(rows * cols);
+  for (std::size_t r = r0; r < r0 + rows; ++r) {
+    const double* first = values_.data() + r * cols_ + c0;
+    v.insert(v.end(), first, first + cols);
+  }
+  return CapField(params_, rows, cols, std::move(v));
 }
 
 double CapField::mean() const {

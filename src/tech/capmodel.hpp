@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -41,7 +42,8 @@ class CapField {
   /// target capacitance is swept against a fixed background).
   void set(std::size_t r, std::size_t c, double farads);
 
-  /// Sub-rectangle view (copy) starting at (r0, c0).
+  /// Sub-rectangle copy starting at (r0, c0); copies the parent's values,
+  /// samples nothing.
   CapField sub(std::size_t r0, std::size_t c0, std::size_t rows,
                std::size_t cols) const;
   const std::vector<double>& values() const { return values_; }
@@ -51,6 +53,10 @@ class CapField {
   double mean() const;
 
  private:
+  CapField(const CapProcessParams& params, std::size_t rows, std::size_t cols,
+           std::vector<double> values)
+      : params_(params), rows_(rows), cols_(cols), values_(std::move(values)) {}
+
   CapProcessParams params_;
   std::size_t rows_, cols_;
   std::vector<double> values_;

@@ -1,5 +1,6 @@
 #include "tech/defects.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -143,8 +144,7 @@ DefectMap DefectMap::sub(std::size_t r0, std::size_t c0, std::size_t rows,
                "sub-map out of range");
   DefectMap out(rows, cols);
   for (std::size_t r = 0; r < rows; ++r)
-    for (std::size_t c = 0; c < cols; ++c)
-      out.set(r, c, at(r0 + r, c0 + c));
+    std::copy_n(&cells_[(r0 + r) * cols_ + c0], cols, &out.cells_[r * cols]);
   return out;
 }
 

@@ -55,6 +55,53 @@ TEST(Tiling, SubFieldAndSubMapValidate) {
   EXPECT_EQ(m.sub(1, 1, 2, 2).rows(), 2u);
 }
 
+TEST(Tiling, SubFieldCopiesParentValues) {
+  tech::CapProcessParams cp;
+  cp.local_sigma_rel = 0.05;
+  cp.gradient_x_rel = 0.1;
+  const tech::CapField f(cp, 8, 12, 7);
+  const tech::CapField s = f.sub(2, 3, 5, 8);
+  ASSERT_EQ(s.rows(), 5u);
+  ASSERT_EQ(s.cols(), 8u);
+  EXPECT_EQ(s.params().local_sigma_rel, cp.local_sigma_rel);
+  for (std::size_t r = 0; r < 5; ++r)
+    for (std::size_t c = 0; c < 8; ++c)
+      EXPECT_EQ(s.at(r, c), f.at(2 + r, 3 + c));
+  // A sub of a sub addresses the grandparent at the summed origin.
+  const tech::CapField ss = s.sub(1, 2, 3, 4);
+  for (std::size_t r = 0; r < 3; ++r)
+    for (std::size_t c = 0; c < 4; ++c)
+      EXPECT_EQ(ss.at(r, c), f.at(3 + r, 5 + c));
+  EXPECT_THROW(s.sub(0, 0, 0, 1), Error);
+  EXPECT_THROW(s.sub(4, 0, 2, 1), Error);
+}
+
+TEST(Tiling, SubMapCopiesParentDefects) {
+  tech::DefectMap m(6, 9);
+  m.set(1, 2, tech::make_short(2e3));
+  m.set(2, 4, tech::make_open());
+  m.set(3, 5, tech::make_partial(0.4));
+  m.set(4, 8, tech::make_bridge(7e3));
+  const tech::DefectMap s = m.sub(1, 2, 4, 7);
+  ASSERT_EQ(s.rows(), 4u);
+  ASSERT_EQ(s.cols(), 7u);
+  for (std::size_t r = 0; r < 4; ++r) {
+    for (std::size_t c = 0; c < 7; ++c) {
+      EXPECT_EQ(s.at(r, c).type, m.at(1 + r, 2 + c).type);
+      EXPECT_EQ(s.at(r, c).severity, m.at(1 + r, 2 + c).severity);
+    }
+  }
+  EXPECT_EQ(s.total_defective(), 4u);
+  const tech::DefectMap ss = s.sub(1, 2, 3, 5);
+  for (std::size_t r = 0; r < 3; ++r) {
+    for (std::size_t c = 0; c < 5; ++c) {
+      EXPECT_EQ(ss.at(r, c).type, m.at(2 + r, 4 + c).type);
+      EXPECT_EQ(ss.at(r, c).severity, m.at(2 + r, 4 + c).severity);
+    }
+  }
+  EXPECT_EQ(ss.at(1, 1).type, tech::DefectType::kPartial);
+}
+
 TEST(BridgePartner, OwnBridgePointsRight) {
   auto mc = MacroCell::uniform({}, tech::tech018(), 30_fF);
   mc.set_defect(1, 1, tech::make_bridge());

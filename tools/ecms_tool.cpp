@@ -399,6 +399,15 @@ void print_health(const FailureReport& rep) {
   }
 }
 
+/// The fnv1a64 digest of a bitmap's codes, the same one a served request
+/// reports, so one-shot and served runs of one array compare by one line.
+void print_code_hash(const bitmap::AnalogBitmap& analog) {
+  const std::vector<int>& codes = analog.codes();
+  std::printf("code hash %016llx\n\n",
+              static_cast<unsigned long long>(
+                  util::fnv1a64(codes.data(), codes.size() * sizeof(int))));
+}
+
 int cmd_bitmap(const Args& args) {
   ObsSession obs_session(args);
   const CliRunConfig cfg = run_config_of(args, /*adaptive_default=*/false);
@@ -413,6 +422,7 @@ int cmd_bitmap(const Args& args) {
   const auto& analog = result.bitmap;
   std::printf("analog bitmap (codes 0..20):\n%s\n",
               report::render_code_heatmap(analog).c_str());
+  print_code_hash(analog);
   const auto sig = bitmap::SignatureMap::categorize(analog);
   std::printf("signatures:\n%s\n", report::render_signature_map(sig).c_str());
 
@@ -445,12 +455,7 @@ int cmd_array(const Args& args) {
 
   std::printf("analog bitmap (codes 0..20, transistor level):\n%s\n",
               report::render_code_heatmap(result.bitmap).c_str());
-  // Same digest a served request reports, so one-shot and served runs of
-  // one array compare by a single line.
-  const std::vector<int>& codes = result.bitmap.codes();
-  std::printf("code hash %016llx\n\n",
-              static_cast<unsigned long long>(
-                  util::fnv1a64(codes.data(), codes.size() * sizeof(int))));
+  print_code_hash(result.bitmap);
 
   const auto& t = result.telemetry;
   std::printf("measurement cost:\n");
