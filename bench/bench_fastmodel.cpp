@@ -9,17 +9,24 @@
 // and times the untiled 64x64 model, where the plate offset dominates:
 //   * Ctor64Untiled      — one FastModel over the whole array;
 //   * Extract64Untiled   — AnalogBitmap::extract of that model.
+// and times the rest of the dispatcher's service path for that request:
+//   * BuildArray64       — serve::build_array (capacitance field + defects);
+//   * ServeFast64        — build, extract, then encode the result frame
+//                          (header, codes, statuses), as the server does.
 // Only public API is used, so the same file times any revision.
 //
 //   ./build/bench/bench_fastmodel --benchmark_repetitions=5
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "bitmap/analog_bitmap.hpp"
 #include "bitmap/extraction.hpp"
 #include "msu/fastmodel.hpp"
+#include "serve/protocol.hpp"
 #include "serve/workload.hpp"
+#include "util/crc32.hpp"
 
 namespace {
 using namespace ecms;
@@ -96,6 +103,37 @@ void Extract64Untiled(benchmark::State& state) {
     benchmark::DoNotOptimize(bitmap::AnalogBitmap::extract(m));
 }
 BENCHMARK(Extract64Untiled)->Unit(benchmark::kMillisecond);
+
+void BuildArray64(benchmark::State& state) {
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        serve::build_array({.rows = kN, .cols = kN, .seed = 1}));
+}
+BENCHMARK(BuildArray64)->Unit(benchmark::kMillisecond);
+
+void ServeFast64(benchmark::State& state) {
+  serve::ExtractSpec spec;
+  spec.rows = spec.cols = kN;
+  spec.seed = 1;
+  spec.tile_rows = spec.tile_cols = kTile;
+  for (auto _ : state) {
+    const edram::MacroCell mc = serve::build_array(serve::array_spec_of(spec));
+    const extraction::ExtractReport rep =
+        extraction::extract(mc, serve::request_of(spec));
+    const std::vector<int>& codes = rep.bitmap.codes();
+    serve::ResultInfo info;
+    info.rows = info.cols = kN;
+    info.code_hash = util::fnv1a64(codes.data(), codes.size() * sizeof(int));
+    std::string payload(reinterpret_cast<const char*>(&info), sizeof info);
+    payload.append(reinterpret_cast<const char*>(codes.data()),
+                   codes.size() * sizeof(int));
+    for (const CellStatus s : rep.status)
+      payload.push_back(static_cast<char>(s));
+    benchmark::DoNotOptimize(serve::encode_frame(
+        serve::FrameType::kResult, payload.data(), payload.size()));
+  }
+}
+BENCHMARK(ServeFast64)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

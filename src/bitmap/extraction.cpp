@@ -87,14 +87,19 @@ ExtractReport extract(const edram::MacroCell& mc, const ExtractRequest& req) {
 
   const std::size_t tiles_per_row = mc.cols() / tile_cols;
   const std::size_t n_tiles = (mc.rows() / tile_rows) * tiles_per_row;
+  // Fast model: one shape per request; each tile task builds its window's
+  // tables in place (no tile copy, no per-tile model).
+  std::optional<msu::FastModel::Shape> shape;
+  if (req.engine == Engine::kFastModel)
+    shape.emplace(mc, tile_rows, tile_cols, req.params);
 
   const auto tile_body = [&](std::size_t t) {
     const std::size_t tr = (t / tiles_per_row) * tile_rows;
     const std::size_t tc = (t % tiles_per_row) * tile_cols;
     const TileProbe probe(t, tr, tc);
-    edram::MacroCell tile = mc.tile(tr, tc, tile_rows, tile_cols);
 
     if (req.engine == Engine::kCircuit) {
+      const edram::MacroCell tile = mc.tile(tr, tc, tile_rows, tile_cols);
       msu::ExtractPlan plan;
       plan.timing = req.timing;
       plan.options = req.options;
@@ -140,30 +145,24 @@ ExtractReport extract(const edram::MacroCell& mc, const ExtractRequest& req) {
     }
 
     // Fast-model engine.
-    const msu::FastModel model(std::move(tile), req.params);
+    msu::FastModel::Tables tables;
+    shape->build(mc, tr, tc, tables);
+    // Noise comes from the tile's own stream, forked by tile index, so the
+    // noise a tile sees does not depend on tile visit order or thread count.
+    std::optional<Rng> tile_rng;
+    if (req.noise != nullptr) tile_rng.emplace(req.rng->fork(t));
     if (!req.robust) {
-      if (req.noise != nullptr) {
-        // Each tile draws from its own forked stream, keyed by tile index,
-        // so the noise a tile sees does not depend on tile visit order or
-        // thread count.
-        Rng tile_rng = req.rng->fork(t);
-        for (std::size_t r = 0; r < tile_rows; ++r)
-          for (std::size_t c = 0; c < tile_cols; ++c)
-            out.bitmap.set(tr + r, tc + c,
-                           model.code_of_cell(r, c, *req.noise, tile_rng));
-      } else {
-        for (std::size_t r = 0; r < tile_rows; ++r)
-          for (std::size_t c = 0; c < tile_cols; ++c)
-            out.bitmap.set(tr + r, tc + c, model.code_of_cell(r, c));
-      }
+      Rng* rng = tile_rng ? &*tile_rng : nullptr;
+      for (std::size_t r = 0; r < tile_rows; ++r)
+        for (std::size_t c = 0; c < tile_cols; ++c)
+          out.bitmap.set(tr + r, tc + c,
+                         shape->code_of_cell(tables, r, c, req.noise, rng));
       return;
     }
 
     // Robust fast model. Per-cell (not per-tile-sequential) noise streams:
     // a cell's draws depend only on (rng state, tile, cell, attempt), so
     // containment of one cell's failure cannot shift another cell's noise.
-    std::optional<Rng> tile_rng;
-    if (req.noise != nullptr) tile_rng.emplace(req.rng->fork(t));
     for (std::size_t r = 0; r < tile_rows; ++r) {
       for (std::size_t c = 0; c < tile_cols; ++c) {
         const std::size_t ar = tr + r;
@@ -175,9 +174,9 @@ ExtractReport extract(const edram::MacroCell& mc, const ExtractRequest& req) {
               if (req.noise != nullptr) {
                 Rng cell_rng = tile_rng->fork(r * tile_cols + c)
                                    .fork(static_cast<std::uint64_t>(attempt));
-                code = model.code_of_cell(r, c, *req.noise, cell_rng);
+                code = shape->code_of_cell(tables, r, c, req.noise, &cell_rng);
               } else {
-                code = model.code_of_cell(r, c);
+                code = shape->code_of_cell(tables, r, c);
               }
             });
         if (rr.ok) {

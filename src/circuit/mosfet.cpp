@@ -14,11 +14,13 @@ namespace {
 // with e = e^x, ln(1 + e^x) = log1p(e) and sigmoid(x) = e / (1 + e). This
 // evaluation sits on the per-iteration assembly path of every MOSFET in the
 // netlist, so the transcendental count matters; the saturated tails keep
-// the usual numerically stable forms.
+// the usual numerically stable forms. mos_ids, which reads only f, asks
+// for no derivative and so skips its division.
 struct Interp {
   double f;
   double df;
 };
+template <bool kDerivative = true>
 Interp ekv_f(double u) {
   const double x = 0.5 * u;
   if (x > 37.0) {
@@ -32,7 +34,7 @@ Interp ekv_f(double u) {
     return {e * e, e * e};
   }
   const double l = std::log1p(e);
-  return {l * l, l * (e / (1.0 + e))};
+  return {l * l, kDerivative ? l * (e / (1.0 + e)) : 0.0};
 }
 
 // n-type core evaluation (both models); voltages are absolute.
@@ -143,8 +145,20 @@ MosEval mos_eval(const MosParams& p, const MosConstants& k, double vg,
   return e;
 }
 
+double mos_ids(const MosParams& p, const MosConstants& k, double vg,
+               double vd, double vs, double vb) {
+  if (p.model != MosModel::kEkv) return mos_eval(p, k, vg, vd, vs, vb).ids;
+  // eval_ncore's EKV current by the same operations, without derivatives; a
+  // PMOS mirrors every voltage and negates the current, as mos_eval does.
+  const double m = p.type == MosType::kNmos ? 1.0 : -1.0;
+  const double vp = (m * vg - m * vb - p.vth0) / p.n_slope;
+  const double ff = ekv_f<false>((vp - (m * vs - m * vb)) / k.vt).f;
+  const double fr = ekv_f<false>((vp - (m * vd - m * vb)) / k.vt).f;
+  return m * (k.is * (ff - fr) * (1.0 + p.lambda * (m * vd - m * vs)));
+}
+
 double mos_ids(const MosParams& p, double vgs, double vds) {
-  return mos_eval(p, vgs, vds, 0.0, 0.0).ids;
+  return mos_ids(p, MosConstants::of(p), vgs, vds, 0.0, 0.0);
 }
 
 Mosfet::Mosfet(std::string name, NodeId d, NodeId g, NodeId s, NodeId b,
@@ -193,7 +207,7 @@ void Mosfet::bind_companions(CompanionBank& bank) {
 }
 
 double Mosfet::probe_current(const StampContext& ctx) const {
-  return mos_eval(p_, k_, ctx.v(g_), ctx.v(d_), ctx.v(s_), ctx.v(b_)).ids;
+  return mos_ids(p_, k_, ctx.v(g_), ctx.v(d_), ctx.v(s_), ctx.v(b_));
 }
 
 }  // namespace ecms::circuit

@@ -78,8 +78,11 @@ MosEval mos_eval(const MosParams& p, double vg, double vd, double vs,
 MosEval mos_eval(const MosParams& p, const MosConstants& k, double vg,
                  double vd, double vs, double vb);
 
-/// Convenience: drain saturation-ish current at a given Vgs with Vds = vds,
-/// Vsb = 0 (used by the ramp-ADC fast model).
+/// The channel current alone, bit-identical to mos_eval(p, k, ...).ids: the
+/// EKV model skips the four derivatives (level-1 goes through mos_eval).
+double mos_ids(const MosParams& p, const MosConstants& k, double vg,
+               double vd, double vs, double vb);
+/// Convenience: drain current at a given Vgs with Vds = vds, Vsb = 0.
 double mos_ids(const MosParams& p, double vgs, double vds);
 
 /// Four-terminal MOSFET device.

@@ -97,9 +97,10 @@ double SourceWave::value(double t) const {
 int SourceWave::ramp_step_at(double t) const {
   if (!is_ramp_) return 0;
   if (t < ramp_t0_ + ramp_rise_) return 0;
-  const int k =
-      static_cast<int>(std::floor((t - ramp_t0_ - ramp_rise_) / ramp_dt_)) + 1;
-  return std::clamp(k, 0, ramp_steps_);
+  // Clamped as a double: the cast of an out-of-range value is undefined.
+  const double k = std::floor((t - ramp_t0_ - ramp_rise_) / ramp_dt_) + 1.0;
+  return static_cast<int>(
+      std::clamp(k, 0.0, static_cast<double>(ramp_steps_)));
 }
 
 }  // namespace ecms::circuit

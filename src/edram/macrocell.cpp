@@ -41,13 +41,13 @@ double MacroCell::effective_cap(std::size_t r, std::size_t c) const {
   return true_cap(r, c) * e.cap_scale;
 }
 
-double MacroCell::bitline_total_cap() const {
+double MacroCell::bitline_total_cap(std::size_t rows) const {
   const circuit::MosParams sbl =
       tech_.nmos(kSelectTransistorWidth, tech_.l_min);
   const circuit::MosParams acc = tech_.nmos(spec_.access_w, spec_.access_l);
-  return bitline_cap() + sbl.c_junction() + sbl.c_overlap() +
-         static_cast<double>(spec_.rows) *
-             (acc.c_junction() + acc.c_overlap());
+  return tech_.bitline_cap_per_cell * static_cast<double>(rows) +
+         sbl.c_junction() + sbl.c_overlap() +
+         static_cast<double>(rows) * (acc.c_junction() + acc.c_overlap());
 }
 
 MacroCell MacroCell::tile(std::size_t r0, std::size_t c0, std::size_t rows,
@@ -61,17 +61,18 @@ MacroCell MacroCell::tile(std::size_t r0, std::size_t c0, std::size_t rows,
                    defects_.sub(r0, c0, rows, cols));
 }
 
-std::optional<std::size_t> MacroCell::bridge_partner_col(std::size_t r,
-                                                         std::size_t c) const {
-  if (cols() < 2) return std::nullopt;
-  const auto target_of = [this](std::size_t col) {
-    return col + 1 < cols() ? col + 1 : col - 1;
+std::optional<std::size_t> MacroCell::bridge_partner_col(
+    std::size_t r, std::size_t c, std::size_t c0, std::size_t cols) const {
+  if (cols < 2) return std::nullopt;
+  const auto target_of = [cols](std::size_t col) {
+    return col + 1 < cols ? col + 1 : col - 1;
   };
-  if (tech::electrical_of(defect(r, c)).bridge_r > 0.0) return target_of(c);
+  if (tech::electrical_of(defect(r, c0 + c)).bridge_r > 0.0)
+    return target_of(c);
   // An adjacent cell may bridge back to us.
   for (const std::size_t adj : {c == 0 ? c : c - 1, c + 1}) {
-    if (adj == c || adj >= cols()) continue;
-    if (tech::electrical_of(defect(r, adj)).bridge_r > 0.0 &&
+    if (adj == c || adj >= cols) continue;
+    if (tech::electrical_of(defect(r, c0 + adj)).bridge_r > 0.0 &&
         target_of(adj) == c) {
       return adj;
     }

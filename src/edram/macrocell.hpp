@@ -81,7 +81,14 @@ class MacroCell {
   /// adjacent cell whose bridge points back at this cell. Bridges are a
   /// pair phenomenon — both ends must report the partner.
   std::optional<std::size_t> bridge_partner_col(std::size_t r,
-                                                std::size_t c) const;
+                                                std::size_t c) const {
+    return bridge_partner_col(r, c, 0, cols());
+  }
+  /// The same as tile(r0, c0, rows, cols) reports it, in array row r and
+  /// tile-relative columns c and result.
+  std::optional<std::size_t> bridge_partner_col(std::size_t r, std::size_t c,
+                                                std::size_t c0,
+                                                std::size_t cols) const;
 
   /// Width of the bit-line select transistor (S_BLi) the netlister builds.
   static constexpr double kSelectTransistorWidth = 2.0e-6;
@@ -93,8 +100,9 @@ class MacroCell {
   /// Total capacitance of one floating bit line: routing plus the select
   /// device's junction/overlap plus every attached access device's drain
   /// junction and overlap. This is what both the sense path and the
-  /// measurement's row coupling actually see.
-  double bitline_total_cap() const;
+  /// measurement's row coupling actually see (at `rows` cells: a tile's).
+  double bitline_total_cap() const { return bitline_total_cap(spec_.rows); }
+  double bitline_total_cap(std::size_t rows) const;
   /// Fixed plate-node routing parasitic.
   double plate_parasitic() const { return tech_.plate_cap_fixed; }
 

@@ -105,8 +105,10 @@ int adaptive_guess(const edram::MacroCell& mc, const StructureParams& params,
       mc.tech().nmos(params.ref_w, params.ref_l);
   const double i_sink = circuit::mos_ids(
       ref_params, std::max(res.vgs_shared, 0.0), mc.tech().vdd / 2.0);
-  return std::clamp(static_cast<int>(std::floor(i_sink / res.delta_i)), 0,
-                    res.schedule.ramp_steps);
+  // Clamped as a double: the cast of an out-of-range value is undefined.
+  return static_cast<int>(
+      std::clamp(std::floor(i_sink / res.delta_i), 0.0,
+                 static_cast<double>(res.schedule.ramp_steps)));
 }
 
 // The adaptive ramp search of one cell: schedule_ramp_search over probe(k)

@@ -27,14 +27,14 @@ constexpr double kBridgeChargeEfficiency = 0.15;
 double design_ramp_imax(const edram::MacroCell& mc, const StructureParams& p) {
   StructureParams q = p;
   q.ramp_i_max = 0.0;  // the constructor derives it below
-  const FastModel m(mc, q);
-  return m.i_max();
+  return FastModel(mc, q).i_max();
 }
 
-FastModel::FastModel(edram::MacroCell mc, const StructureParams& p)
-    : mc_(std::move(mc)), params_(p), steps_(p.ramp_steps) {
+FastModel::Shape::Shape(const edram::MacroCell& array, std::size_t rows,
+                        std::size_t cols, const StructureParams& p)
+    : params_(p), rows_(rows), cols_(cols), vdd_(array.tech().vdd) {
   ECMS_REQUIRE(p.ramp_steps > 0, "ramp needs at least one step");
-  const auto& t = mc_.tech();
+  const auto& t = array.tech();
   ref_params_ = t.nmos(p.ref_w, p.ref_l);
   ref_k_ = circuit::MosConstants::of(ref_params_);
 
@@ -43,183 +43,187 @@ FastModel::FastModel(edram::MacroCell mc, const StructureParams& p)
   const circuit::MosParams pass = t.nmos(p.pass_w, t.l_min);
   cref_side_ = p.cref_total(t) + pass.c_junction() + pass.c_overlap();
 
-  // Storage-node parasitic of a cell whose access device is off.
   const circuit::MosParams acc =
-      t.nmos(mc_.spec().access_w, mc_.spec().access_l);
-  const double c_stor_par = acc.c_junction() + 2.0 * acc.c_overlap();
+      t.nmos(array.spec().access_w, array.spec().access_l);
+  c_stor_par_ = acc.c_junction() + 2.0 * acc.c_overlap();
 
   // Floating bit line: routing plus the select and access device loads
-  // (shared definition with the sense path).
-  cbl_float_ = mc_.bitline_total_cap();
+  // (shared definition with the sense path), at the plate's row count.
+  cbl_float_ = array.bitline_total_cap(rows);
 
   // Structure devices on the plate: STD source, PRG source, LEC drain.
   const circuit::MosParams stdm = t.nmos(p.std_w, t.l_min);
-  const double struct_junctions = 2.0 * (pass.c_junction() + pass.c_overlap()) +
-                                  stdm.c_junction() + stdm.c_overlap();
+  plate_fixed_ = array.plate_parasitic() +
+                 (2.0 * (pass.c_junction() + pass.c_overlap()) +
+                  stdm.c_junction() + stdm.c_overlap());
+}
 
-  // base_[t] sums every cell load off row t in row-major order: the prefix
+void FastModel::Shape::build(const edram::MacroCell& array, std::size_t r0,
+                             std::size_t c0, Tables& out) const {
+  ECMS_REQUIRE(r0 + rows_ <= array.rows() && c0 + cols_ <= array.cols(),
+               "plate window out of range");
+  // base[t] sums every cell load off row t in row-major order: the prefix
   // over the rows before t, then each later row's loads in turn. Blocks of
   // eight accumulators take a row's loads in registers, so the work runs
   // across rows (and vectorizes) without reordering any one sum; slots at or
   // past the current row gather junk until their own row overwrites them.
-  const std::size_t rows = mc_.rows(), cols = mc_.cols();
   constexpr std::size_t kBlock = 8;
-  base_.resize((rows + kBlock - 1) / kBlock * kBlock);
-  row_term_.resize(rows * cols);
-  measured_.resize(rows * cols);
-  shorted_.resize(rows * cols);
-  const std::vector<double>& true_cap = mc_.cap_field().values();
-  std::vector<double> cs(cols), load(cols);  // one row's, defect-aware
-  double prefix = mc_.plate_parasitic() + struct_junctions;
-  for (std::size_t r = 0; r < rows; ++r) {
+  out.base.resize((rows_ + kBlock - 1) / kBlock * kBlock);
+  out.cells.resize(rows_ * cols_);
+  double prefix = plate_fixed_;
+  for (std::size_t r = 0; r < rows_; ++r) {
     const double before = prefix;
     bool bridged = false;
-    for (std::size_t c = 0; c < cols; ++c) {
-      const std::size_t i = r * cols + c;
-      const tech::DefectElectrical e = tech::electrical_of(mc_.defect(r, c));
-      cs[c] = e.disconnected ? e.residual_cap : true_cap[i] * e.cap_scale;
-      shorted_[i] = e.shunt_r > 0.0;
+    const double* true_cap =
+        &array.cap_field().values()[(r0 + r) * array.cols() + c0];
+    const tech::Defect* defect = &array.defect(r0 + r, c0);
+    Tables::Cell* row = &out.cells[r * cols_];
+    // The capacitance a cell presents, defect-aware.
+    const auto cap_at = [&](std::size_t c) {
+      const tech::DefectElectrical e = tech::electrical_of(defect[c]);
+      return e.disconnected ? e.residual_cap : true_cap[c] * e.cap_scale;
+    };
+    for (std::size_t c = 0; c < cols_; ++c) {
+      const tech::DefectElectrical e = tech::electrical_of(defect[c]);
+      const double cs = cap_at(c);
+      Tables::Cell& cell = row[c];
+      cell.shorted = e.shunt_r > 0.0;
       bridged = bridged || e.bridge_r > 0.0;
       // A shorted cell on the target row ties its floating bit line
       // resistively to the plate: the full bit-line capacitance rides along.
-      row_term_[i] = shorted_[i] ? cbl_float_ : series_cap(cs[c], cbl_float_);
+      cell.row_term = cell.shorted ? cbl_float_ : series_cap(cs, cbl_float_);
       // A short's charge drains before the comparison: it measures 0.
-      measured_[i] = shorted_[i] ? 0.0 : cs[c];
+      cell.measured = cell.shorted ? 0.0 : cs;
       // On an unselected row: the capacitor in series with the floating
       // storage node's parasitics.
-      load[c] = series_cap(cs[c], c_stor_par);
-      prefix += load[c];
+      cell.load = series_cap(cs, c_stor_par_);
+      prefix += cell.load;
     }
     for (std::size_t k = 0; k < r; k += kBlock) {
       double acc[kBlock] = {};  // spelled out below so it stays in registers
-      std::copy_n(&base_[k], kBlock, acc);
-      for (const double v : load) {
+      std::copy_n(&out.base[k], kBlock, acc);
+      for (std::size_t c = 0; c < cols_; ++c) {
+        const double v = row[c].load;
         acc[0] += v; acc[1] += v; acc[2] += v; acc[3] += v;
         acc[4] += v; acc[5] += v; acc[6] += v; acc[7] += v;
       }
-      std::copy_n(acc, kBlock, &base_[k]);
+      std::copy_n(acc, kBlock, &out.base[k]);
     }
-    base_[r] = before;
+    out.base[r] = before;
     // A bridge grounds the partner's storage node through the target's bit
     // line, so part of the partner's capacitor is measured along (most of
     // its charge is lost to the step-2 divider; see kBridgeChargeEfficiency).
-    for (std::size_t c = 0; bridged && c < cols; ++c) {
-      const auto partner = mc_.bridge_partner_col(r, c);
-      if (partner && !shorted_[r * cols + c])
-        measured_[r * cols + c] += kBridgeChargeEfficiency * cs[*partner];
+    for (std::size_t c = 0; bridged && c < cols_; ++c) {
+      const auto partner = array.bridge_partner_col(r0 + r, c, c0, cols_);
+      if (partner && !row[c].shorted)
+        row[c].measured += kBridgeChargeEfficiency * cap_at(*partner);
     }
   }
-  base_.resize(rows);
-
-  ref_offset_ = plate_offset(0, 0);
-  auto_ramp_ = p.ramp_i_max <= 0.0;
-  const double imax = auto_ramp_
-                          ? decision_current(p.spec_hi_f + ref_offset_)
-                          : p.ramp_i_max;
-  delta_i_ = imax / static_cast<double>(steps_);
+  out.base.resize(rows_);
+  out.ref_offset = plate_offset(out, 0, 0);
+  out.delta_i = design_delta_i(out.ref_offset);
 }
 
-void FastModel::set_vgs_correction(double volts) {
-  vgs_correction_ = volts;
-  if (auto_ramp_) {
-    delta_i_ = decision_current(params_.spec_hi_f + ref_offset_) /
-               static_cast<double>(steps_);
-  }
+double FastModel::Shape::design_delta_i(double ref_offset) const {
+  const double imax = params_.ramp_i_max <= 0.0
+                          ? decision_current(params_.spec_hi_f + ref_offset)
+                          : params_.ramp_i_max;
+  return imax / static_cast<double>(params_.ramp_steps);
 }
 
-std::size_t FastModel::index(std::size_t r, std::size_t c) const {
-  ECMS_REQUIRE(r < mc_.rows() && c < mc_.cols(), "cell index out of range");
-  return r * mc_.cols() + c;
+std::size_t FastModel::Shape::index(std::size_t r, std::size_t c) const {
+  ECMS_REQUIRE(r < rows_ && c < cols_, "cell index out of range");
+  return r * cols_ + c;
 }
 
-double FastModel::plate_offset(std::size_t r, std::size_t c) const {
-  const double* row = &row_term_[index(r, c) - c];
+double FastModel::Shape::plate_offset(const Tables& t, std::size_t r,
+                                      std::size_t c) const {
+  const Tables::Cell* row = &t.cells[index(r, c) - c];
   // The target row's other cells couple through their floating bit lines.
   double coupling = 0.0;
-  for (std::size_t j = 0; j < mc_.cols(); ++j)
-    if (j != c) coupling += row[j];
-  return base_[r] + coupling;
+  for (std::size_t j = 0; j < cols_; ++j)
+    if (j != c) coupling += row[j].row_term;
+  return t.base[r] + coupling;
 }
 
-double FastModel::vgs_of_total(double total) const {
-  const double vdd = mc_.tech().vdd;
-  return vdd * total / (total + cref_side_);
+double FastModel::Shape::vgs_of_total(double total) const {
+  return vdd_ * total / (total + cref_side_);
 }
 
-double FastModel::miller_boost(double total) const {
+double FastModel::Shape::miller_boost(double total) const {
   // During the conversion the sense node creeps up toward VDD/2 as the
   // injected current approaches REF's capability; that rise couples back
   // into the V_GS island through REF's gate-drain overlap and defers the
   // flip. Modeled at the decision point (sense = VDD/2).
   const double c_ov = ref_params_.c_overlap();
-  return c_ov * (mc_.tech().vdd / 2.0) / (total + cref_side_);
+  return c_ov * (vdd_ / 2.0) / (total + cref_side_);
 }
 
-double FastModel::decision_current(double total) const {
+double FastModel::Shape::decision_current(double total) const {
   return ref_current(vgs_of_total(total) + miller_boost(total) +
                      vgs_correction_);
 }
 
+double FastModel::Shape::ref_current(double vgs) const {
+  return circuit::mos_ids(ref_params_, ref_k_, vgs, vdd_ / 2.0, 0.0, 0.0);
+}
+
+int FastModel::Shape::code_of_total(double total, double delta_i,
+                                    const MeasureNoise* noise,
+                                    Rng* rng) const {
+  double i;
+  if (noise == nullptr || !noise->enabled) {
+    i = decision_current(total);
+  } else {
+    double vgs = vgs_of_total(total) + miller_boost(total) + vgs_correction_;
+    if (noise->vgs_sigma > 0.0) vgs += rng->normal(0.0, noise->vgs_sigma);
+    i = ref_current(std::max(vgs, 0.0));
+    if (noise->comparator_sigma_i > 0.0)
+      i += rng->normal(0.0, noise->comparator_sigma_i);
+  }
+  // floor(I / delta_i) clamped to [0, ramp_steps]. Clamped as a double, so
+  // a current far above full scale cannot overflow the cast; the cast then
+  // truncates a value in range, which is its floor.
+  return static_cast<int>(std::clamp(std::max(i, 0.0) / delta_i, 0.0,
+                                     static_cast<double>(params_.ramp_steps)));
+}
+
+int FastModel::Shape::code_of_cell(const Tables& t, std::size_t r,
+                                   std::size_t c, const MeasureNoise* noise,
+                                   Rng* rng) const {
+  const Tables::Cell& cell = t.cells[index(r, c)];
+  if (cell.shorted) return 0;
+  return code_of_total(cell.measured + plate_offset(t, r, c), t.delta_i, noise,
+                       rng);
+}
+
+FastModel::FastModel(edram::MacroCell mc, const StructureParams& p)
+    : mc_(std::move(mc)), shape_(mc_, mc_.rows(), mc_.cols(), p) {
+  shape_.build(mc_, 0, 0, tables_);
+}
+
+void FastModel::set_vgs_correction(double volts) {
+  shape_.vgs_correction_ = volts;
+  tables_.delta_i = shape_.design_delta_i(tables_.ref_offset);
+}
+
 double FastModel::vgs_of_cap(double cm_eff) const {
   ECMS_REQUIRE(cm_eff >= 0.0, "capacitance must be non-negative");
-  return vgs_of_total(cm_eff + ref_offset_);
-}
-
-double FastModel::ref_current(double vgs) const {
-  const double vdd = mc_.tech().vdd;
-  return circuit::mos_eval(ref_params_, ref_k_, vgs, vdd / 2.0, 0.0, 0.0).ids;
-}
-
-int FastModel::code_of_vgs_current(double i) const {
-  const int k = static_cast<int>(std::floor(std::max(i, 0.0) / delta_i_));
-  return std::clamp(k, 0, steps_);
+  return shape_.vgs_of_total(cm_eff + tables_.ref_offset);
 }
 
 int FastModel::code_of_cap(double cm_eff) const {
   ECMS_REQUIRE(cm_eff >= 0.0, "capacitance must be non-negative");
-  return code_of_vgs_current(decision_current(cm_eff + ref_offset_));
-}
-
-int FastModel::code_of_cap(double cm_eff, const MeasureNoise& noise,
-                           Rng& rng) const {
-  if (!noise.enabled) return code_of_cap(cm_eff);
-  return noisy_code(cm_eff + ref_offset_, noise, rng);
-}
-
-int FastModel::noisy_code(double total, const MeasureNoise& noise,
-                          Rng& rng) const {
-  double vgs = vgs_of_total(total) + miller_boost(total) + vgs_correction_;
-  if (noise.vgs_sigma > 0.0) vgs += rng.normal(0.0, noise.vgs_sigma);
-  double i = ref_current(std::max(vgs, 0.0));
-  if (noise.comparator_sigma_i > 0.0)
-    i += rng.normal(0.0, noise.comparator_sigma_i);
-  return code_of_vgs_current(i);
-}
-
-double FastModel::measured_cap_of_cell(std::size_t r, std::size_t c) const {
-  return measured_[index(r, c)];
-}
-
-int FastModel::code_of_cell(std::size_t r, std::size_t c) const {
-  const std::size_t i = index(r, c);
-  if (shorted_[i]) return 0;
-  return code_of_vgs_current(
-      decision_current(measured_[i] + plate_offset(r, c)));
-}
-
-int FastModel::code_of_cell(std::size_t r, std::size_t c,
-                            const MeasureNoise& noise, Rng& rng) const {
-  if (!noise.enabled) return code_of_cell(r, c);
-  const std::size_t i = index(r, c);
-  if (shorted_[i]) return 0;
-  return noisy_code(measured_[i] + plate_offset(r, c), noise, rng);
+  return shape_.code_of_total(cm_eff + tables_.ref_offset, tables_.delta_i);
 }
 
 double FastModel::cap_at_code_boundary(int k) const {
-  ECMS_REQUIRE(k >= 1 && k <= steps_, "code boundary index out of range");
-  const double i_target = static_cast<double>(k) * delta_i_;
+  ECMS_REQUIRE(k >= 1 && k <= ramp_steps(), "code boundary index out of range");
+  const double i_target = static_cast<double>(k) * tables_.delta_i;
   // The decision current is monotone in capacitance; bisect.
-  const auto i_of = [&](double cm) { return decision_current(cm + ref_offset_); };
+  const auto i_of = [&](double cm) {
+    return shape_.decision_current(cm + tables_.ref_offset);
+  };
   double lo = 0.0, hi = 1e-12;  // 1 pF upper bracket
   if (i_of(lo) >= i_target) return -1.0;
   if (i_of(hi) < i_target) return hi;

@@ -39,28 +39,6 @@ char defect_letter(DefectType t) {
   return '?';
 }
 
-DefectElectrical electrical_of(const Defect& d) {
-  DefectElectrical e;
-  switch (d.type) {
-    case DefectType::kNone:
-      break;
-    case DefectType::kShort:
-      e.shunt_r = d.severity > 0 ? d.severity : 1e3;
-      break;
-    case DefectType::kOpen:
-      e.disconnected = true;
-      e.residual_cap = 0.5e-15;  // fringe coupling left at the plate contact
-      break;
-    case DefectType::kPartial:
-      e.cap_scale = d.severity;
-      break;
-    case DefectType::kBridge:
-      e.bridge_r = d.severity > 0 ? d.severity : 5e3;
-      break;
-  }
-  return e;
-}
-
 DefectMap::DefectMap(std::size_t rows, std::size_t cols)
     : rows_(rows), cols_(cols), cells_(rows * cols) {
   ECMS_REQUIRE(rows > 0 && cols > 0, "defect map needs a non-empty array");

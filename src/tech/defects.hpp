@@ -44,7 +44,24 @@ struct DefectElectrical {
   double bridge_r = 0.0;      ///< resistance to the neighbour (0 = none)
 };
 
-DefectElectrical electrical_of(const Defect& d);
+inline DefectElectrical electrical_of(const Defect& d) {
+  DefectElectrical e;
+  switch (d.type) {
+    case DefectType::kNone: break;
+    case DefectType::kShort:
+      e.shunt_r = d.severity > 0 ? d.severity : 1e3;
+      break;
+    case DefectType::kOpen:
+      e.disconnected = true;
+      e.residual_cap = 0.5e-15;  // fringe coupling left at the plate contact
+      break;
+    case DefectType::kPartial: e.cap_scale = d.severity; break;
+    case DefectType::kBridge:
+      e.bridge_r = d.severity > 0 ? d.severity : 5e3;
+      break;
+  }
+  return e;
+}
 
 /// Per-defect-type injection rates (probabilities per cell).
 struct DefectRates {

@@ -14,35 +14,12 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
 }
-
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
 }
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53-bit mantissa from the top bits.
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
 std::uint64_t Rng::uniform_index(std::uint64_t n) {
   ECMS_REQUIRE(n > 0, "uniform_index needs n > 0");
@@ -71,8 +48,6 @@ double Rng::normal() {
 double Rng::normal(double mean, double sigma) {
   return mean + sigma * normal();
 }
-
-bool Rng::bernoulli(double p) { return uniform() < p; }
 
 Rng Rng::split() { return Rng(next_u64()); }
 

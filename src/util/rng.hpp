@@ -19,14 +19,26 @@ class Rng {
   /// (including 0) yields a well-mixed state.
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
 
-  /// Next raw 64-bit value.
-  std::uint64_t next_u64();
+  // Inline: per-cell sampling loops keep the generator state in registers.
 
-  /// Uniform double in [0, 1).
-  double uniform();
+  /// Next raw 64-bit value.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
+
+  /// Uniform double in [0, 1): a 53-bit mantissa from the top bits.
+  double uniform() { return static_cast<double>(next_u64() >> 11) * 0x1.0p-53; }
 
   /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi);
+  double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
   /// Uniform integer in [0, n). Requires n > 0.
   std::uint64_t uniform_index(std::uint64_t n);
@@ -38,7 +50,7 @@ class Rng {
   double normal(double mean, double sigma);
 
   /// Bernoulli draw with probability p of true.
-  bool bernoulli(double p);
+  bool bernoulli(double p) { return uniform() < p; }
 
   /// Creates an independent child generator (jump-free stream split via
   /// reseeding from this stream; adequate for our MC workloads). Advances
@@ -57,6 +69,10 @@ class Rng {
   std::vector<std::size_t> permutation(std::size_t n);
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;

@@ -185,6 +185,54 @@ TEST(MosLevel1, EkvAgreesInStrongInversion) {
   }
 }
 
+// mos_ids(p, k, ...) is the current of mos_eval(p, k, ...) without the
+// derivatives; it must agree bit for bit wherever it is evaluated.
+TEST(MosIds, CurrentOnlyMatchesMosEvalBitwise) {
+  MosParams pmos = nmos();
+  pmos.type = MosType::kPmos;
+  MosParams level1 = nmos();
+  level1.model = MosModel::kLevel1;
+  MosParams level1_p = level1;
+  level1_p.type = MosType::kPmos;
+  for (const MosParams& p : {nmos(), pmos, level1, level1_p}) {
+    const MosConstants k = MosConstants::of(p);
+    const double sign = p.type == MosType::kNmos ? 1.0 : -1.0;
+    const auto check = [&](double vg, double vd, double vs, double vb) {
+      EXPECT_EQ(mos_ids(p, k, vg, vd, vs, vb),
+                mos_eval(p, k, vg, vd, vs, vb).ids)
+          << vg << " " << vd << " " << vs << " " << vb;
+    };
+    // A dense grid, v_d above and below v_s, with and without body bias.
+    for (int ig = -60; ig <= 80; ++ig)
+      for (const double vd : {-1.8, -0.3, 0.0, 0.9, 1.8, 3.0})
+        for (const double vs : {-0.5, 0.0, 0.7})
+          for (const double vb : {0.0, -0.4}) check(0.05 * ig, vd, vs, vb);
+    // Each EKV term across its x = u/2 = +-37 branch edges: the gate voltage
+    // that puts u = (vp - (v_term - vb)) / vt at +-74 for the forward term
+    // (v_term = v_s) and the reverse term (v_term = v_d), and neighbours.
+    for (const double u_edge : {74.0, -74.0}) {
+      for (const bool forward : {true, false}) {
+        int above = 0, below = 0;
+        const double vb = -0.2, v_term = 0.4, v_other = forward ? 1.1 : -0.6;
+        // In the n-core frame (a PMOS mirrors every voltage).
+        const double vg_edge =
+            vb + p.vth0 + p.n_slope * (v_term - vb + u_edge * k.vt);
+        for (int d = -200; d <= 200; ++d) {
+          const double vg = vg_edge + 1e-14 * d;
+          const double vp = (vg - vb - p.vth0) / p.n_slope;
+          const double x = 0.5 * ((vp - (v_term - vb)) / k.vt);
+          if (std::abs(x) > 37.0) ++above; else ++below;
+          const double vs = forward ? v_term : v_other;
+          const double vd = forward ? v_other : v_term;
+          check(sign * vg, sign * vd, sign * vs, sign * vb);
+        }
+        EXPECT_GT(above, 0) << u_edge << " forward " << forward;
+        EXPECT_GT(below, 0) << u_edge << " forward " << forward;
+      }
+    }
+  }
+}
+
 TEST(MosCaps, GateInputCapMatchesGeometry) {
   MosParams p = nmos();
   p.w = 10_um;

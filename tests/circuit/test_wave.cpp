@@ -74,6 +74,8 @@ TEST(WaveT, StepRampStepIndex) {
   EXPECT_EQ(w.ramp_step_at(11.5_ns), 2);
   EXPECT_EQ(w.ramp_step_at(13.9_ns), 4);
   EXPECT_EQ(w.ramp_step_at(100_ns), 4);  // clamped at the top
+  // Far past the ramp the step count exceeds INT_MAX; it clamps, not wraps.
+  EXPECT_EQ(w.ramp_step_at(1e3), 4);
 }
 
 TEST(WaveT, StepRampValidation) {

@@ -192,6 +192,22 @@ TEST(FastModelT, DesignRampHelperMatchesConstructor) {
   EXPECT_NEAR(design_ramp_imax(mc, p), m.i_max(), 1e-12);
 }
 
+TEST(FastModelT, CurrentFarAboveFullScaleReadsFullScale) {
+  // A 1e-16 A ramp puts I/delta_i near 1e13, far past INT_MAX: the code
+  // clamps to full scale instead of going through an out-of-range cast.
+  StructureParams p;
+  p.ramp_i_max = 1e-16;
+  const FastModel m(probe_mc(30.0), p);
+  EXPECT_GT(m.ref_current(m.vgs_of_cap(40_fF)) / m.delta_i(), 1e12);
+  EXPECT_EQ(m.code_of_cap(40_fF), 20);
+  EXPECT_EQ(m.code_of_cell(0, 0), 20);
+  MeasureNoise noise;
+  noise.enabled = true;
+  noise.vgs_sigma = 1e-3;
+  Rng rng(1);
+  EXPECT_EQ(m.code_of_cell(0, 0, noise, rng), 20);
+}
+
 TEST(FastModelT, NegativeCapRejected) {
   const auto mc = probe_mc(30.0);
   const FastModel m(mc, {});
@@ -304,8 +320,9 @@ class Oracle {
                        m_.vgs_correction());
   }
   int code_of_current(double i) const {
-    const int k = static_cast<int>(std::floor(std::max(i, 0.0) / delta_i_));
-    return std::clamp(k, 0, p_.ramp_steps);
+    return static_cast<int>(
+        std::clamp(std::floor(std::max(i, 0.0) / delta_i_), 0.0,
+                   static_cast<double>(p_.ramp_steps)));
   }
 
   const FastModel& m_;

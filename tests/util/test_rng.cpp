@@ -167,5 +167,59 @@ TEST(Rng, PermutationOfZeroIsEmpty) {
   EXPECT_TRUE(r.permutation(0).empty());
 }
 
+// Known answers: every seeded experiment and code hash in the project rests
+// on these exact streams, so any change to the generator, the uniform
+// mapping, Box-Muller or the fork remix must show up here bit for bit.
+struct KnownStream {
+  std::uint64_t seed;
+  std::uint64_t u64[4];
+  double uni[3];
+  double uni_lo_hi;  // uniform(-2, 3)
+  double nor[3];
+  unsigned bern;     // bernoulli(0.3) x16, draw i in bit i
+  std::uint64_t after;
+};
+
+TEST(Rng, KnownAnswers) {
+  const KnownStream known[] = {
+      {0,
+       {0x99ec5f36cb75f2b4ull, 0xbf6e1f784956452aull, 0x1a5f849d4933e6e0ull,
+        0x6aa594f1262d2d2cull},
+       {0x1.774b5a943f085p-1, 0x1.ffdf06ebb3d79p-1, 0x1.b05837bb4bd52p-2},
+       0x1.5b46c5ed9d9e4p-1,
+       {0x1.f350771c980fdp-2, -0x1.172f39e755d09p-2, 0x1.e6514f0e27fa3p+0},
+       0x00a9,
+       0xfce5eba9d25094c3ull},
+      {20260101,
+       {0x57e28e0407eb6adeull, 0xae12aadc7d2056a3ull, 0x007b518906d1df4full,
+        0x98342917c27b3aebull},
+       {0x1.e8bd17cf5cb99p-1, 0x1.f9288ce1fae6p-4, 0x1.cf31253b409bap-2},
+       0x1.2fcd8d910d72ap+1,
+       {-0x1.a4fc0be9fc7bap-1, -0x1.0283894ab85f6p-1, 0x1.086a5c12b7c8ep+0},
+       0x0f4a,
+       0x1a3ab7be2b4b0088ull},
+  };
+  for (const KnownStream& k : known) {
+    Rng a(k.seed);
+    for (const std::uint64_t v : k.u64) EXPECT_EQ(a.next_u64(), v);
+    for (const double v : k.uni) EXPECT_EQ(a.uniform(), v);
+    EXPECT_EQ(a.uniform(-2.0, 3.0), k.uni_lo_hi);
+    for (const double v : k.nor) EXPECT_EQ(a.normal(), v);
+    unsigned bern = 0;
+    for (unsigned i = 0; i < 16; ++i) bern |= (a.bernoulli(0.3) ? 1u : 0u) << i;
+    EXPECT_EQ(bern, k.bern) << "seed " << k.seed;
+    EXPECT_EQ(a.next_u64(), k.after) << "seed " << k.seed;
+  }
+
+  Rng parent(7);
+  parent.next_u64();
+  Rng f = parent.fork(3);
+  EXPECT_EQ(f.next_u64(), 0x1ba75266a2c0080aull);
+  EXPECT_EQ(f.next_u64(), 0xf815058db0c6b1b7ull);
+  EXPECT_EQ(f.next_u64(), 0x2c9cb79ff6957cf9ull);
+  EXPECT_EQ(f.uniform(), 0x1.5a3b21649c55p-3);
+  EXPECT_EQ(f.normal(1.0, 0.5), 0x1.1c8081f6e4fb2p-1);
+}
+
 }  // namespace
 }  // namespace ecms
