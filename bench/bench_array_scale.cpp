@@ -331,7 +331,8 @@ void run_adaptive_acceptance(std::size_t jobs, JsonSink& json) {
            " probes total, " +
            Table::num(static_cast<long long>(
                scheduled.telemetry.adaptive_fallbacks)) +
-           " fallbacks; prefix checkpoint reused per probe");
+           " fallbacks; one paused transient per cell, ramp simulated up to"
+           " the flip level");
   std::printf("  exhaustive: %8.3f s  (%zu conversion steps)\n", t_full,
               conv_full);
   std::printf("  adaptive  : %8.3f s  (%zu conversion steps, %.2fx fewer)\n",
@@ -359,8 +360,8 @@ void run_adaptive_acceptance(std::size_t jobs, JsonSink& json) {
 //   2. The assemble/factor/solve split on the bare array netlist, scalar
 //      engine vs the per-lane cost of the lane LU.
 //   3. Array codes are invariant across worker counts and with the program
-//      cache on or off (adaptive restarts included: with the cache off,
-//      only the checkpoint carries the pivot order across a resume).
+//      cache on or off (adaptive segments included: with the cache off,
+//      only the stepper's one engine carries the pivot order across them).
 void run_solver_acceptance(std::size_t jobs, JsonSink& json,
                            const std::string& solver_json_path) {
   std::printf("EXT-A9: the sparse linear solver on growing transistor-level "
@@ -515,11 +516,11 @@ void run_solver_acceptance(std::size_t jobs, JsonSink& json,
                            : "MISMATCH",
             jobs_identical);
   exp.check("array codes are identical with the program cache on and off "
-            "(adaptive resumes included)",
+            "(adaptive segments included)",
             cache_identical ? "identical" : "MISMATCH", cache_identical);
-  exp.note("a resumed transient adopts the pivot order its checkpoint "
-           "carries, so checkpoint splits are bit-exact with or without the "
-           "program cache (CheckpointT, AdaptiveExtractT)");
+  exp.note("a transient split into segments keeps one engine and its "
+           "pivot order, so splits are bit-exact with or without the "
+           "program cache (StepperT, AdaptiveExtractT)");
   std::cout << exp << '\n';
 
   json.add("ext_a9_jobs_identical", jobs_identical);

@@ -18,9 +18,8 @@ BatchEngine::BatchEngine(std::span<Circuit* const> lanes, const Options& opts)
                "batch engine does not support solve hooks (fault-injected "
                "cells run the scalar path)");
   ECMS_REQUIRE(opts_.newton.solver.program_cache != nullptr,
-               "batch engine needs a program cache: without one, resumed "
-               "scalar segments re-pivot per segment and the lockstep run "
-               "could not be bit-identical to them");
+               "batch engine needs a program cache: the lanes share the "
+               "pivot order of one published program");
   ECMS_REQUIRE(opts_.dt > 0.0, "batch engine needs a positive base step");
 
   // One reset up front so a reused arena starts a fresh generation before
@@ -162,8 +161,8 @@ void BatchEngine::advance(
 
   StepGrid grid(std::move(bps), t_);
   if (!first_advance_ && grid.starts_on_breakpoint()) {
-    // transient_resume applies breakpoint handling when it starts on a
-    // corner (the uninterrupted run saw it when landing here).
+    // TransientStepper::advance applies breakpoint handling when it starts
+    // on a corner (the uninterrupted run saw it when landing here).
     force_be_ = opts_.be_after_breakpoint;
   }
 
@@ -216,7 +215,7 @@ void BatchEngine::advance(
 
   // Keep the loop's actual final time, not the requested target: a
   // breakpoint one ulp short of t_stop ends the segment *on* the breakpoint
-  // (exactly as run_transient leaves its checkpoint there), and the next
+  // (exactly where TransientStepper::advance stops too), and the next
   // segment must resume from that grid point or the lockstep grid drifts
   // off the uninterrupted run's by a whole step.
   t_ = t;

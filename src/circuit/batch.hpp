@@ -108,9 +108,9 @@ class BatchEngine {
 
   /// Advances every active lane in lockstep to t_stop on the transient's
   /// StepGrid (breakpoint landing, post-breakpoint backward Euler, fixed
-  /// base step). `on_sample(lane, t, x)` fires per active lane
-  /// once at entry — the boundary sample a resumed scalar segment records —
-  /// and once per accepted step. Lanes that cannot keep lockstep are
+  /// base step). `on_sample(lane, t, x)` fires per active lane once at
+  /// entry — the boundary sample a TransientStepper segment records — and
+  /// once per accepted step. Lanes that cannot keep lockstep are
   /// retired, never stalled.
   void advance(double t_stop,
                const std::function<void(std::size_t, double,

@@ -2,8 +2,6 @@
 
 #include <type_traits>
 
-#include "util/error.hpp"
-
 namespace ecms::circuit {
 
 void stamp_conductance(MnaView& a_mat, NodeId a, NodeId b, double g) {
@@ -107,22 +105,6 @@ void CompanionBank::accept_step(const StampContext& ctx) {
     i_[k] = i_new;
   }
   for (const std::size_t k : open_) i_[k] = 0.0;  // C = 0: no current
-}
-
-void CompanionBank::save_state(std::vector<double>& out) const {
-  for (std::size_t k = 0; k < size(); ++k) {
-    out.push_back(v_[k]);
-    out.push_back(i_[k]);
-  }
-}
-
-void CompanionBank::restore_state(std::span<const double> in) {
-  ECMS_REQUIRE(in.size() == 2 * size(),
-               "checkpoint device state size mismatch");
-  for (std::size_t k = 0; k < size(); ++k) {
-    v_[k] = in[2 * k];
-    i_[k] = in[2 * k + 1];
-  }
 }
 
 }  // namespace ecms::circuit

@@ -166,10 +166,6 @@ class CompanionBank {
   /// Latches history after an accepted transient step (a DC context, or
   /// C = 0, latches as init_state does).
   void accept_step(const StampContext& ctx);
-  /// Appends (v_prev, i_prev) per companion: the checkpoint blob.
-  void save_state(std::vector<double>& out) const;
-  /// Restores exactly what save_state() wrote; throws on a size mismatch.
-  void restore_state(std::span<const double> in);
 
  private:
   /// Makes geq_ hold ctx's (dt, integrator) conductances.
@@ -237,7 +233,7 @@ class Device {
   virtual void set_branch_base(std::size_t /*base*/) {}
 
   /// Called once by Circuit::finalize(): appends this device's capacitor
-  /// companions to the bank, in a fixed (stamp and checkpoint) order.
+  /// companions to the bank, in a fixed (stamp) order.
   /// Contract: a device that banks any has no static RHS term of its own;
   /// finalize() never schedules its stamp_static_rhs().
   virtual void bind_companions(CompanionBank& /*bank*/) {}

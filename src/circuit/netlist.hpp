@@ -68,11 +68,9 @@ class Circuit {
   /// devices' stamp_static_rhs(). `b` is indexed by node id: b[0] is a
   /// sink for ground's terms and b[1 + i] is unknown i. Needs finalize().
   void stamp_static_rhs(const StampContext& ctx, std::span<double> b) const;
-  // The bank's passes: history latching and the checkpoint blob.
+  // The bank's history-latching passes.
   void init_state(const StampContext& ctx) { bank_->init_state(ctx); }
   void accept_step(const StampContext& ctx) { bank_->accept_step(ctx); }
-  void save_state(std::vector<double>& out) const { bank_->save_state(out); }
-  void restore_state(std::span<const double> in) { bank_->restore_state(in); }
   const CompanionBank& companions() const { return *bank_; }
 
   const std::vector<std::unique_ptr<Device>>& devices() const {

@@ -70,16 +70,11 @@ void SparseEngine::discover(const Circuit& ckt, const StampContext& ctx,
   }
   phase_ = Phase::kIdle;
 
-  // The recorded coordinate streams are the topology: adopt the seeded
-  // program if it matches, else hash them and try the cache, before deriving
-  // anything ourselves.
+  // The recorded coordinate streams are the topology: hash them and try
+  // the cache before deriving anything ourselves.
   program_.reset();
   publish_pending_ = false;
-  const std::shared_ptr<const NetlistProgram> seed = std::move(seed_);
-  if (seed != nullptr && seed->symbolic != nullptr &&
-      seed->matches(n_, nv_, static_tape_.coords, dynamic_tape_.coords)) {
-    program_ = seed;
-  } else if (cache_ != nullptr) {
+  if (cache_ != nullptr) {
     program_key_ =
         program_key(n_, nv_, static_tape_.coords, dynamic_tape_.coords);
     auto prog = cache_->lookup(program_key_);
@@ -235,14 +230,6 @@ void SparseEngine::maybe_publish() {
   // private compilation this engine already runs on (identical topology).
   program_ = cache_->insert(program_key_, compile_program());
   ECMS_METRIC_COUNT("circuit.program.builds", 1);
-}
-
-std::shared_ptr<const NetlistProgram> SparseEngine::pivot_program() {
-  if (lu_.symbolic() == nullptr) return seed_;
-  if (program_ == nullptr || program_->symbolic != lu_.symbolic()) {
-    program_ = compile_program();
-  }
-  return program_;
 }
 
 void SparseEngine::factor() {

@@ -7,8 +7,11 @@
 // LU remains only as a reference (AC analysis, test oracles).
 //
 // A NewtonWorkspace owns the engine plus the iteration buffers, and lives
-// for one transient()/dc_operating_point() call: one workspace per solve
-// means one per thread under parallel extraction. The topology-dependent
+// as long as one TransientStepper (every segment of it) or one
+// dc_operating_point() call: one workspace per solve means one per thread
+// under parallel extraction. Its engine keeps its pivot order for that
+// whole life, so a transient paused and continued factors exactly as an
+// uninterrupted one. The topology-dependent
 // halves of the engine's caches are shared across workspaces through a
 // ProgramCache (program.hpp): the per-engine state shrinks to values and
 // cursors, and per-solve scratch is carved from the workspace's bump arena
@@ -108,20 +111,6 @@ class SparseEngine final : public StampSink {
   /// published to the program cache.
   void zero_row(std::size_t r);
 
-  /// Pins the program the next discovery adopts: when the recorded
-  /// topology matches `program`, the engine takes its pattern, slots and
-  /// pivot order ahead of any cache lookup. transient_resume seeds a fresh
-  /// engine with its checkpoint's program this way.
-  void seed_program(std::shared_ptr<const NetlistProgram> program) {
-    seed_ = std::move(program);
-  }
-
-  /// The topology plus the pivot order this engine factors with right now,
-  /// as one program: the adopted or published one while its pivot order is
-  /// current, otherwise (cache off, or after a re-pivot) a private snapshot.
-  /// Before the first factorization, the seeded program (or null).
-  std::shared_ptr<const NetlistProgram> pivot_program();
-
   std::span<const double> rhs() const { return b_work_.span(); }
   const SparseMatrix& matrix() const { return mat_; }
   /// The pivot order this engine actually factors with (adopted or locally
@@ -130,12 +119,6 @@ class SparseEngine final : public StampSink {
   /// ride the shared lane LU or must solve through this engine directly.
   const std::shared_ptr<const LuSymbolic>& lu_symbolic() const {
     return lu_.symbolic();
-  }
-
-  /// The program this engine adopted, published or snapshotted (null when
-  /// nothing has been compiled yet).
-  const std::shared_ptr<const NetlistProgram>& program() const {
-    return program_;
   }
 
   // Cumulative counters, reported per solve as circuit.lu.{symbolic,
@@ -205,7 +188,6 @@ class SparseEngine final : public StampSink {
   // The program adopted at discovery: replays read its tapes, one copy for
   // every engine on it (hot across a batch's lanes), not the equal own.
   std::shared_ptr<const NetlistProgram> shared_tapes_;
-  std::shared_ptr<const NetlistProgram> seed_;
   std::uint64_t program_key_ = 0;
   bool publish_pending_ = false;
   std::uint64_t symbolic_ = 0, numeric_ = 0;
@@ -213,9 +195,9 @@ class SparseEngine final : public StampSink {
 };
 
 /// Per-solve scratch owned by the caller of newton_solve: the engine and
-/// the iteration buffer are allocated once per transient/DC solve instead
-/// of once per Newton iteration, and the flat double buffers are carved
-/// from a bump arena that prepare() recycles on every rebind
+/// the iteration buffer are allocated once per transient stepper or DC
+/// solve instead of once per Newton iteration, and the flat double buffers
+/// are carved from a bump arena that prepare() recycles on every rebind
 /// (util.arena.{bytes,resets}). Single-threaded by design — parallel
 /// extraction gives each worker its own workspace.
 class NewtonWorkspace {

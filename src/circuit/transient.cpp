@@ -20,14 +20,6 @@ StepGrid::StepGrid(std::vector<double> bps, double t_start)
   }
 }
 
-void StepGrid::add(double t) {
-  const auto first = bps_.begin() + static_cast<std::ptrdiff_t>(next_);
-  const auto it = std::lower_bound(first, bps_.end(), t);
-  const bool present = (it != bps_.end() && *it - t <= kTimeEps) ||
-                       (it != first && t - *(it - 1) <= kTimeEps);
-  if (!present) bps_.insert(it, t);
-}
-
 StepGrid::Step StepGrid::next(double t, double dt, double t_stop) {
   for (;;) {
     const double step = std::min(dt, t_stop - t);
@@ -65,133 +57,83 @@ void ProbeRecorder::record(Trace& trace, double t, std::span<const double> x) {
 }
 
 namespace {
-// Counts one finished transient (successful or not) into the registry.
-void count_transient(const TranStats& stats, bool failed) {
+// Counts one finished segment (successful or not) into the registry: a
+// segment is a transient solve, and every segment past a stepper's first
+// continues an earlier one.
+void count_segment(const TranStats& seg, bool resumed, bool failed) {
   if (!obs::metrics_enabled()) return;
   ECMS_METRIC_COUNT("circuit.transient.solves", 1);
-  ECMS_METRIC_COUNT("circuit.transient.accepted_steps", stats.accepted_steps);
-  ECMS_METRIC_COUNT("circuit.transient.rejected_steps", stats.rejected_steps);
+  if (resumed) ECMS_METRIC_COUNT("circuit.transient.resumes", 1);
+  ECMS_METRIC_COUNT("circuit.transient.accepted_steps", seg.accepted_steps);
+  ECMS_METRIC_COUNT("circuit.transient.rejected_steps", seg.rejected_steps);
   if (failed) ECMS_METRIC_COUNT("circuit.transient.failures", 1);
 }
 
-void capture_checkpoint(const Circuit& ckt, double t, double dt, bool force_be,
-                        const std::vector<double>& x, SparseEngine& eng,
-                        SolverCheckpoint& out) {
-  out.time = t;
-  out.dt = dt;
-  out.force_be = force_be;
-  out.x = x;
-  out.device_state.clear();
-  ckt.save_state(out.device_state);
-  out.device_count = ckt.devices().size();
-  out.pivot_order = eng.pivot_program();
+TranStats minus(const TranStats& a, const TranStats& b) {
+  return {a.accepted_steps - b.accepted_steps,
+          a.rejected_steps - b.rejected_steps,
+          a.newton_iterations - b.newton_iterations};
 }
+}  // namespace
 
-// Shared integration core. A fresh run (`resume == nullptr`) initializes
-// device history from the DC operating point (or UIC zeros); a resumed run
-// restores the unknown vector, step-control state and per-device history
-// from the checkpoint and continues as if never interrupted.
-TranResult run_transient(Circuit& ckt, const TranParams& params,
-                         const ProbeSet& probes,
-                         const SolverCheckpoint* resume) {
-  obs::ScopedSpan span(resume ? "transient_resume" : "transient");
-  ECMS_REQUIRE(params.t_stop > 0.0, "transient needs t_stop > 0");
+TransientStepper::TransientStepper(Circuit& ckt, const TranParams& params)
+    : ckt_(ckt), params_(params) {
   ECMS_REQUIRE(params.dt > 0.0 && params.dt_min > 0.0,
                "transient needs positive steps");
-  const double t_start = resume ? resume->time : 0.0;
-  if (resume) {
-    ECMS_REQUIRE(resume->valid(), "transient_resume needs a valid checkpoint");
-    ECMS_REQUIRE(params.t_stop > t_start + kTimeEps,
-                 "transient_resume t_stop must lie after the checkpoint");
-  }
-  ckt.finalize();
-
-  ProbeRecorder probe(ckt, probes);
-  TranResult res;
-  res.trace = probe.make_trace();
-
-  std::vector<double> x;
-  double dt = params.dt;
-  bool force_be = params.be_after_breakpoint;  // first step from DC uses BE
-  if (resume) {
-    ECMS_REQUIRE(resume->x.size() == ckt.unknown_count(),
-                 "checkpoint does not match this circuit (unknown count)");
-    ECMS_REQUIRE(resume->device_count == ckt.devices().size(),
-                 "checkpoint does not match this circuit (device count)");
-    x = resume->x;
-    ckt.restore_state(resume->device_state);
-    if (resume->dt > 0.0) dt = resume->dt;
-    if (!params.adaptive) dt = std::min(dt, params.dt);
-    force_be = resume->force_be;
-    ECMS_METRIC_COUNT("circuit.transient.resumes", 1);
+  ckt_.finalize();
+  dt_ = params.dt;
+  force_be_ = params.be_after_breakpoint;  // first step from DC uses BE
+  // Initial condition: DC operating point at t = 0, or all-zero under UIC.
+  if (params.uic) {
+    x_.assign(ckt_.unknown_count(), 0.0);
   } else {
-    // Initial condition: DC operating point at t = 0, or all-zero under UIC.
-    if (params.uic) {
-      x.assign(ckt.unknown_count(), 0.0);
-    } else {
-      DcOptions dc_opts;
-      dc_opts.newton = params.newton;
-      dc_opts.time = 0.0;
-      DcResult dc = dc_operating_point(ckt, dc_opts);
-      x = std::move(dc.x);
-    }
-    StampContext ctx;
-    ctx.x = x;
-    ctx.time = 0.0;
-    ctx.dt = 0.0;
-    ckt.init_state(ctx);
+    DcOptions dc_opts;
+    dc_opts.newton = params.newton;
+    dc_opts.time = 0.0;
+    DcResult dc = dc_operating_point(ckt_, dc_opts);
+    x_ = std::move(dc.x);
+  }
+  StampContext ctx;
+  ctx.x = x_;
+  ctx.time = 0.0;
+  ctx.dt = 0.0;
+  ckt_.init_state(ctx);
+  // One workspace for every segment: buffers, the frozen pattern /
+  // stamp-slot caches and the pivot order persist across every step and
+  // Newton iteration of this stepper. Owned here, not shared — parallel
+  // extraction runs one transient per worker, so workspaces stay
+  // per-thread.
+  ws_.prepare(ckt_, params.newton.solver);
+}
+
+void TransientStepper::advance(double t_stop, const SampleFn& on_sample) {
+  obs::ScopedSpan span("transient_segment");
+  ECMS_REQUIRE(t_stop > t_ + kTimeEps,
+               "transient t_stop must lie after the current time");
+  const TranParams& params = params_;
+  const bool resumed = segments_++ > 0;
+  const TranStats at_entry = stats_;
+  span.arg("t_stop_s", t_stop);
+
+  on_sample(t_, x_);
+
+  StepGrid grid(ckt_.breakpoints(t_stop), t_);
+  if (grid.starts_on_breakpoint()) {
+    // The uninterrupted run applied breakpoint handling when it landed
+    // here; a segment that stopped on this corner never saw it
+    // (breakpoints at t >= t_stop are filtered). Apply it now so the first
+    // step of this segment matches the uninterrupted one.
+    force_be_ = params.be_after_breakpoint;
+    if (params.adaptive) dt_ = params.dt;
   }
 
-  probe.record(res.trace, t_start, x);
+  // Step-control state in locals for the loop; written back on return.
+  double t = t_;
+  double dt = dt_;
+  bool force_be = force_be_;
 
-  StepGrid grid(ckt.breakpoints(params.t_stop), t_start);
-  if (resume && grid.starts_on_breakpoint()) {
-    // The uninterrupted run applies breakpoint handling when it lands here —
-    // a prefix stopping exactly on a corner never saw it (breakpoints at
-    // t >= t_stop are filtered), and reprogrammed waves may have introduced
-    // a new corner at the checkpoint time. Apply it now so the first resumed
-    // step matches the uninterrupted one.
-    force_be = params.be_after_breakpoint;
-    if (params.adaptive) dt = params.dt;
-  }
-
-  // One workspace for the whole run: buffers and the frozen pattern /
-  // stamp-slot caches persist across every step and Newton iteration of
-  // this transient. Owned here, not shared — parallel extraction runs one
-  // transient per worker, so workspaces stay per-thread. A resumed run
-  // factors with the pivot order its checkpoint carries, exactly as the
-  // uninterrupted run would have at this point.
-  NewtonWorkspace ws;
-  ws.prepare(ckt, params.newton.solver);
-  SparseEngine& eng = *ws.engine();
-  if (resume) eng.seed_program(resume->pivot_order);
-
-  // Arm the checkpoint capture: a mid-run capture time becomes a breakpoint
-  // so an accepted step lands exactly on it.
-  double ckpt_at = params.checkpoint_at;
-  const bool want_ckpt = ckpt_at >= 0.0;
-  bool captured = false;
-  if (want_ckpt) {
-    ckpt_at = std::min(ckpt_at, params.t_stop);
-    ECMS_REQUIRE(ckpt_at > t_start - kTimeEps,
-                 "checkpoint_at lies before the start of this run");
-    if (ckpt_at <= t_start + kTimeEps) {
-      capture_checkpoint(ckt, t_start, dt, force_be, x, eng, res.checkpoint);
-      captured = true;
-    } else if (ckpt_at < params.t_stop - kTimeEps) {
-      grid.add(ckpt_at);
-    }
-  }
-
-  double t = t_start;
-
-  // Trial iterate, hoisted out of the step loop: the copy below reuses its
-  // capacity (the accept path swaps rather than moves), so steady-state
-  // stepping does no per-step allocation.
-  std::vector<double> x_try;
-
-  while (t < params.t_stop - kTimeEps) {
-    const StepGrid::Step next = grid.next(t, dt, params.t_stop);
+  while (t < t_stop - kTimeEps) {
+    const StepGrid::Step next = grid.next(t, dt, t_stop);
     const double step = next.size;
 
     StampContext ctx;
@@ -201,25 +143,25 @@ TranResult run_transient(Circuit& ckt, const TranParams& params,
         force_be ? Integrator::kBackwardEuler : params.method;
     ctx.gmin = params.newton.gmin_ground;
 
-    x_try = x;
-    const NewtonResult nr = newton_solve(ckt, ctx, x_try, params.newton, ws);
-    res.stats.newton_iterations += static_cast<std::size_t>(nr.iterations);
+    x_try_ = x_;
+    const NewtonResult nr = newton_solve(ckt_, ctx, x_try_, params.newton, ws_);
+    stats_.newton_iterations += static_cast<std::size_t>(nr.iterations);
 
     if (!nr.converged) {
-      ++res.stats.rejected_steps;
+      ++stats_.rejected_steps;
       dt *= 0.5;
       if (dt < params.dt_min) {
         SolverDiagnostics diag;
         diag.time = t;
         diag.dt = step;
         diag.last_delta = nr.final_delta;
-        diag.accepted_steps = res.stats.accepted_steps;
-        diag.rejected_steps = res.stats.rejected_steps;
-        diag.newton_iterations = res.stats.newton_iterations;
-        const std::size_t nv = ckt.node_count() - 1;
+        diag.accepted_steps = stats_.accepted_steps;
+        diag.rejected_steps = stats_.rejected_steps;
+        diag.newton_iterations = stats_.newton_iterations;
+        const std::size_t nv = ckt_.node_count() - 1;
         if (nr.worst_unknown < nv) {
           diag.worst_node =
-              ckt.node_name(static_cast<NodeId>(nr.worst_unknown + 1));
+              ckt_.node_name(static_cast<NodeId>(nr.worst_unknown + 1));
         }
         std::string what = "transient step at t=" + std::to_string(t) +
                            " failed to converge above dt_min (last dt=" +
@@ -235,20 +177,20 @@ TranResult run_transient(Circuit& ckt, const TranParams& params,
                   "' last dv=" + std::to_string(diag.last_delta);
         }
         what += ")";
-        count_transient(res.stats, /*failed=*/true);
+        count_segment(minus(stats_, at_entry), resumed, /*failed=*/true);
         span.arg("failed_at_s", t);
         throw SolverError(what, std::move(diag));
       }
       continue;
     }
 
-    // Accept. Swap keeps x_try's storage alive for the next step's copy.
-    std::swap(x, x_try);
-    ctx.x = x;
-    ckt.accept_step(ctx);
+    // Accept. Swap keeps x_try_'s storage alive for the next step's copy.
+    std::swap(x_, x_try_);
+    ctx.x = x_;
+    ckt_.accept_step(ctx);
     t += step;
-    ++res.stats.accepted_steps;
-    probe.record(res.trace, t, x);
+    ++stats_.accepted_steps;
+    on_sample(t, x_);
 
     grid.accept(next);
     if (next.on_breakpoint) {
@@ -269,38 +211,36 @@ TranResult run_transient(Circuit& ckt, const TranParams& params,
       dt = std::min(dt_cap, dt * 2.0);
     }
     if (!params.adaptive) dt = std::min(dt, params.dt);
-
-    // Capture after step control settles, so the checkpoint holds exactly
-    // the state the next loop iteration of an uninterrupted run would see.
-    if (want_ckpt && !captured && t >= ckpt_at - kTimeEps) {
-      capture_checkpoint(ckt, t, dt, force_be, x, eng, res.checkpoint);
-      captured = true;
-    }
   }
 
-  if (want_ckpt && !captured) {
-    capture_checkpoint(ckt, t, dt, force_be, x, eng, res.checkpoint);
-  }
-
-  res.final_x = std::move(x);
-  count_transient(res.stats, /*failed=*/false);
-  span.arg("accepted_steps", static_cast<double>(res.stats.accepted_steps));
-  span.arg("newton_iters", static_cast<double>(res.stats.newton_iterations));
-  ECMS_LOG(LogLevel::kDebug) << "transient: " << res.stats.accepted_steps
-                             << " steps, " << res.stats.newton_iterations
+  // Keep the loop's actual final time: a breakpoint one ulp short of
+  // t_stop ends the segment on the breakpoint, and the next segment must
+  // continue from that grid point.
+  t_ = t;
+  dt_ = dt;
+  force_be_ = force_be;
+  const TranStats seg = minus(stats_, at_entry);
+  count_segment(seg, resumed, /*failed=*/false);
+  span.arg("accepted_steps", static_cast<double>(seg.accepted_steps));
+  span.arg("newton_iters", static_cast<double>(seg.newton_iterations));
+  ECMS_LOG(LogLevel::kDebug) << "transient segment: " << seg.accepted_steps
+                             << " steps, " << seg.newton_iterations
                              << " newton iters";
-  return res;
 }
-}  // namespace
 
 TranResult transient(Circuit& ckt, const TranParams& params,
                      const ProbeSet& probes) {
-  return run_transient(ckt, params, probes, nullptr);
-}
-
-TranResult transient_resume(Circuit& ckt, const SolverCheckpoint& from,
-                            const TranParams& params, const ProbeSet& probes) {
-  return run_transient(ckt, params, probes, &from);
+  obs::ScopedSpan span("transient");
+  ProbeRecorder probe(ckt, probes);
+  TranResult res;
+  res.trace = probe.make_trace();
+  TransientStepper stepper(ckt, params);
+  stepper.advance(params.t_stop, [&](double t, std::span<const double> x) {
+    probe.record(res.trace, t, x);
+  });
+  res.stats = stepper.stats();
+  res.final_x.assign(stepper.x().begin(), stepper.x().end());
+  return res;
 }
 
 }  // namespace ecms::circuit

@@ -4,9 +4,14 @@
 // stimulus corner), step halving on Newton failure with geometric recovery,
 // and a backward-Euler step immediately after each breakpoint to damp
 // trapezoidal ringing at discontinuities.
+//
+// One implementation steps every scalar transient: TransientStepper, which
+// can pause at any instant and continue later on the same circuit. A whole
+// transient() is one advance() of a fresh stepper; the adaptive ramp
+// search (msu/extract.cpp) advances one stepper segment by segment.
 #pragma once
 
-#include <memory>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -18,14 +23,14 @@
 namespace ecms::circuit {
 
 /// Time tolerance of the step grid: instants closer than this are one grid
-/// point (a step landing on a breakpoint, a checkpoint at a corner).
+/// point (a step landing on a breakpoint, a segment ending on a corner).
 inline constexpr double kTimeEps = 1e-18;
 
 /// The breakpoint-landing step grid of every transient, scalar or
 /// lockstep: steps of the base size, shortened so one lands exactly on
 /// each stimulus breakpoint. The sizes are a pure function of (breakpoints,
 /// start, base step), which is what lets BatchEngine lanes share one time
-/// grid and a resumed segment continue on the uninterrupted run's grid.
+/// grid and a later segment continue on the uninterrupted run's grid.
 class StepGrid {
  public:
   struct Step {
@@ -39,10 +44,6 @@ class StepGrid {
   /// Whether t_start itself sat on a breakpoint.
   bool starts_on_breakpoint() const { return start_on_bp_; }
 
-  /// Adds a breakpoint at t (after t_start) unless one already lies within
-  /// kTimeEps of it.
-  void add(double t);
-
   /// The step from t toward t_stop with base step dt.
   Step next(double t, double dt, double t_stop);
 
@@ -55,34 +56,6 @@ class StepGrid {
   std::vector<double> bps_;
   std::size_t next_ = 0;
   bool start_on_bp_ = false;
-};
-
-/// Complete solver state at one accepted time point: everything needed to
-/// continue the integration bit-identically in a later transient_resume()
-/// call — possibly after the circuit's source waves have been reprogrammed
-/// (the intended use: simulate an expensive stimulus prefix once, then
-/// branch many cheap continuations off the snapshot).
-///
-/// A checkpoint is tied to the Circuit it was captured from: the unknown
-/// vector and the companion history blob are validated against the
-/// circuit's unknown/device counts on resume, but the caller is responsible
-/// for not mutating the topology in between.
-struct SolverCheckpoint {
-  double time = -1.0;   ///< capture time (s); < 0 marks "not captured"
-  double dt = 0.0;      ///< step size the next step would have used
-  bool force_be = false;  ///< next step forced to backward Euler?
-  std::vector<double> x;             ///< unknown vector at `time`
-  std::vector<double> device_state;  ///< Circuit::save_state (companion history)
-  std::size_t device_count = 0;
-  /// The topology and pivot order the capturing engine was factoring with
-  /// (null if it had not factored yet). Markowitz derives its pivot order
-  /// from the first values it factors, so a resumed engine deriving its own
-  /// from checkpoint-time values would differ from the uninterrupted run in
-  /// the last ulp; adopting this one keeps the resume bit-exact with the
-  /// program cache off and after mid-run re-pivots.
-  std::shared_ptr<const NetlistProgram> pivot_order;
-
-  bool valid() const { return time >= 0.0 && !x.empty(); }
 };
 
 struct TranParams {
@@ -103,12 +76,6 @@ struct TranParams {
   /// Off by default so result timing is bit-stable for calibration.
   bool adaptive = false;
   double dt_max = 0.0;  ///< cap for adaptive growth; 0 = 8x the base step
-  /// When >= 0, capture a SolverCheckpoint into TranResult::checkpoint at
-  /// this time (clamped to t_stop). A mid-run capture time is added to the
-  /// breakpoint set so a step lands exactly on it; times that already sit on
-  /// a stimulus corner (or on t_stop) therefore leave the trajectory
-  /// untouched. Negative (the default) disables capture.
-  double checkpoint_at = -1.0;
 };
 
 /// What to record. Node and device probes are looked up by name at start.
@@ -147,29 +114,68 @@ struct TranResult {
   Trace trace;       ///< channels: nodes first, then "I(<device>)" entries
   TranStats stats;
   std::vector<double> final_x;  ///< final unknown vector
-  /// Captured when params.checkpoint_at >= 0 (see SolverCheckpoint::valid()).
-  SolverCheckpoint checkpoint;
 };
 
-/// Runs a transient from the DC operating point at t = 0. Throws
-/// ecms::SolverError if a step cannot be made to converge above dt_min; the
-/// exception carries SolverDiagnostics (failing time point, last step size,
-/// accepted/rejected step and Newton iteration counts, worst node). For the
-/// self-recovering entry point see circuit/recovery.hpp.
+/// A scalar transient that pauses between segments. It owns the solution
+/// x, the step-control state (step size, pending backward-Euler step), the
+/// time, the Newton workspace with its sparse engine, and the running
+/// TranStats; the circuit holds the companion history. advance() follows
+/// BatchEngine::advance's contract:
+///
+///   * one boundary sample at entry, then one per accepted step;
+///   * a segment starting on a stimulus corner applies the breakpoint
+///     handling the uninterrupted run applied when it landed there (the
+///     previous segment never saw that corner: breakpoints at or after a
+///     segment's t_stop are filtered out);
+///   * the stepper keeps the loop's actual final time, not the requested
+///     t_stop, so the next segment continues on the uninterrupted grid.
+///
+/// The engine persists across segments, pivot order included. A run split
+/// into segments whose stops lie on the uninterrupted run's step grid (a
+/// stimulus corner, or an off-corner instant a full base step lands on)
+/// therefore takes bit-identical steps to one advance() to the end.
+/// Nothing else may step the circuit in between. After advance() throws,
+/// the stepper is spent.
+class TransientStepper {
+ public:
+  using SampleFn = std::function<void(double t, std::span<const double> x)>;
+
+  /// Starts at t = 0 from the DC operating point, or from x = 0 under
+  /// params.uic, and initializes the device history. params.t_stop is not
+  /// read: each advance() names its own stop.
+  TransientStepper(Circuit& ckt, const TranParams& params);
+
+  /// Steps to t_stop (absolute, after time()). Throws ecms::SolverError if
+  /// a step cannot be made to converge above dt_min; the exception carries
+  /// SolverDiagnostics (failing time point, last step size, accepted/
+  /// rejected step and Newton iteration counts, worst node).
+  void advance(double t_stop, const SampleFn& on_sample);
+
+  double time() const { return t_; }
+  std::span<const double> x() const { return x_; }
+  /// Counts over every segment so far.
+  const TranStats& stats() const { return stats_; }
+
+ private:
+  Circuit& ckt_;
+  TranParams params_;
+  NewtonWorkspace ws_;
+  std::vector<double> x_;
+  // Trial iterate: each step's copy reuses its capacity (accept swaps
+  // rather than moves), so steady-state stepping does no allocation.
+  std::vector<double> x_try_;
+  double t_ = 0.0;
+  double dt_ = 0.0;
+  bool force_be_ = false;
+  std::size_t segments_ = 0;
+  TranStats stats_;
+};
+
+/// Runs a transient from the DC operating point at t = 0 to params.t_stop:
+/// one TransientStepper advanced once, recording `probes`. Throws
+/// ecms::SolverError as advance() does. For the self-recovering entry point
+/// see circuit/recovery.hpp.
 TranResult transient(Circuit& ckt, const TranParams& params,
                      const ProbeSet& probes);
-
-/// Continues a transient from a checkpoint previously captured on the same
-/// circuit. `params.t_stop` is absolute and must lie after `from.time`; the
-/// probe set may differ from the capturing run's. The trace starts with a
-/// sample at the checkpoint time, stats count only the resumed segment, and
-/// `params.checkpoint_at` may be set to capture again. Source waves may have
-/// been reprogrammed since capture — stepping follows the circuit's current
-/// breakpoints — but the topology (unknown and device counts) must be
-/// unchanged, which is validated. The resumed engine factors with
-/// `from.pivot_order`, so an uninterrupted run and a capture-at-breakpoint
-/// + resume pair take bit-identical steps.
-TranResult transient_resume(Circuit& ckt, const SolverCheckpoint& from,
-                            const TranParams& params, const ProbeSet& probes);
 
 }  // namespace ecms::circuit

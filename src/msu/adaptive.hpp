@@ -4,23 +4,22 @@
 // The conversion step of the flow is a monotone threshold search: OUT flips
 // at the first ramp level whose reference current exceeds what the sense
 // transistor (biased by the charge-shared V_GS) can sink. The scheduler
-// snapshots the solver after step 4 (charge sharing done, ramp not yet
-// started) and then binary-searches the predicate "has OUT flipped by the
-// end of ramp level k" over cheap checkpoint restarts. Because the staircase
-// code is path-dependent — the sense node integrates charge during
-// sub-threshold dwells, so a cell's flip depends on the levels it ramped
-// through — a probe cannot hold a level in isolation; instead the simulated
-// staircase is extended lazily, one level-restart at a time, stopping the
-// moment OUT crosses. Probes at or below the deepest simulated level are
-// answered from the recorded trajectory for free, so the total transient
-// cost is the ramp prefix up to the flip (plus at most one level of
-// overshoot) instead of the whole staircase, and the flip time feeds the
-// same decode as the exhaustive path — codes are bit-identical by
-// construction.
+// pauses the cell's transient after step 4 (charge sharing done, ramp not
+// yet started) and then continues it one ramp level at a time, stopping at
+// the level where OUT crosses. Because the staircase code is
+// path-dependent — the sense node integrates charge during sub-threshold
+// dwells, so a cell's flip depends on the levels it ramped through — a
+// probe cannot hold a level in isolation: only the genuine staircase is
+// ever simulated. The predicate "has OUT flipped by the end of ramp level
+// k" is then bracket-searched against the known flip time; a search
+// simulating lazily would have stopped at the same level, so the probe
+// count is the same. The total transient cost is the ramp prefix up to the
+// flip instead of the whole staircase, and the flip time feeds the same
+// decode as the exhaustive path — codes are bit-identical by construction.
 //
 // Whenever the scheme cannot be trusted (the cell needed the recovery
 // ladder, fault injection is armed, OUT is already high before the ramp, a
-// restart fails to converge, or the probe budget runs out), extraction
+// ramp segment fails to converge, or the probe budget runs out), extraction
 // falls back to the exhaustive linear ramp — the legacy path, bit-for-bit —
 // so adaptive scheduling never changes a code.
 #pragma once
@@ -44,7 +43,7 @@ struct AdaptiveReport {
   bool used = false;       ///< the code came from the probe search
   bool fell_back = false;  ///< the exhaustive ramp decided the code instead
   std::string fallback_reason;
-  int probes = 0;  ///< probe-search queries (checkpoint restarts are fewer)
+  int probes = 0;  ///< probe-search queries
   int guess = -1;  ///< model-predicted code seeding the search (-1: none)
 };
 

@@ -111,22 +111,20 @@ int adaptive_guess(const edram::MacroCell& mc, const StructureParams& params,
                  static_cast<double>(res.schedule.ramp_steps)));
 }
 
-// The adaptive ramp search of one cell: schedule_ramp_search over probe(k)
-// = "has OUT flipped by the end of ramp level k?", where reach(k) first
-// simulates far enough to answer (the scalar path extends its staircase
-// lazily; the lockstep path already knows the flip time and passes a
-// no-op). Returns false when the probe budget ran out before the bracket
-// closed.
+// The adaptive ramp search of one cell, replayed against the known flip
+// time: schedule_ramp_search over probe(k) = "has OUT flipped by the end of
+// ramp level k?". Both paths simulate the staircase only up to the level
+// where OUT crosses, which is as far as a search probing lazily would have
+// simulated, so the probes and their count are the lazy search's. Returns
+// false when the probe budget ran out before the bracket closed.
 bool search_ramp(ExtractionResult& res, const MeasurementTiming& timing,
-                 int max_probes, const std::optional<double>& t_flip,
-                 const std::function<void(int)>& reach) {
+                 int max_probes, const std::optional<double>& t_flip) {
   const Schedule& s = res.schedule;
   return schedule_ramp_search(
              s.ramp_steps, res.adaptive.guess, max_probes, [&](int k) {
                obs::ScopedSpan probe_span("adaptive_probe");
                probe_span.arg("level", static_cast<double>(k));
                ++res.adaptive.probes;
-               reach(k);
                return t_flip.has_value() &&
                       *t_flip <= level_end(s, timing, k) + 1e-15;
              }) >= 0;
@@ -144,12 +142,12 @@ void conclude_adaptive(std::optional<double> t_flip, ExtractionResult& res) {
                       static_cast<double>(res.adaptive.probes));
 }
 
-// Runs the adaptive scheduler for one cell: charge/share prefix once with a
-// checkpoint at the ramp start, then binary-search the flip level over
-// checkpoint restarts that lazily extend the simulated staircase, stopping
-// at the flip. Returns true with `res` fully decided, or false with `why`
-// set — in which case the caller runs the exhaustive ramp and `res` is left
-// untouched except for the accumulated adaptive probe count.
+// Runs the adaptive scheduler for one cell on one paused transient: the
+// charge/share prefix, then the ramp staircase level by level until OUT
+// crosses (or the tail when it never does), then the search replayed
+// against the flip time. Returns true with `res` fully decided, or false
+// with `why` set — in which case the caller runs the exhaustive ramp and
+// `res` is left untouched except for the accumulated adaptive probe count.
 bool try_adaptive(circuit::Circuit& ckt, const edram::MacroCell& mc,
                   const StructureNet& msu_net, const StructureParams& params,
                   const MeasurementTiming& timing,
@@ -159,82 +157,68 @@ bool try_adaptive(circuit::Circuit& ckt, const edram::MacroCell& mc,
   const Schedule& s = res.schedule;
   const double vdd_half = mc.tech().vdd / 2.0;
 
-  // Steps 1-4 once, snapshotting the solver where the ramp would begin.
   circuit::TranParams tp;
-  tp.t_stop = s.t_ramp_start;
   tp.dt = options.dt;
   tp.newton = options.newton;
   tp.uic = true;
-  tp.checkpoint_at = s.t_ramp_start;
+  circuit::TransientStepper stepper(ckt, tp);
 
-  circuit::TranResult pre;
+  // Steps 1-4 once, pausing where the ramp begins.
+  circuit::ProbeRecorder full(ckt, cell_probes(msu_net));
+  circuit::Trace pre = full.make_trace();
   try {
-    pre = circuit::transient(ckt, tp, cell_probes(msu_net));
+    stepper.advance(s.t_ramp_start, [&](double t, std::span<const double> x) {
+      full.record(pre, t, x);
+    });
   } catch (const SolverError&) {
     why = "prefix transient did not converge (recovery ladder takes over)";
     return false;
   }
 
-  if (pre.trace.final_value("msu_out") > vdd_half) {
+  if (pre.final_value("msu_out") > vdd_half) {
     why = "OUT already high before the ramp (monotone threshold violated)";
     return false;
   }
 
-  res.prefix_steps = pre.stats.accepted_steps;
-  res.stats = pre.stats;
-  read_prefix(pre.trace, res);
+  res.prefix_steps = stepper.stats().accepted_steps;
+  read_prefix(pre, res);
   res.adaptive.guess = adaptive_guess(mc, params, res);
 
-  // The staircase is never reprogrammed: each restart resumes it from the
-  // last snapshot, so the chained trajectory is bit-identical to the
-  // uninterrupted exhaustive run (the checkpoint contract) and the flip
-  // time feeds the exact same decode. The code is path-dependent — the
-  // sense node integrates charge while ramping through sub-threshold
-  // levels — which is why a held-level probe cannot stand in for the ramp.
-  circuit::SolverCheckpoint at = std::move(pre.checkpoint);
+  // The staircase is never reprogrammed: each segment continues the one
+  // transient, so the trajectory is bit-identical to the exhaustive run's
+  // and the flip time feeds the exact same decode. The code is
+  // path-dependent — the sense node integrates charge while ramping
+  // through sub-threshold levels — which is why a held-level probe cannot
+  // stand in for the ramp.
+  circuit::ProbeRecorder out(ckt, out_probe());
   std::optional<double> t_flip;
-  int level_done = 0;
-
-  auto extend_to = [&](double target) {
-    circuit::TranParams pp = tp;
-    pp.t_stop = target;
-    pp.checkpoint_at = target;
-    circuit::TranResult tr =
-        circuit::transient_resume(ckt, at, pp, out_probe());
-    res.stats.accepted_steps += tr.stats.accepted_steps;
-    res.stats.rejected_steps += tr.stats.rejected_steps;
-    res.stats.newton_iterations += tr.stats.newton_iterations;
-    if (!t_flip) {
-      t_flip = circuit::first_crossing(tr.trace, "msu_out", vdd_half,
-                                       circuit::Edge::kRising);
-    }
-    at = std::move(tr.checkpoint);
+  auto segment = [&](double t_stop) {
+    circuit::Trace seg = out.make_trace();
+    stepper.advance(t_stop, [&](double t, std::span<const double> x) {
+      out.record(seg, t, x);
+    });
+    t_flip = circuit::first_crossing(seg, "msu_out", vdd_half,
+                                     circuit::Edge::kRising);
   };
-
-  // Levels at or below the deepest one already simulated are answered from
-  // the recorded trajectory for free.
-  const auto reach = [&](int k) {
-    while (!t_flip && level_done < k) {
-      ++level_done;
-      extend_to(level_end(s, timing, level_done));
-    }
-  };
-
   try {
-    if (!search_ramp(res, timing, options.adaptive.max_probes, t_flip,
-                     reach)) {
-      why = "probe budget exhausted before the bracket closed";
-      return false;
+    for (int level = 1; level <= s.ramp_steps && !t_flip; ++level) {
+      segment(level_end(s, timing, level));
     }
     // No flip during the staircase proper: run the tail so a late flip (or
     // full-scale code) decodes exactly as the exhaustive run would.
-    if (!t_flip) extend_to(s.t_end);
+    if (!t_flip) segment(s.t_end);
   } catch (const SolverError&) {
     why = "probe transient did not converge";
     return false;
   }
+  res.stats = stepper.stats();
+
+  if (!search_ramp(res, timing, options.adaptive.max_probes, t_flip)) {
+    why = "probe budget exhausted before the bracket closed";
+    return false;
+  }
   conclude_adaptive(t_flip, res);
-  if (options.record_trace) res.trace = std::move(pre.trace);
+  if (options.record_trace) res.trace = std::move(pre);
   return true;
 }
 
@@ -363,7 +347,7 @@ void measure_lockstep(const edram::MacroCell& mc,
         }
         if (!s.t_flip && !tail) continue;
         if (search_ramp(s.res, plan.timing, opts.adaptive.max_probes,
-                        s.t_flip, [](int) {})) {
+                        s.t_flip)) {
           conclude_adaptive(s.t_flip, s.res);
           complete(li);
         } else {

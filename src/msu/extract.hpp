@@ -36,8 +36,9 @@ struct ExtractOptions {
   /// cells are unchanged and concessions are paid only on failure.
   circuit::RecoveryOptions recovery = {};
   /// Adaptive ramp scheduling (see msu/adaptive.hpp): simulate the flow's
-  /// charge/share prefix once, then binary-search the flip code with cheap
-  /// checkpoint restarts. Off by default; codes are bit-identical either
+  /// charge/share prefix, then the ramp staircase only up to the level
+  /// where OUT flips, and bracket-search the code against that flip time.
+  /// Off by default; codes are bit-identical either
   /// way (the scheduler falls back to the exhaustive ramp whenever its
   /// monotonicity assumptions cannot be trusted).
   AdaptiveOptions adaptive = {};

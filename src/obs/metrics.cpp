@@ -10,8 +10,6 @@
 namespace ecms::obs {
 
 namespace {
-std::atomic<bool> g_metrics_on{false};
-
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Lock-free add for atomic<double> (fetch_add on double is C++20 but not
@@ -37,14 +35,6 @@ void atomic_max(std::atomic<double>& a, double v) {
   }
 }
 }  // namespace
-
-bool metrics_enabled() {
-  return g_metrics_on.load(std::memory_order_relaxed);
-}
-
-void set_metrics_enabled(bool on) {
-  g_metrics_on.store(on, std::memory_order_relaxed);
-}
 
 std::size_t metric_shard_index() {
   static std::atomic<std::size_t> next{0};

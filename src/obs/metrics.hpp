@@ -29,10 +29,18 @@
 
 namespace ecms::obs {
 
-/// Global metrics switch. Relaxed-atomic read: the only cost paid by
-/// instrumentation sites when metrics are off.
-bool metrics_enabled();
-void set_metrics_enabled(bool on);
+namespace detail {
+inline std::atomic<bool> g_metrics_on{false};
+}  // namespace detail
+
+/// Global metrics switch. An inline relaxed-atomic read: the only cost
+/// paid by instrumentation sites when metrics are off.
+inline bool metrics_enabled() {
+  return detail::g_metrics_on.load(std::memory_order_relaxed);
+}
+inline void set_metrics_enabled(bool on) {
+  detail::g_metrics_on.store(on, std::memory_order_relaxed);
+}
 
 /// Number of shard slots per instrument; threads hash onto slots, so hot
 /// increments never contend on a single cache line.

@@ -1,19 +1,16 @@
 // The circuit-owned companion bank against per-device reference code: the
 // static RHS must sum the same terms in the same order as a device-by-device
-// loop, accepted history must follow the textbook companion update bit for
-// bit, and the checkpoint blob must round-trip byte for byte.
+// loop, and accepted history must follow the textbook companion update bit
+// for bit.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "circuit/netlist.hpp"
-#include "circuit/transient.hpp"
 #include "tech/tech.hpp"
-#include "util/error.hpp"
 #include "util/units.hpp"
 
 namespace ecms::circuit {
@@ -251,6 +248,17 @@ TEST(CompanionBankT, BankingDevicesHaveNoStaticRhsOfTheirOwn) {
   EXPECT_EQ(banking, 6u);  // four capacitors, two MOSFETs
 }
 
+// (v_prev, i_prev) per companion, in bank order.
+std::vector<double> history(const Circuit& ckt) {
+  const CompanionBank& bank = ckt.companions();
+  std::vector<double> out;
+  for (std::size_t k = 0; k < bank.size(); ++k) {
+    out.push_back(bank.v_prev(k));
+    out.push_back(bank.i_prev(k));
+  }
+  return out;
+}
+
 TEST(CompanionBankT, DeviceAppendedAfterFinalizeKeepsHistory) {
   Circuit ckt = make_mixed();
   ckt.finalize();
@@ -263,8 +271,7 @@ TEST(CompanionBankT, DeviceAppendedAfterFinalizeKeepsHistory) {
   x = iterate(ckt.unknown_count(), 4);
   ctx.x = x;
   ckt.accept_step(ctx);
-  std::vector<double> before;
-  ckt.save_state(before);
+  const std::vector<double> before = history(ckt);
 
   // A capacitor on a new node plus a current source, after finalize().
   const NodeId extra = ckt.node("extra");
@@ -273,8 +280,7 @@ TEST(CompanionBankT, DeviceAppendedAfterFinalizeKeepsHistory) {
   ckt.finalize();
   expect_bank_layout(ckt);
 
-  std::vector<double> after;
-  ckt.save_state(after);
+  const std::vector<double> after = history(ckt);
   ASSERT_EQ(after.size(), before.size() + 2);
   EXPECT_TRUE(bits_equal(std::span<const double>(after).first(before.size()),
                          before));
@@ -286,34 +292,6 @@ TEST(CompanionBankT, DeviceAppendedAfterFinalizeKeepsHistory) {
   accept_and_check(ckt, ctx);
   ctx.time = 60e-12;
   EXPECT_TRUE(bits_equal(circuit_rhs(ckt, ctx), reference_rhs(ckt, ctx)));
-}
-
-TEST(CompanionBankT, CheckpointBlobRoundTripsBytewise) {
-  TranParams tp;
-  tp.t_stop = 2e-9;
-  tp.dt = 20e-12;
-  tp.checkpoint_at = 1.5e-9;
-  Circuit ckt = make_mixed();
-  const TranResult r = transient(ckt, tp, {});
-  ASSERT_TRUE(r.checkpoint.valid());
-  const std::vector<double>& blob = r.checkpoint.device_state;
-  EXPECT_EQ(blob.size(), 2 * ckt.companions().size());
-
-  // Restoring the blob into a fresh copy of the circuit and saving again
-  // gives the same bytes.
-  Circuit copy = make_mixed();
-  copy.finalize();
-  copy.restore_state(blob);
-  std::vector<double> again;
-  copy.save_state(again);
-  ASSERT_EQ(again.size(), blob.size());
-  EXPECT_EQ(std::memcmp(again.data(), blob.data(),
-                        blob.size() * sizeof(double)),
-            0);
-
-  // A blob of the wrong size is refused.
-  std::vector<double> short_blob(blob.begin(), blob.end() - 1);
-  EXPECT_THROW(copy.restore_state(short_blob), Error);
 }
 
 }  // namespace

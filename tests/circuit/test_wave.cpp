@@ -118,8 +118,9 @@ TEST(WaveT, SegmentHintMatchesBinarySearchBitwise) {
   for (double t = 0.0; t < pts.back().t + 1_ns; t += 0.02_ns) {
     times.push_back(t);
   }
-  // Backward jumps, as a checkpoint restart makes them: back to the start
-  // of the ramp, into the middle, and forward again.
+  // Backward jumps, as a halved retry of a rejected step or a rerun of the
+  // flow on the same circuit (an adaptive fallback) makes them: back to the
+  // start of the ramp, into the middle, and forward again.
   for (const double t : {12.05_ns, 10.5_ns, 25.3_ns, 11.0_ns, 29.99_ns}) {
     times.push_back(t);
   }

@@ -141,8 +141,8 @@ TEST(AdaptiveExtractT, EveryCodeBitIdenticalToExhaustiveRamp) {
   ASSERT_GT(i_sink, 0.0);
 
   // Each LSB is measured with programs shared and compiled privately: with
-  // the cache off only the checkpoint carries the pivot order across each
-  // adaptive restart.
+  // the cache off only the stepper's one engine carries the pivot order
+  // across the adaptive segments.
   auto codes_at = [&](double delta_i) {
     int code = -1;
     for (circuit::ProgramCache* cache : cache_modes()) {

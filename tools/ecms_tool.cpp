@@ -946,8 +946,8 @@ int usage() {
       "  --fault-rate P  inject transient solver faults with\n"
       "                  probability P per cell (testing aid)\n"
       "  --fault-seed S  RNG seed for --fault-rate (default 1)\n"
-      "  --adaptive      adaptive ramp scheduling: checkpoint after the\n"
-      "                  charge/share prefix, probe-search the flip code\n"
+      "  --adaptive      adaptive ramp scheduling: simulate the ramp\n"
+      "                  only up to the flip level, then search the code\n"
       "                  (circuit engine; codes identical, fewer steps;\n"
       "                  default on for array, off for extract)\n"
       "  --no-adaptive   force the exhaustive linear ramp\n"
