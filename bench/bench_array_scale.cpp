@@ -43,6 +43,7 @@
 #include "serve/workload.hpp"
 #include "tech/tech.hpp"
 #include "util/fileio.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/threadpool.hpp"
 #include "util/units.hpp"
@@ -234,34 +235,54 @@ void run_parallel_acceptance(std::size_t jobs, JsonSink& json) {
 // metrics disabled. Tracing is NOT enabled here — spans allocate per event
 // and are priced separately; the contract covers the always-on-capable
 // metrics path, whose disabled cost is one relaxed atomic load per site.
+// The overhead is the median over interleaved off/on pairs of one 256x256
+// fast-model extraction: a pair's two runs share the machine's state, and
+// the median of many pairs resolves a bound a best-of-3 cannot on a shared
+// host.
 void run_obs_overhead(JsonSink& json) {
   std::printf("EXT-A7: metrics overhead, enabled vs disabled extraction\n\n");
   report::Experiment exp("EXT-A7", "metrics overhead contract (< 2%)");
-  constexpr std::size_t kN = 128;
+  constexpr std::size_t kN = 256;
+  constexpr int kPairs = 21;
   const auto mc = edram::MacroCell::uniform({.rows = kN, .cols = kN},
                                             tech::tech018(), 30_fF);
+  auto seconds = [&](bool metrics) {
+    obs::set_metrics_enabled(metrics);
+    const auto t0 = std::chrono::steady_clock::now();
+    auto bm = extraction::extract(mc, {}).bitmap;
+    benchmark::DoNotOptimize(bm);
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+  };
 
-  obs::set_metrics_enabled(false);
-  const double t_off = best_of_3_seconds([&] {
-    auto bm = extraction::extract(mc, {}).bitmap;
-    benchmark::DoNotOptimize(bm);
-  });
-  obs::set_metrics_enabled(true);
   obs::Registry::global().reset();
-  const double t_on = best_of_3_seconds([&] {
-    auto bm = extraction::extract(mc, {}).bitmap;
-    benchmark::DoNotOptimize(bm);
-  });
+  seconds(true);  // warm-up: first-touch allocation and registry sites
+  std::vector<double> off, on, overheads;
+  for (int i = 0; i < kPairs; ++i) {
+    // Alternate which side runs first so a drifting host favours neither.
+    const bool on_first = i % 2 == 1;
+    const double first = seconds(on_first);
+    const double second = seconds(!on_first);
+    off.push_back(on_first ? second : first);
+    on.push_back(on_first ? first : second);
+    overheads.push_back(on.back() / off.back() - 1.0);
+  }
   obs::set_metrics_enabled(false);
+  const double t_off = percentile(off, 50);
+  const double t_on = percentile(on, 50);
 
   // Negative deltas are timing noise; the contract bounds the upside only.
-  const double overhead = std::max(0.0, (t_on - t_off) / t_off);
-  std::printf("  metrics off: %8.3f ms\n", 1e3 * t_off);
-  std::printf("  metrics on : %8.3f ms  (overhead %.2f%%)\n", 1e3 * t_on,
-              100 * overhead);
+  const double overhead = std::max(0.0, percentile(overheads, 50));
+  std::printf("  metrics off: %8.3f ms (median of %d)\n", 1e3 * t_off, kPairs);
+  std::printf("  metrics on : %8.3f ms  (median pair overhead %.2f%%, "
+              "quartiles %.2f%% .. %.2f%%)\n",
+              1e3 * t_on, 100 * overhead, 100 * percentile(overheads, 25),
+              100 * percentile(overheads, 75));
   exp.check("metrics-enabled extraction stays within 2% of disabled",
             Table::num(100 * overhead, 2) + "% on a " + std::to_string(kN) +
-                "x" + std::to_string(kN) + " array",
+                "x" + std::to_string(kN) + " array (median of " +
+                std::to_string(kPairs) + " pairs)",
             overhead < 0.02);
   exp.note("disabled-path cost is a single relaxed atomic load per site; "
            "per-cell tallies are flushed once per tile");

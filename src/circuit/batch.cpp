@@ -60,7 +60,6 @@ BatchEngine::BatchEngine(std::span<Circuit* const> lanes, const Options& opts)
     ctx.dt = 0.0;
     lane.ckt->init_state(ctx);
   }
-  force_be_ = opts_.be_after_breakpoint;  // first step from t = 0 uses BE
   ECMS_METRIC_COUNT("circuit.batch.lanes", lanes.size());
 }
 
@@ -112,11 +111,11 @@ void BatchEngine::flush_counters(Lane& lane) {
                     eng ? eng->rhs_restamps() : 0);
   // Each advance() this lane stepped in is the batched equivalent of one
   // scalar transient segment (all segments past the first are resumes).
-  ECMS_METRIC_COUNT("circuit.transient.solves", lane.stats.segments);
+  ECMS_METRIC_COUNT("circuit.transient.solves", lane.segments);
   ECMS_METRIC_COUNT("circuit.transient.accepted_steps",
                     lane.stats.accepted_steps);
-  if (lane.stats.segments > 1) {
-    ECMS_METRIC_COUNT("circuit.transient.resumes", lane.stats.segments - 1);
+  if (lane.segments > 1) {
+    ECMS_METRIC_COUNT("circuit.transient.resumes", lane.segments - 1);
   }
 }
 
@@ -135,13 +134,12 @@ void BatchEngine::advance(
     Lane& L = lanes_[li];
     if (L.state != LaneState::kActive) continue;
     if (ref == lanes_.size()) ref = li;
-    ++L.stats.segments;
+    ++L.segments;
     // Boundary sample: the first trace row a scalar segment records.
     on_sample(li, t_, L.x);
   }
   if (ref == lanes_.size()) {  // nothing left to step
     t_ = t_stop;
-    first_advance_ = false;
     return;
   }
 
@@ -160,10 +158,10 @@ void BatchEngine::advance(
   }
 
   StepGrid grid(std::move(bps), t_);
-  if (!first_advance_ && grid.starts_on_breakpoint()) {
+  if (grid.starts_on_breakpoint()) {
     // TransientStepper::advance applies breakpoint handling when it starts
     // on a corner (the uninterrupted run saw it when landing here).
-    force_be_ = opts_.be_after_breakpoint;
+    force_be_ = true;
   }
 
   double t = t_;
@@ -177,7 +175,7 @@ void BatchEngine::advance(
     proto.time = t + step;
     proto.dt = step;
     proto.method =
-        force_be_ ? Integrator::kBackwardEuler : opts_.method;
+        force_be_ ? Integrator::kBackwardEuler : Integrator::kTrapezoidal;
     proto.gmin = opts_.newton.gmin_ground;
 
     bool any = false;
@@ -206,11 +204,7 @@ void BatchEngine::advance(
     t += step;
 
     grid.accept(next);
-    if (next.on_breakpoint) {
-      force_be_ = opts_.be_after_breakpoint;
-    } else {
-      force_be_ = false;
-    }
+    force_be_ = next.on_breakpoint;
   }
 
   // Keep the loop's actual final time, not the requested target: a
@@ -219,7 +213,6 @@ void BatchEngine::advance(
   // segment must resume from that grid point or the lockstep grid drifts
   // off the uninterrupted run's by a whole step.
   t_ = t;
-  first_advance_ = false;
 }
 
 bool BatchEngine::solve_point(const StampContext& ctx_proto) {

@@ -15,11 +15,11 @@
 // static-image reuse and program-cache accounting are inherited rather than
 // re-implemented.
 //
-// Identity: with a fixed base step (no adaptive growth) and no rejected
-// steps, the transient's StepGrid is value-independent — time points are a
-// pure function of (dt, breakpoints) — so lanes genuinely share one (t,
-// step, force_be) sequence. Per-lane Newton damping and convergence
-// decisions run newton_solve's own damped_update over the SoA results.
+// Identity: with a fixed base step and no rejected steps, the transient's
+// StepGrid is value-independent — time points are a pure function of (dt,
+// breakpoints) — so lanes genuinely share one (t, step, force_be)
+// sequence. Per-lane Newton damping and convergence decisions run
+// newton_solve's own damped_update over the SoA results.
 // Anything that would make a lane's scalar trajectory diverge from the
 // lockstep grid (a rejected step, pivot degradation, a non-finite update,
 // tape divergence, a private pivot order that later disagrees) retires the
@@ -48,23 +48,17 @@ namespace ecms::circuit {
 
 class BatchEngine {
  public:
+  /// Lanes step as TranParams' defaults do: trapezoidal, with a
+  /// backward-Euler step from t = 0 and after every breakpoint.
   struct Options {
-    double dt = 20e-12;                  ///< fixed base step (never halved)
-    Integrator method = Integrator::kTrapezoidal;
-    NewtonOptions newton;                ///< solver.program_cache required
-    bool be_after_breakpoint = true;
+    double dt = 20e-12;    ///< fixed base step (never halved)
+    NewtonOptions newton;  ///< solver.program_cache required
   };
 
   enum class LaneState {
     kActive,    ///< stepping in lockstep
     kFinished,  ///< trajectory decided by the caller; state frozen
     kRetired,   ///< left the batch; re-measure on the scalar path
-  };
-
-  struct LaneStats {
-    std::size_t accepted_steps = 0;
-    std::size_t newton_iterations = 0;
-    std::size_t segments = 0;  ///< advance() calls this lane stepped in
   };
 
   /// Binds K lanes starting from the UIC initial condition (x = 0 at t = 0,
@@ -78,20 +72,19 @@ class BatchEngine {
   BatchEngine(const BatchEngine&) = delete;
   BatchEngine& operator=(const BatchEngine&) = delete;
 
-  std::size_t width() const { return lanes_.size(); }
   LaneState state(std::size_t lane) const { return lanes_[lane].state; }
+  bool active(std::size_t lane) const {
+    return lanes_[lane].state == LaneState::kActive;
+  }
   /// Why a retired lane left the batch (empty for other states).
   const std::string& retire_reason(std::size_t lane) const {
     return lanes_[lane].reason;
   }
-  const LaneStats& stats(std::size_t lane) const {
+  /// The lane's counts over every segment so far (a lane never rejects a
+  /// step: a step it cannot take retires it).
+  const TranStats& stats(std::size_t lane) const {
     return lanes_[lane].stats;
   }
-  std::span<const double> x(std::size_t lane) const {
-    return lanes_[lane].x;
-  }
-  /// Shared lockstep time (active lanes sit exactly here).
-  double time() const { return t_; }
   std::size_t active_lanes() const;
 
   /// Marks a lane's trajectory decided: it stops stepping (and its pending
@@ -123,7 +116,8 @@ class BatchEngine {
     std::vector<double> x, x_try, x_new;
     LaneState state = LaneState::kActive;
     std::string reason;
-    LaneStats stats;
+    TranStats stats;
+    std::size_t segments = 0;  ///< advance() calls this lane stepped in
     // Point-solve scratch.
     bool unfinished = false;  ///< still iterating this point
     int point_iters = 0;
@@ -150,8 +144,7 @@ class BatchEngine {
   util::ArenaBuf<double> lu_soa_, pb_soa_;
   std::vector<long> bad_rows_;  ///< per lane: first degraded pivot row or -1
   double t_ = 0.0;
-  bool force_be_ = true;
-  bool first_advance_ = true;
+  bool force_be_ = true;  ///< the first step from t = 0 is backward Euler
 };
 
 }  // namespace ecms::circuit

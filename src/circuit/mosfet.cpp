@@ -21,7 +21,7 @@ struct Interp {
   double df;
 };
 template <bool kDerivative = true>
-Interp ekv_f(double u) {
+inline Interp ekv_f(double u) {
   const double x = 0.5 * u;
   if (x > 37.0) {
     // e^x >> 1: ln(1 + e^x) = x and sigmoid(x) = 1 to double precision.

@@ -124,7 +124,6 @@ void TransientStepper::advance(double t_stop, const SampleFn& on_sample) {
     // (breakpoints at t >= t_stop are filtered). Apply it now so the first
     // step of this segment matches the uninterrupted one.
     force_be_ = params.be_after_breakpoint;
-    if (params.adaptive) dt_ = params.dt;
   }
 
   // Step-control state in locals for the loop; written back on return.
@@ -193,24 +192,9 @@ void TransientStepper::advance(double t_stop, const SampleFn& on_sample) {
     on_sample(t, x_);
 
     grid.accept(next);
-    if (next.on_breakpoint) {
-      force_be = params.be_after_breakpoint;
-      if (params.adaptive) dt = params.dt;  // restart cautiously after edges
-    } else {
-      force_be = false;
-    }
-    // Geometric recovery toward the base step after halvings; with adaptive
-    // stepping, easy regions (few Newton iterations) may grow past it.
-    const double dt_cap =
-        params.adaptive
-            ? (params.dt_max > 0.0 ? params.dt_max : 8.0 * params.dt)
-            : params.dt;
-    if (params.adaptive && nr.iterations <= 3) {
-      dt = std::min(dt_cap, dt * 1.5);
-    } else if (dt < dt_cap) {
-      dt = std::min(dt_cap, dt * 2.0);
-    }
-    if (!params.adaptive) dt = std::min(dt, params.dt);
+    force_be = next.on_breakpoint && params.be_after_breakpoint;
+    // Geometric recovery toward the base step after halvings.
+    dt = std::min(params.dt, dt * 2.0);
   }
 
   // Keep the loop's actual final time: a breakpoint one ulp short of

@@ -1,14 +1,16 @@
 // Transient analysis.
 //
 // Fixed base step with: breakpoint alignment (steps land exactly on every
-// stimulus corner), step halving on Newton failure with geometric recovery,
-// and a backward-Euler step immediately after each breakpoint to damp
+// stimulus corner), step halving on Newton failure and doubling back to the
+// base step once steps converge again (never past it), and a
+// backward-Euler step immediately after each breakpoint to damp
 // trapezoidal ringing at discontinuities.
 //
 // One implementation steps every scalar transient: TransientStepper, which
 // can pause at any instant and continue later on the same circuit. A whole
-// transient() is one advance() of a fresh stepper; the adaptive ramp
-// search (msu/extract.cpp) advances one stepper segment by segment.
+// transient() is one advance() of a fresh stepper; the adaptive
+// measurement flow (msu/extract.cpp) advances one stepper segment by
+// segment, through the same flow driver that steps BatchEngine lanes.
 #pragma once
 
 #include <functional>
@@ -71,11 +73,6 @@ struct TranParams {
   /// it avoids the DC ambiguity of floating dynamic nodes (which otherwise
   /// settle in a leakage/gmin divider).
   bool uic = false;
-  /// Opt-in step growth: when Newton converges in few iterations the step
-  /// may grow up to dt_max (still clipped to every stimulus breakpoint).
-  /// Off by default so result timing is bit-stable for calibration.
-  bool adaptive = false;
-  double dt_max = 0.0;  ///< cap for adaptive growth; 0 = 8x the base step
 };
 
 /// What to record. Node and device probes are looked up by name at start.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -113,10 +114,10 @@ int adaptive_guess(const edram::MacroCell& mc, const StructureParams& params,
 
 // The adaptive ramp search of one cell, replayed against the known flip
 // time: schedule_ramp_search over probe(k) = "has OUT flipped by the end of
-// ramp level k?". Both paths simulate the staircase only up to the level
-// where OUT crosses, which is as far as a search probing lazily would have
-// simulated, so the probes and their count are the lazy search's. Returns
-// false when the probe budget ran out before the bracket closed.
+// ramp level k?". The flow driver simulates the staircase only up to the
+// level where OUT crosses, which is as far as a search probing lazily would
+// have simulated, so the probes and their count are the lazy search's.
+// Returns false when the probe budget ran out before the bracket closed.
 bool search_ramp(ExtractionResult& res, const MeasurementTiming& timing,
                  int max_probes, const std::optional<double>& t_flip) {
   const Schedule& s = res.schedule;
@@ -130,101 +131,162 @@ bool search_ramp(ExtractionResult& res, const MeasurementTiming& timing,
              }) >= 0;
 }
 
-// Decides a cell the adaptive search bracketed (the tail already run when
-// OUT never flipped on the staircase).
-void conclude_adaptive(std::optional<double> t_flip, ExtractionResult& res) {
-  decode_flip(t_flip, res);
-  res.status = CellStatus::kOk;
-  res.adaptive.used = true;
-  ECMS_METRIC_COUNT("msu.adaptive.cells", 1);
-  ECMS_METRIC_COUNT("msu.adaptive.probes", res.adaptive.probes);
-  ECMS_METRIC_OBSERVE("msu.adaptive.probes_per_cell",
-                      static_cast<double>(res.adaptive.probes));
-}
+// A cell the flow driver measures: its netlist and the result it decides
+// (build_cell already set the schedule and LSB).
+struct FlowCell {
+  circuit::Circuit* ckt = nullptr;
+  const StructureNet* msu = nullptr;
+  ExtractionResult* res = nullptr;
+};
 
-// Runs the adaptive scheduler for one cell on one paused transient: the
-// charge/share prefix, then the ramp staircase level by level until OUT
-// crosses (or the tail when it never does), then the search replayed
-// against the flip time. Returns true with `res` fully decided, or false
-// with `why` set — in which case the caller runs the exhaustive ramp and
-// `res` is left untouched except for the accumulated adaptive probe count.
-bool try_adaptive(circuit::Circuit& ckt, const edram::MacroCell& mc,
-                  const StructureNet& msu_net, const StructureParams& params,
-                  const MeasurementTiming& timing,
-                  const ExtractOptions& options, ExtractionResult& res,
-                  std::string& why) {
-  obs::ScopedSpan span("adaptive_extract");
-  const Schedule& s = res.schedule;
-  const double vdd_half = mc.tech().vdd / 2.0;
-
-  circuit::TranParams tp;
-  tp.dt = options.dt;
-  tp.newton = options.newton;
-  tp.uic = true;
-  circuit::TransientStepper stepper(ckt, tp);
-
-  // Steps 1-4 once, pausing where the ramp begins.
-  circuit::ProbeRecorder full(ckt, cell_probes(msu_net));
-  circuit::Trace pre = full.make_trace();
-  try {
-    stepper.advance(s.t_ramp_start, [&](double t, std::span<const double> x) {
-      full.record(pre, t, x);
-    });
-  } catch (const SolverError&) {
-    why = "prefix transient did not converge (recovery ladder takes over)";
-    return false;
-  }
-
-  if (pre.final_value("msu_out") > vdd_half) {
-    why = "OUT already high before the ramp (monotone threshold violated)";
-    return false;
-  }
-
-  res.prefix_steps = stepper.stats().accepted_steps;
-  read_prefix(pre, res);
-  res.adaptive.guess = adaptive_guess(mc, params, res);
-
-  // The staircase is never reprogrammed: each segment continues the one
-  // transient, so the trajectory is bit-identical to the exhaustive run's
-  // and the flip time feeds the exact same decode. The code is
-  // path-dependent — the sense node integrates charge while ramping
-  // through sub-threshold levels — which is why a held-level probe cannot
-  // stand in for the ramp.
-  circuit::ProbeRecorder out(ckt, out_probe());
-  std::optional<double> t_flip;
-  auto segment = [&](double t_stop) {
-    circuit::Trace seg = out.make_trace();
-    stepper.advance(t_stop, [&](double t, std::span<const double> x) {
-      out.record(seg, t, x);
-    });
-    t_flip = circuit::first_crossing(seg, "msu_out", vdd_half,
-                                     circuit::Edge::kRising);
+// Runs the measurement flow of `cells` on one engine, lane li measuring
+// cells[li]: a circuit::BatchEngine over a lockstep chunk, or StepperLane
+// over one scalar cell. The exhaustive flow is one pass to the end. The
+// adaptive flow runs the charge/share prefix, then the ramp staircase
+// level by level, each lane stopping at the level where its OUT crossing
+// appears (the tail when it never does), and replays the search against
+// the flip time. The staircase is never reprogrammed: each segment
+// continues the one transient, so the trajectory is bit-identical to the
+// exhaustive run's and the flip time feeds the exact same decode. The code
+// is path-dependent — the sense node integrates charge while ramping
+// through sub-threshold levels — which is why a held-level probe cannot
+// stand in for the ramp. Every lane ends finished with its result decided,
+// or retired with a reason for the caller to re-measure it exhaustively.
+template <class Engine>
+void run_flow(Engine& eng, std::span<const FlowCell> cells,
+              const edram::MacroCell& mc, const StructureParams& params,
+              const MeasurementTiming& timing, const ExtractOptions& opts) {
+  struct Run {
+    std::optional<circuit::ProbeRecorder> probe, seg_probe;
+    circuit::Trace trace;  ///< full 5-channel trace (the prefix if adaptive)
+    circuit::Trace seg;    ///< OUT-only trace of the current ramp segment
   };
-  try {
-    for (int level = 1; level <= s.ramp_steps && !t_flip; ++level) {
-      segment(level_end(s, timing, level));
-    }
-    // No flip during the staircase proper: run the tail so a late flip (or
-    // full-scale code) decodes exactly as the exhaustive run would.
-    if (!t_flip) segment(s.t_end);
-  } catch (const SolverError&) {
-    why = "probe transient did not converge";
-    return false;
+  std::vector<Run> runs(cells.size());
+  for (std::size_t li = 0; li < cells.size(); ++li) {
+    if (!eng.active(li)) continue;
+    runs[li].probe.emplace(*cells[li].ckt, cell_probes(*cells[li].msu));
+    runs[li].trace = runs[li].probe->make_trace();
   }
-  res.stats = stepper.stats();
+  // The schedule is a pure function of (timing, delta_i, params); every
+  // cell shares it.
+  const Schedule& sch = cells[0].res->schedule;
+  const double vdd_half = mc.tech().vdd / 2.0;
+  const bool adaptive = opts.adaptive.enabled;
+  auto complete = [&](std::size_t li) {
+    cells[li].res->stats = eng.stats(li);
+    if (opts.record_trace) cells[li].res->trace = std::move(runs[li].trace);
+    eng.finish(li);
+  };
 
-  if (!search_ramp(res, timing, options.adaptive.max_probes, t_flip)) {
-    why = "probe budget exhausted before the bracket closed";
-    return false;
+  eng.advance(adaptive ? sch.t_ramp_start : sch.t_end,
+              [&](std::size_t li, double t, std::span<const double> x) {
+                runs[li].probe->record(runs[li].trace, t, x);
+              });
+  for (std::size_t li = 0; li < cells.size(); ++li) {
+    if (!eng.active(li)) continue;
+    ExtractionResult& res = *cells[li].res;
+    if (!adaptive) {
+      decode_trace(runs[li].trace, vdd_half, res);
+      res.status = CellStatus::kOk;
+      complete(li);
+      continue;
+    }
+    res.adaptive.attempted = true;
+    if (runs[li].trace.final_value("msu_out") > vdd_half) {
+      eng.retire(li, "OUT already high before the ramp (monotone threshold "
+                     "violated)");
+      continue;
+    }
+    res.prefix_steps = eng.stats(li).accepted_steps;
+    read_prefix(runs[li].trace, res);
+    res.adaptive.guess = adaptive_guess(mc, params, res);
+    runs[li].seg_probe.emplace(*cells[li].ckt, out_probe());
   }
-  conclude_adaptive(t_flip, res);
-  if (options.record_trace) res.trace = std::move(pre);
-  return true;
+  if (!adaptive) return;
+
+  // Advances every active lane to t_stop; lanes whose OUT crossed (or, at
+  // the tail, all) are decided.
+  auto segment = [&](double t_stop, bool tail) {
+    for (std::size_t li = 0; li < cells.size(); ++li) {
+      if (eng.active(li)) runs[li].seg = runs[li].seg_probe->make_trace();
+    }
+    eng.advance(t_stop,
+                [&](std::size_t li, double t, std::span<const double> x) {
+                  runs[li].seg_probe->record(runs[li].seg, t, x);
+                });
+    for (std::size_t li = 0; li < cells.size(); ++li) {
+      if (!eng.active(li)) continue;
+      const std::optional<double> t_flip = circuit::first_crossing(
+          runs[li].seg, "msu_out", vdd_half, circuit::Edge::kRising);
+      if (!t_flip && !tail) continue;
+      ExtractionResult& res = *cells[li].res;
+      if (!search_ramp(res, timing, opts.adaptive.max_probes, t_flip)) {
+        eng.retire(li, "probe budget exhausted before the bracket closed");
+        continue;
+      }
+      decode_flip(t_flip, res);
+      res.status = CellStatus::kOk;
+      res.adaptive.used = true;
+      ECMS_METRIC_COUNT("msu.adaptive.cells", 1);
+      ECMS_METRIC_COUNT("msu.adaptive.probes", res.adaptive.probes);
+      ECMS_METRIC_OBSERVE("msu.adaptive.probes_per_cell",
+                          static_cast<double>(res.adaptive.probes));
+      complete(li);
+    }
+  };
+  for (int level = 1; level <= sch.ramp_steps && eng.active_lanes() > 0;
+       ++level) {
+    segment(level_end(sch, timing, level), false);
+  }
+  // No flip during the staircase proper: run the tail so a late flip (or
+  // full-scale code) decodes exactly as the exhaustive run would.
+  if (eng.active_lanes() > 0) segment(sch.t_end, true);
 }
 
-// One cell of a row-major chunk. On the lockstep path it carries the
-// lane's netlist, probes and trace, and the decoded result when the batch
-// completed the cell.
+// One scalar cell behind BatchEngine's lane calls, so it runs the flow
+// driver as a one-lane chunk would: lane 0 is one TransientStepper, and a
+// SolverError retires it with a reason instead of escaping.
+class StepperLane {
+ public:
+  StepperLane(circuit::Circuit& ckt, const circuit::TranParams& tp)
+      : stepper_(ckt, tp) {}
+
+  bool active(std::size_t) const { return !done_; }
+  std::size_t active_lanes() const { return done_ ? 0 : 1; }
+  const circuit::TranStats& stats(std::size_t) const {
+    return stepper_.stats();
+  }
+  /// Why the lane retired; empty when the flow decided the cell.
+  const std::string& retire_reason() const { return reason_; }
+
+  void finish(std::size_t) { done_ = true; }
+  void retire(std::size_t, std::string reason) {
+    done_ = true;
+    reason_ = std::move(reason);
+  }
+  template <class SampleFn>
+  void advance(double t_stop, const SampleFn& on_sample) {
+    if (done_) return;
+    const bool prefix = stepper_.time() == 0.0;  // it starts at t = 0
+    try {
+      stepper_.advance(t_stop, [&](double t, std::span<const double> x) {
+        on_sample(0, t, x);
+      });
+    } catch (const SolverError&) {
+      retire(0, prefix ? "prefix transient did not converge (recovery "
+                         "ladder takes over)"
+                       : "probe transient did not converge");
+    }
+  }
+
+ private:
+  circuit::TransientStepper stepper_;
+  bool done_ = false;
+  std::string reason_;
+};
+
+// One cell of a row-major chunk; on the lockstep path it carries the lane's
+// netlist and the decoded result when the batch completed the cell.
 struct Slot {
   std::size_t row = 0, col = 0;
   bool lockstep = false;     ///< went through measure_lockstep
@@ -233,19 +295,12 @@ struct Slot {
   bool completed = false;  ///< `res` fully decided by the batch
   std::unique_ptr<circuit::Circuit> ckt;
   StructureNet msu;
-  std::optional<circuit::ProbeRecorder> probe, seg_probe;
-  circuit::Trace trace;  ///< full 5-channel trace (prefix when adaptive)
-  circuit::Trace seg;    ///< OUT-only trace of the current ramp segment
-  std::optional<double> t_flip;
   ExtractionResult res;
 };
 
-// Measures a chunk of cells in lockstep through circuit::BatchEngine: the
-// exhaustive flow in one pass, or the charge/share prefix then the ramp
-// staircase level by level, each lane stopping at the level where its OUT
-// crossing appears (the search is then replayed against the known flip
-// time — probe-by-probe identical to the scalar path's lazy search).
-// Lanes the engine retires are left incomplete for the scalar path.
+// Measures a chunk of cells in lockstep: one circuit::BatchEngine lane per
+// cell, stepped through the flow driver. Lanes the engine or the driver
+// retires are left incomplete for the scalar path.
 void measure_lockstep(const edram::MacroCell& mc,
                       const StructureParams& params, const ExtractPlan& plan,
                       const ExtractOptions& opts, std::vector<Slot>& slots) {
@@ -253,6 +308,7 @@ void measure_lockstep(const edram::MacroCell& mc,
   // valid because the hook is a pure function of (row, col, attempt). A
   // throwing hook marks its cell failed without joining the batch.
   std::vector<circuit::Circuit*> lane_ckts;
+  std::vector<FlowCell> cells;
   std::vector<Slot*> lanes;
   for (Slot& s : slots) {
     s.lockstep = true;
@@ -268,108 +324,28 @@ void measure_lockstep(const edram::MacroCell& mc,
     s.ckt = std::make_unique<circuit::Circuit>();
     s.msu = build_cell(*s.ckt, mc, s.row, s.col, params, plan.timing,
                        opts.delta_i, s.res);
-    s.probe.emplace(*s.ckt, cell_probes(s.msu));
-    s.trace = s.probe->make_trace();
     lane_ckts.push_back(s.ckt.get());
+    cells.push_back({s.ckt.get(), &s.msu, &s.res});
     lanes.push_back(&s);
   }
   if (lanes.empty()) return;
 
   circuit::BatchEngine::Options bo;
   bo.dt = opts.dt;
-  bo.newton = opts.newton;  // method / be_after_breakpoint: TranParams
-                            // defaults, as the scalar flow uses
+  bo.newton = opts.newton;
   circuit::BatchEngine eng(
       std::span<circuit::Circuit* const>(lane_ckts.data(), lane_ckts.size()),
       bo);
-  auto active = [&](std::size_t li) {
-    return eng.state(li) == circuit::BatchEngine::LaneState::kActive;
-  };
-  // The schedule is a pure function of (timing, delta_i, params); every
-  // cell of the chunk shares it.
-  const Schedule& sch = lanes[0]->res.schedule;
-  const double vdd_half = mc.tech().vdd / 2.0;
-
-  auto complete = [&](std::size_t li) {
-    Slot& s = *lanes[li];
-    s.res.stats.accepted_steps = eng.stats(li).accepted_steps;
-    s.res.stats.newton_iterations = eng.stats(li).newton_iterations;
-    if (opts.record_trace) s.res.trace = std::move(s.trace);
-    eng.finish(li);
-    s.completed = true;
-  };
-  const auto record_full = [&](std::size_t li, double t,
-                               std::span<const double> x) {
-    lanes[li]->probe->record(lanes[li]->trace, t, x);
-  };
-
-  if (!opts.adaptive.enabled) {
-    eng.advance(sch.t_end, record_full);
-    for (std::size_t li = 0; li < lanes.size(); ++li) {
-      if (!active(li)) continue;
-      decode_trace(lanes[li]->trace, vdd_half, lanes[li]->res);
-      lanes[li]->res.status = CellStatus::kOk;
-      complete(li);
-    }
-  } else {
-    eng.advance(sch.t_ramp_start, record_full);
-    for (std::size_t li = 0; li < lanes.size(); ++li) {
-      Slot& s = *lanes[li];
-      if (!active(li)) continue;
-      s.res.adaptive.attempted = true;
-      if (s.trace.final_value("msu_out") > vdd_half) {
-        eng.retire(li, "adaptive fallback: OUT already high before the ramp");
-        continue;
-      }
-      s.res.prefix_steps = eng.stats(li).accepted_steps;
-      read_prefix(s.trace, s.res);
-      s.res.adaptive.guess = adaptive_guess(mc, params, s.res);
-      s.seg_probe.emplace(*s.ckt, out_probe());
-    }
-
-    const auto record_out = [&](std::size_t li, double t,
-                                std::span<const double> x) {
-      lanes[li]->seg_probe->record(lanes[li]->seg, t, x);
-    };
-    // Advances every active lane to t_stop, noting each lane's first OUT
-    // crossing; lanes that flipped (or, at the tail, all) are concluded.
-    auto segment = [&](double t_stop, bool tail) {
-      for (std::size_t li = 0; li < lanes.size(); ++li) {
-        if (active(li)) lanes[li]->seg = lanes[li]->seg_probe->make_trace();
-      }
-      eng.advance(t_stop, record_out);
-      for (std::size_t li = 0; li < lanes.size(); ++li) {
-        Slot& s = *lanes[li];
-        if (!active(li)) continue;
-        if (!s.t_flip) {
-          s.t_flip = circuit::first_crossing(s.seg, "msu_out", vdd_half,
-                                             circuit::Edge::kRising);
-        }
-        if (!s.t_flip && !tail) continue;
-        if (search_ramp(s.res, plan.timing, opts.adaptive.max_probes,
-                        s.t_flip)) {
-          conclude_adaptive(s.t_flip, s.res);
-          complete(li);
-        } else {
-          eng.retire(li, "adaptive fallback: probe budget exhausted before "
-                         "the bracket closed");
-        }
-      }
-    };
-    for (int level = 1; level <= sch.ramp_steps && eng.active_lanes() > 0;
-         ++level) {
-      segment(level_end(sch, plan.timing, level), false);
-    }
-    // No flip during the staircase proper: run the tail so a late flip (or
-    // full-scale code) decodes exactly as the exhaustive run would.
-    if (eng.active_lanes() > 0) segment(sch.t_end, true);
-  }
+  run_flow(eng, std::span<const FlowCell>(cells), mc, params, plan.timing,
+           opts);
 
   for (std::size_t li = 0; li < lanes.size(); ++li) {
-    if (!lanes[li]->completed &&
-        eng.state(li) == circuit::BatchEngine::LaneState::kRetired) {
+    Slot& s = *lanes[li];
+    s.completed =
+        eng.state(li) == circuit::BatchEngine::LaneState::kFinished;
+    if (!s.completed) {
       ECMS_LOG(LogLevel::kDebug)
-          << "batch: cell (" << lanes[li]->row << "," << lanes[li]->col
+          << "batch: cell (" << s.row << "," << s.col
           << ") retired to the scalar path: " << eng.retire_reason(li);
     }
   }
@@ -458,18 +434,29 @@ ExtractionResult extract_cell(const edram::MacroCell& mc, std::size_t row,
   ExtractionResult res;
   const StructureNet msu =
       build_cell(ckt, mc, row, col, params, timing, delta_i, res);
+  circuit::TranParams tp;
+  tp.t_stop = res.schedule.t_end;
+  tp.dt = options.dt;
+  tp.newton = options.newton;
+  tp.uic = true;  // the flow's own step 1 establishes the real initial state
 
   if (options.adaptive.enabled) {
     res.adaptive.attempted = true;
-    std::string why;
-    if (options.newton.hooks != nullptr) {
-      why = "fault injection armed for this cell";
-    } else if (try_adaptive(ckt, mc, msu, params, timing, options, res, why)) {
-      ECMS_LOG(LogLevel::kDebug)
-          << "extract (" << row << "," << col << "): code=" << res.code
-          << " adaptive probes=" << res.adaptive.probes
-          << " steps=" << res.stats.accepted_steps;
-      return res;
+    std::string why = "fault injection armed for this cell";
+    if (options.newton.hooks == nullptr) {
+      obs::ScopedSpan adaptive_span("adaptive_extract");
+      StepperLane lane(ckt, tp);
+      const FlowCell cell{&ckt, &msu, &res};
+      run_flow(lane, std::span<const FlowCell>(&cell, 1), mc, params, timing,
+               options);
+      if (lane.retire_reason().empty()) {
+        ECMS_LOG(LogLevel::kDebug)
+            << "extract (" << row << "," << col << "): code=" << res.code
+            << " adaptive probes=" << res.adaptive.probes
+            << " steps=" << res.stats.accepted_steps;
+        return res;
+      }
+      why = lane.retire_reason();
     }
     res.adaptive.used = false;
     res.adaptive.fell_back = true;
@@ -482,12 +469,6 @@ ExtractionResult extract_cell(const edram::MacroCell& mc, std::size_t row,
     res.stats = {};
     res.prefix_steps = 0;
   }
-
-  circuit::TranParams tp;
-  tp.t_stop = res.schedule.t_end;
-  tp.dt = options.dt;
-  tp.newton = options.newton;
-  tp.uic = true;  // the flow's own step 1 establishes the real initial state
 
   circuit::TranResult tr = circuit::transient_with_recovery(
       ckt, tp, cell_probes(msu), options.recovery, &res.recovery);

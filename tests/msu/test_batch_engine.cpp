@@ -51,10 +51,17 @@ void expect_identical(const RobustExtraction& batched,
     EXPECT_EQ(b.vgs_shared, s.vgs_shared) << "cell " << i;
     EXPECT_EQ(b.prefix_steps, s.prefix_steps) << "cell " << i;
     EXPECT_EQ(b.stats.accepted_steps, s.stats.accepted_steps) << "cell " << i;
+    EXPECT_EQ(b.stats.rejected_steps, s.stats.rejected_steps)
+        << "cell " << i;
     EXPECT_EQ(b.stats.newton_iterations, s.stats.newton_iterations)
         << "cell " << i;
+    EXPECT_EQ(b.adaptive.attempted, s.adaptive.attempted) << "cell " << i;
     EXPECT_EQ(b.adaptive.used, s.adaptive.used) << "cell " << i;
+    EXPECT_EQ(b.adaptive.guess, s.adaptive.guess) << "cell " << i;
     EXPECT_EQ(b.adaptive.probes, s.adaptive.probes) << "cell " << i;
+    EXPECT_EQ(b.adaptive.fell_back, s.adaptive.fell_back) << "cell " << i;
+    EXPECT_EQ(b.adaptive.fallback_reason, s.adaptive.fallback_reason)
+        << "cell " << i;
     EXPECT_EQ(b.trace.channel_names(), s.trace.channel_names())
         << "cell " << i;
     EXPECT_EQ(b.trace.times(), s.trace.times()) << "cell " << i;
@@ -135,6 +142,30 @@ TEST(BatchEngineT, AdaptiveArrayBitIdenticalIncludingProbeCounts) {
     for (const auto& r : batched.results) {
       EXPECT_TRUE(r.adaptive.attempted);
     }
+  }
+}
+
+TEST(BatchEngineT, AdaptiveFallbackRetiresLanesToTheScalarPath) {
+  // One probe cannot close the bracket, so the flow driver retires every
+  // lane once its OUT crosses and the scalar path re-measures the cell:
+  // the adaptive attempt, its fallback and the exhaustive re-run, exactly
+  // as a scalar-only run does. Width 3 leaves a one-lane chunk of the 4.
+  const auto mc = mc2x2();
+  ExtractPlan scalar_plan = sparse_plan();
+  scalar_plan.options.adaptive.enabled = true;
+  scalar_plan.options.adaptive.max_probes = 1;
+  const auto scalar = extract_array(mc, {}, scalar_plan);
+
+  ExtractPlan plan = scalar_plan;
+  plan.batch_width = 3;
+  const auto batched = extract_array(mc, {}, plan);
+  expect_identical(batched, scalar);
+  for (const auto& r : batched.results) {
+    EXPECT_TRUE(r.adaptive.fell_back);
+    EXPECT_EQ(r.adaptive.fallback_reason,
+              "probe budget exhausted before the bracket closed");
+    EXPECT_EQ(r.adaptive.probes, 1);
+    EXPECT_EQ(r.status, CellStatus::kOk);
   }
 }
 
