@@ -131,8 +131,10 @@ ExtractReport extract(const edram::MacroCell& mc, const ExtractRequest& req) {
           if (cell.adaptive.fell_back) ++local.adaptive_fallbacks;
           local.adaptive_probes +=
               static_cast<std::size_t>(std::max(cell.adaptive.probes, 0));
+          if (cell.shared_discharge) ++local.discharge_shared_cells;
         }
       }
+      if (rx.discharge_steps > 0) local.discharge_runs = 1;
       const std::lock_guard<std::mutex> lock(merge_mutex);
       for (const CellFailure& f : rx.report.failures)
         failures.push_back({tr + f.row, tc + f.col, f.reason});
@@ -141,6 +143,8 @@ ExtractReport extract(const edram::MacroCell& mc, const ExtractRequest& req) {
       tally.adaptive_used += local.adaptive_used;
       tally.adaptive_fallbacks += local.adaptive_fallbacks;
       tally.adaptive_probes += local.adaptive_probes;
+      tally.discharge_shared_cells += local.discharge_shared_cells;
+      tally.discharge_runs += local.discharge_runs;
       return;
     }
 

@@ -108,6 +108,11 @@ struct ExtractReport {
     std::size_t adaptive_used = 0;    ///< cells decided by the probe search
     std::size_t adaptive_fallbacks = 0;
     std::size_t adaptive_probes = 0;
+    /// Cells whose transient continued their tile's shared step-1 run,
+    /// and those runs (one per tile at most). A run's steps are simulated
+    /// once and counted in every such cell's transient_steps.
+    std::size_t discharge_shared_cells = 0;
+    std::size_t discharge_runs = 0;
     /// Steps spent converting (ramping) rather than charging/sharing — the
     /// cost adaptive scheduling attacks.
     std::size_t conversion_steps() const {

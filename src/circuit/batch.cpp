@@ -11,7 +11,8 @@
 
 namespace ecms::circuit {
 
-BatchEngine::BatchEngine(std::span<Circuit* const> lanes, const Options& opts)
+BatchEngine::BatchEngine(std::span<Circuit* const> lanes, const Options& opts,
+                         const TransientStepper* start)
     : opts_(opts) {
   ECMS_REQUIRE(!lanes.empty(), "batch engine needs at least one lane");
   ECMS_REQUIRE(opts_.newton.hooks == nullptr,
@@ -31,6 +32,17 @@ BatchEngine::BatchEngine(std::span<Circuit* const> lanes, const Options& opts)
   lanes[0]->finalize();
   n_ = lanes[0]->unknown_count();
   nv_ = lanes[0]->node_count() - 1;
+  if (start != nullptr) {
+    ECMS_REQUIRE(start->step() == opts_.dt &&
+                     start->on_published_program() &&
+                     start->x().size() == n_,
+                 "a batch start state must be lane 0's netlist stepping the "
+                 "base step on the published pivot order");
+    t_ = start->time();
+    force_be_ = start->pending_backward_euler();
+    start_stats_ = start->stats();
+    continued_ = true;
+  }
 
   lanes_.resize(lanes.size());
   bad_rows_.assign(lanes.size(), -1);
@@ -48,12 +60,18 @@ BatchEngine::BatchEngine(std::span<Circuit* const> lanes, const Options& opts)
     }
     lane.eng = std::make_unique<SparseEngine>(
         n_, opts_.newton.solver.program_cache, &arena_);
+    lane.x_try.assign(n_, 0.0);
+    lane.x_new.assign(n_, 0.0);
+    if (start != nullptr) {
+      lane.x.assign(start->x().begin(), start->x().end());
+      lane.ckt->copy_history(start->circuit());
+      lane.stats = start_stats_;
+      continue;
+    }
     // UIC start: x = 0 at t = 0, device history initialized from it — the
     // same initial condition every measurement flow uses (uic-only is an
     // engagement precondition enforced by the caller).
     lane.x.assign(n_, 0.0);
-    lane.x_try.assign(n_, 0.0);
-    lane.x_new.assign(n_, 0.0);
     StampContext ctx;
     ctx.x = lane.x;
     ctx.time = 0.0;
@@ -110,12 +128,14 @@ void BatchEngine::flush_counters(Lane& lane) {
   ECMS_METRIC_COUNT("circuit.assemble.rhs_restamps",
                     eng ? eng->rhs_restamps() : 0);
   // Each advance() this lane stepped in is the batched equivalent of one
-  // scalar transient segment (all segments past the first are resumes).
+  // scalar transient segment (all segments past the first are resumes, and
+  // every one is when the lanes continue a paused stepper).
   ECMS_METRIC_COUNT("circuit.transient.solves", lane.segments);
   ECMS_METRIC_COUNT("circuit.transient.accepted_steps",
-                    lane.stats.accepted_steps);
-  if (lane.segments > 1) {
-    ECMS_METRIC_COUNT("circuit.transient.resumes", lane.segments - 1);
+                    lane.stats.accepted_steps - start_stats_.accepted_steps);
+  const std::size_t first = continued_ ? 0 : 1;
+  if (lane.segments > first) {
+    ECMS_METRIC_COUNT("circuit.transient.resumes", lane.segments - first);
   }
 }
 

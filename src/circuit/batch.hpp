@@ -30,7 +30,8 @@
 // Counters: circuit.batch.{lanes,retired,divergences,scalar_fallbacks} plus
 // per-lane equivalents of the scalar solver counters (newton/lu/assemble/
 // transient), flushed only for lanes that complete — a retired lane's
-// partial work is dropped so its scalar re-measurement counts once.
+// partial work is dropped so its scalar re-measurement counts once. Lanes
+// started from a paused stepper flush only the steps they simulated.
 #pragma once
 
 #include <functional>
@@ -62,12 +63,18 @@ class BatchEngine {
   };
 
   /// Binds K lanes starting from the UIC initial condition (x = 0 at t = 0,
-  /// device history initialized), the start every measurement flow uses.
-  /// All lanes must have identical unknown/node counts; a mismatched lane
-  /// is retired immediately. Requires a program cache in
-  /// opts.newton.solver (the shared-compilation precondition) and no solve
-  /// hooks (fault injection runs scalar).
-  BatchEngine(std::span<Circuit* const> lanes, const Options& opts);
+  /// device history initialized), the start every measurement flow uses,
+  /// or, given `start`, from that paused stepper's state: every lane takes
+  /// its time, x, pending backward-Euler step, companion history and
+  /// TranStats, as a TransientStepper continuing it would. `start` must
+  /// be lane 0's netlist, step opts.dt and factor with its cache's
+  /// published pivot order, and each lane's stimulus must agree with its
+  /// circuit's up to its time. All lanes must have identical unknown/node
+  /// counts; a mismatched lane is retired immediately. Requires a program
+  /// cache in opts.newton.solver (the shared-compilation precondition) and
+  /// no solve hooks (fault injection runs scalar).
+  BatchEngine(std::span<Circuit* const> lanes, const Options& opts,
+              const TransientStepper* start = nullptr);
   ~BatchEngine();
   BatchEngine(const BatchEngine&) = delete;
   BatchEngine& operator=(const BatchEngine&) = delete;
@@ -80,8 +87,9 @@ class BatchEngine {
   const std::string& retire_reason(std::size_t lane) const {
     return lanes_[lane].reason;
   }
-  /// The lane's counts over every segment so far (a lane never rejects a
-  /// step: a step it cannot take retires it).
+  /// The lane's counts over every segment so far, a start state's
+  /// included (a lane never rejects a step: a step it cannot take retires
+  /// it).
   const TranStats& stats(std::size_t lane) const {
     return lanes_[lane].stats;
   }
@@ -145,6 +153,10 @@ class BatchEngine {
   std::vector<long> bad_rows_;  ///< per lane: first degraded pivot row or -1
   double t_ = 0.0;
   bool force_be_ = true;  ///< the first step from t = 0 is backward Euler
+  // A start state's counts: the lanes inherit them, the counters flush
+  // only what the lanes simulated.
+  TranStats start_stats_;
+  bool continued_ = false;  ///< started from a paused stepper
 };
 
 }  // namespace ecms::circuit

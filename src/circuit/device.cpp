@@ -2,6 +2,8 @@
 
 #include <type_traits>
 
+#include "util/error.hpp"
+
 namespace ecms::circuit {
 
 void stamp_conductance(MnaView& a_mat, NodeId a, NodeId b, double g) {
@@ -85,6 +87,13 @@ void CompanionBank::init_state(const StampContext& ctx) {
     v_[k] = ctx.v(a_[k]) - ctx.v(b_[k]);
     i_[k] = 0.0;
   }
+}
+
+void CompanionBank::copy_history(const CompanionBank& other) {
+  ECMS_REQUIRE(same_companions(other),
+               "companion history copied between different netlists");
+  v_ = other.v_;
+  i_ = other.i_;
 }
 
 void CompanionBank::accept_step(const StampContext& ctx) {

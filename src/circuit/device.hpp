@@ -163,6 +163,14 @@ class CompanionBank {
 
   /// Latches v(a) - v(b) of the iterate as history; zeroes the currents.
   void init_state(const StampContext& ctx);
+  /// Takes `other`'s latched history. Both banks must hold the same
+  /// companions (the same nodes and capacitances, in the same order), as
+  /// two circuits built from one netlist do.
+  void copy_history(const CompanionBank& other);
+  /// Whether `other` holds the same companions as this bank.
+  bool same_companions(const CompanionBank& other) const {
+    return a_ == other.a_ && b_ == other.b_ && c_ == other.c_;
+  }
   /// Latches history after an accepted transient step (a DC context, or
   /// C = 0, latches as init_state does).
   void accept_step(const StampContext& ctx);

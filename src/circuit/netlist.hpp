@@ -71,6 +71,9 @@ class Circuit {
   // The bank's history-latching passes.
   void init_state(const StampContext& ctx) { bank_->init_state(ctx); }
   void accept_step(const StampContext& ctx) { bank_->accept_step(ctx); }
+  /// Takes the latched history of `other`, a circuit built from the same
+  /// netlist (CompanionBank::copy_history). Requires finalize() on both.
+  void copy_history(const Circuit& other) { bank_->copy_history(*other.bank_); }
   const CompanionBank& companions() const { return *bank_; }
 
   const std::vector<std::unique_ptr<Device>>& devices() const {

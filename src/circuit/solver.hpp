@@ -120,6 +120,11 @@ class SparseEngine final : public StampSink {
   const std::shared_ptr<const LuSymbolic>& lu_symbolic() const {
     return lu_.symbolic();
   }
+  /// Whether this engine factors with the pivot order of the program it
+  /// adopted or published (not a private or re-pivoted order).
+  bool on_published_program() const {
+    return program_ != nullptr && lu_.symbolic() == program_->symbolic;
+  }
 
   // Cumulative counters, reported per solve as circuit.lu.{symbolic,
   // numeric} and circuit.assemble.{static_hits,restamps,rhs_restamps}:
@@ -212,6 +217,7 @@ class NewtonWorkspace {
 
   /// The bound engine (null before the first prepare()).
   SparseEngine* engine() { return engine_.get(); }
+  const SparseEngine* engine() const { return engine_.get(); }
   util::Arena& arena() { return arena_; }
 
   /// Newton iterate buffer: the solution of the linearized system.

@@ -22,7 +22,10 @@ StepGrid::StepGrid(std::vector<double> bps, double t_start)
 
 StepGrid::Step StepGrid::next(double t, double dt, double t_stop) {
   for (;;) {
-    const double step = std::min(dt, t_stop - t);
+    // A stop within kTimeEps of a base step is reached exactly, as a
+    // breakpoint is: a segment ending on a corner then lands where the
+    // uninterrupted run does instead of a few ulps short of it.
+    const double step = t + dt >= t_stop - kTimeEps ? t_stop - t : dt;
     if (next_ >= bps_.size() || t + step < bps_[next_] - kTimeEps) {
       return {step, false};
     }
@@ -104,6 +107,30 @@ TransientStepper::TransientStepper(Circuit& ckt, const TranParams& params)
   // extraction runs one transient per worker, so workspaces stay
   // per-thread.
   ws_.prepare(ckt_, params.newton.solver);
+}
+
+TransientStepper::TransientStepper(Circuit& ckt, const TranParams& params,
+                                   const TransientStepper& from)
+    : ckt_(ckt),
+      params_(params),
+      x_(from.x_),
+      t_(from.t_),
+      dt_(from.dt_),
+      force_be_(from.force_be_),
+      segments_(from.segments_),
+      stats_(from.stats_) {
+  ECMS_REQUIRE(params.dt == from.params_.dt,
+               "a continued transient keeps its base step");
+  ckt_.finalize();
+  ECMS_REQUIRE(ckt_.unknown_count() == x_.size(),
+               "a continued transient needs the same netlist");
+  ckt_.copy_history(from.ckt_);
+  ws_.prepare(ckt_, params.newton.solver);
+}
+
+bool TransientStepper::on_published_program() const {
+  const SparseEngine* eng = ws_.engine();
+  return eng != nullptr && eng->on_published_program();
 }
 
 void TransientStepper::advance(double t_stop, const SampleFn& on_sample) {

@@ -46,7 +46,8 @@ class StepGrid {
   /// Whether t_start itself sat on a breakpoint.
   bool starts_on_breakpoint() const { return start_on_bp_; }
 
-  /// The step from t toward t_stop with base step dt.
+  /// The step from t toward t_stop with base step dt. A step that would
+  /// end within kTimeEps of t_stop ends exactly on it.
   Step next(double t, double dt, double t_stop);
 
   /// Records an accepted step (moves past the breakpoint it landed on).
@@ -142,6 +143,17 @@ class TransientStepper {
   /// read: each advance() names its own stop.
   TransientStepper(Circuit& ckt, const TranParams& params);
 
+  /// Continues `from` on `ckt`, a circuit of the same netlist whose
+  /// stimulus agrees with from's circuit up to from.time(): takes its
+  /// time, x, step control, companion history and TranStats (so its
+  /// segments are resumes), with an engine of its own. When `from` factors
+  /// with its program cache's published pivot order
+  /// (on_published_program()) and `params` are from's, the continuation's
+  /// engine adopts that order and every later step is bit-identical to
+  /// what `from` would take on `ckt`'s stimulus.
+  TransientStepper(Circuit& ckt, const TranParams& params,
+                   const TransientStepper& from);
+
   /// Steps to t_stop (absolute, after time()). Throws ecms::SolverError if
   /// a step cannot be made to converge above dt_min; the exception carries
   /// SolverDiagnostics (failing time point, last step size, accepted/
@@ -152,6 +164,16 @@ class TransientStepper {
   std::span<const double> x() const { return x_; }
   /// Counts over every segment so far.
   const TranStats& stats() const { return stats_; }
+  const Circuit& circuit() const { return ckt_; }
+  /// The step size the next step starts from (the base step unless a
+  /// rejected step halved it).
+  double step() const { return dt_; }
+  /// Whether the next step is backward Euler (it follows a breakpoint).
+  bool pending_backward_euler() const { return force_be_; }
+  /// Whether the engine factors with the pivot order of the program it
+  /// adopted or published: false with no program cache, after a re-pivot,
+  /// and when a racing builder published first.
+  bool on_published_program() const;
 
  private:
   Circuit& ckt_;

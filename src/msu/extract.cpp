@@ -54,6 +54,28 @@ circuit::ProbeSet out_probe() {
   return probes;
 }
 
+// Step 1 of the flow (Schedule::t_discharge_end), simulated once for every
+// cell of a macro-cell: its state is the same for every target cell, so
+// each cell's transient continues this stepper instead of starting at
+// t = 0. `head` holds the trace rows before t_discharge_end when the plan
+// records traces; the continuation's boundary sample is the row at it.
+struct Discharge {
+  circuit::Circuit ckt;  ///< cell (0, 0)'s netlist; the stepper runs on it
+  std::optional<circuit::TransientStepper> stepper;
+  circuit::Trace head;
+};
+
+// The transient every measurement of `options` runs.
+circuit::TranParams cell_tran_params(const Schedule& schedule,
+                                     const ExtractOptions& options) {
+  circuit::TranParams tp;
+  tp.t_stop = schedule.t_end;
+  tp.dt = options.dt;
+  tp.newton = options.newton;
+  tp.uic = true;  // the flow's own step 1 establishes the real initial state
+  return tp;
+}
+
 // Accepted steps recorded in `trace` up to and including time `t` (the
 // t = 0 sample is not a step). Valid because the solver records exactly one
 // sample per accepted step.
@@ -152,10 +174,15 @@ struct FlowCell {
 // through sub-threshold levels — which is why a held-level probe cannot
 // stand in for the ramp. Every lane ends finished with its result decided,
 // or retired with a reason for the caller to re-measure it exhaustively.
+//
+// An engine started from a shared `discharge` continues it: each trace
+// starts with the discharge's head rows when the plan records traces, and
+// prefix_steps counts the discharge's steps either way.
 template <class Engine>
 void run_flow(Engine& eng, std::span<const FlowCell> cells,
               const edram::MacroCell& mc, const StructureParams& params,
-              const MeasurementTiming& timing, const ExtractOptions& opts) {
+              const MeasurementTiming& timing, const ExtractOptions& opts,
+              const Discharge* discharge) {
   struct Run {
     std::optional<circuit::ProbeRecorder> probe, seg_probe;
     circuit::Trace trace;  ///< full 5-channel trace (the prefix if adaptive)
@@ -165,8 +192,15 @@ void run_flow(Engine& eng, std::span<const FlowCell> cells,
   for (std::size_t li = 0; li < cells.size(); ++li) {
     if (!eng.active(li)) continue;
     runs[li].probe.emplace(*cells[li].ckt, cell_probes(*cells[li].msu));
-    runs[li].trace = runs[li].probe->make_trace();
+    runs[li].trace = discharge != nullptr && opts.record_trace
+                         ? discharge->head
+                         : runs[li].probe->make_trace();
   }
+  // Steps taken before the first trace row.
+  const std::size_t untraced_steps =
+      discharge != nullptr && !opts.record_trace
+          ? discharge->stepper->stats().accepted_steps
+          : 0;
   // The schedule is a pure function of (timing, delta_i, params); every
   // cell shares it.
   const Schedule& sch = cells[0].res->schedule;
@@ -174,6 +208,7 @@ void run_flow(Engine& eng, std::span<const FlowCell> cells,
   const bool adaptive = opts.adaptive.enabled;
   auto complete = [&](std::size_t li) {
     cells[li].res->stats = eng.stats(li);
+    cells[li].res->shared_discharge = discharge != nullptr;
     if (opts.record_trace) cells[li].res->trace = std::move(runs[li].trace);
     eng.finish(li);
   };
@@ -187,6 +222,7 @@ void run_flow(Engine& eng, std::span<const FlowCell> cells,
     ExtractionResult& res = *cells[li].res;
     if (!adaptive) {
       decode_trace(runs[li].trace, vdd_half, res);
+      res.prefix_steps += untraced_steps;
       res.status = CellStatus::kOk;
       complete(li);
       continue;
@@ -248,13 +284,20 @@ void run_flow(Engine& eng, std::span<const FlowCell> cells,
 // SolverError retires it with a reason instead of escaping.
 class StepperLane {
  public:
-  StepperLane(circuit::Circuit& ckt, const circuit::TranParams& tp)
-      : stepper_(ckt, tp) {}
+  /// Starts at t = 0, or continues `from` when given.
+  StepperLane(circuit::Circuit& ckt, const circuit::TranParams& tp,
+              const circuit::TransientStepper* from) {
+    if (from != nullptr) {
+      stepper_.emplace(ckt, tp, *from);
+    } else {
+      stepper_.emplace(ckt, tp);
+    }
+  }
 
   bool active(std::size_t) const { return !done_; }
   std::size_t active_lanes() const { return done_ ? 0 : 1; }
   const circuit::TranStats& stats(std::size_t) const {
-    return stepper_.stats();
+    return stepper_->stats();
   }
   /// Why the lane retired; empty when the flow decided the cell.
   const std::string& retire_reason() const { return reason_; }
@@ -267,9 +310,10 @@ class StepperLane {
   template <class SampleFn>
   void advance(double t_stop, const SampleFn& on_sample) {
     if (done_) return;
-    const bool prefix = stepper_.time() == 0.0;  // it starts at t = 0
+    const bool prefix = !advanced_;  // the flow's first segment
+    advanced_ = true;
     try {
-      stepper_.advance(t_stop, [&](double t, std::span<const double> x) {
+      stepper_->advance(t_stop, [&](double t, std::span<const double> x) {
         on_sample(0, t, x);
       });
     } catch (const SolverError&) {
@@ -280,10 +324,82 @@ class StepperLane {
   }
 
  private:
-  circuit::TransientStepper stepper_;
+  std::optional<circuit::TransientStepper> stepper_;
+  bool advanced_ = false;
   bool done_ = false;
   std::string reason_;
 };
+
+// One cell's measurement: extract_cell's body. The adaptive flow continues
+// `discharge` when given; the exhaustive flow and every fallback run from
+// t = 0.
+ExtractionResult measure_cell(const edram::MacroCell& mc, std::size_t row,
+                              std::size_t col, const StructureParams& params,
+                              const MeasurementTiming& timing,
+                              const ExtractOptions& options,
+                              const Discharge* discharge) {
+  ECMS_REQUIRE(row < mc.rows() && col < mc.cols(), "target cell out of range");
+  obs::ScopedSpan span("extract_cell");
+  span.arg("row", static_cast<double>(row));
+  span.arg("col", static_cast<double>(col));
+
+  double delta_i = options.delta_i;
+  if (delta_i <= 0.0) {
+    const FastModel design(mc, params);
+    delta_i = design.delta_i();
+  }
+  circuit::Circuit ckt;
+  ExtractionResult res;
+  const StructureNet msu =
+      build_cell(ckt, mc, row, col, params, timing, delta_i, res);
+  const circuit::TranParams tp = cell_tran_params(res.schedule, options);
+
+  if (options.adaptive.enabled) {
+    res.adaptive.attempted = true;
+    std::string why = "fault injection armed for this cell";
+    if (options.newton.hooks == nullptr) {
+      obs::ScopedSpan adaptive_span("adaptive_extract");
+      StepperLane lane(ckt, tp,
+                       discharge != nullptr ? &*discharge->stepper : nullptr);
+      const FlowCell cell{&ckt, &msu, &res};
+      run_flow(lane, std::span<const FlowCell>(&cell, 1), mc, params, timing,
+               options, discharge);
+      if (lane.retire_reason().empty()) {
+        ECMS_LOG(LogLevel::kDebug)
+            << "extract (" << row << "," << col << "): code=" << res.code
+            << " adaptive probes=" << res.adaptive.probes
+            << " steps=" << res.stats.accepted_steps;
+        return res;
+      }
+      why = lane.retire_reason();
+    }
+    res.adaptive.used = false;
+    res.adaptive.fell_back = true;
+    res.adaptive.fallback_reason = why;
+    ECMS_METRIC_COUNT("msu.adaptive.fallbacks", 1);
+    ECMS_LOG(LogLevel::kDebug) << "extract (" << row << "," << col
+                               << "): adaptive fallback: " << why;
+    // The exhaustive path below re-runs the whole flow from scratch, so a
+    // fallback result is bit-identical to a never-adaptive run.
+    res.stats = {};
+    res.prefix_steps = 0;
+    res.shared_discharge = false;
+  }
+
+  circuit::TranResult tr = circuit::transient_with_recovery(
+      ckt, tp, cell_probes(msu), options.recovery, &res.recovery);
+  res.status = res.recovery.recovered() ? CellStatus::kRecovered
+                                        : CellStatus::kOk;
+  res.stats = tr.stats;
+  decode_trace(tr.trace, mc.tech().vdd / 2.0, res);
+
+  ECMS_LOG(LogLevel::kDebug)
+      << "extract (" << row << "," << col << "): code=" << res.code
+      << " vgs=" << res.vgs_shared << " steps=" << res.stats.accepted_steps;
+
+  if (options.record_trace) res.trace = std::move(tr.trace);
+  return res;
+}
 
 // One cell of a row-major chunk; on the lockstep path it carries the lane's
 // netlist and the decoded result when the batch completed the cell.
@@ -299,11 +415,13 @@ struct Slot {
 };
 
 // Measures a chunk of cells in lockstep: one circuit::BatchEngine lane per
-// cell, stepped through the flow driver. Lanes the engine or the driver
-// retires are left incomplete for the scalar path.
+// cell, stepped through the flow driver from the shared discharge when
+// there is one. Lanes the engine or the driver retires are left incomplete
+// for the scalar path.
 void measure_lockstep(const edram::MacroCell& mc,
                       const StructureParams& params, const ExtractPlan& plan,
-                      const ExtractOptions& opts, std::vector<Slot>& slots) {
+                      const ExtractOptions& opts, const Discharge* discharge,
+                      std::vector<Slot>& slots) {
   // Attempt-0 fault hooks run before the chunk simulates, in cell order —
   // valid because the hook is a pure function of (row, col, attempt). A
   // throwing hook marks its cell failed without joining the batch.
@@ -335,9 +453,9 @@ void measure_lockstep(const edram::MacroCell& mc,
   bo.newton = opts.newton;
   circuit::BatchEngine eng(
       std::span<circuit::Circuit* const>(lane_ckts.data(), lane_ckts.size()),
-      bo);
+      bo, discharge != nullptr ? &*discharge->stepper : nullptr);
   run_flow(eng, std::span<const FlowCell>(cells), mc, params, plan.timing,
-           opts);
+           opts, discharge);
 
   for (std::size_t li = 0; li < lanes.size(); ++li) {
     Slot& s = *lanes[li];
@@ -352,13 +470,13 @@ void measure_lockstep(const edram::MacroCell& mc,
 }
 
 // Settles one cell under the plan's retry/containment policy and appends
-// it to `out`. Attempts run extract_cell; a cell the lockstep batch already
+// it to `out`. Attempts run measure_cell; a cell the lockstep batch already
 // decided consumes that result as attempt 0 (its attempt-0 hook ran before
 // the batch and is not re-run). With no containment, retries or hook the
 // cell's own exception escapes unchanged.
 void settle_cell(const edram::MacroCell& mc, const StructureParams& params,
                  const ExtractPlan& plan, const ExtractOptions& opts,
-                 Slot& s, RobustExtraction& out) {
+                 const Discharge* discharge, Slot& s, RobustExtraction& out) {
   auto measure = [&](int attempt) {
     if (attempt == 0 && s.lockstep) {
       if (s.hook_failed) throw std::runtime_error(s.hook_error);
@@ -366,7 +484,8 @@ void settle_cell(const edram::MacroCell& mc, const StructureParams& params,
     } else if (plan.cell_hook) {
       plan.cell_hook(s.row, s.col, attempt);
     }
-    return extract_cell(mc, s.row, s.col, params, plan.timing, opts);
+    return measure_cell(mc, s.row, s.col, params, plan.timing, opts,
+                        discharge);
   };
 
   ExtractionResult res;
@@ -400,8 +519,50 @@ void settle_cell(const edram::MacroCell& mc, const StructureParams& params,
       res.status = CellStatus::kRecovered;
   }
   if (res.status == CellStatus::kRecovered) ++out.report.recovered;
+  if (res.shared_discharge) ECMS_METRIC_COUNT("msu.discharge.shared_cells", 1);
   out.status.push_back(res.status);
   out.results.push_back(std::move(res));
+}
+
+// Simulates step 1 of the flow once, on cell (0, 0)'s circuit, up to
+// Schedule::t_discharge_end. Returns null when continuing it would not be
+// bit-identical to a cell's own run from t = 0: the stepper failed or
+// rejected a step (the lanes never halve one), or it no longer factors
+// with the published pivot order every continuation's engine adopts.
+std::unique_ptr<Discharge> run_discharge(const edram::MacroCell& mc,
+                                         const StructureParams& params,
+                                         const MeasurementTiming& timing,
+                                         const ExtractOptions& opts) {
+  obs::ScopedSpan span("shared_discharge");
+  auto d = std::make_unique<Discharge>();
+  ExtractionResult res;
+  const StructureNet msu =
+      build_cell(d->ckt, mc, 0, 0, params, timing, opts.delta_i, res);
+  const double t_stop = res.schedule.t_discharge_end;
+  std::optional<circuit::ProbeRecorder> probe;
+  if (opts.record_trace) {
+    probe.emplace(d->ckt, cell_probes(msu));
+    d->head = probe->make_trace();
+  }
+  ECMS_METRIC_COUNT("msu.discharge.runs", 1);
+  try {
+    d->stepper.emplace(d->ckt, cell_tran_params(res.schedule, opts));
+    d->stepper->advance(t_stop, [&](double t, std::span<const double> x) {
+      // The row at t_stop is each continuation's boundary sample.
+      if (probe && t < t_stop - circuit::kTimeEps) {
+        probe->record(d->head, t, x);
+      }
+    });
+  } catch (const SolverError& e) {
+    ECMS_LOG(LogLevel::kDebug) << "shared discharge failed: " << e.what();
+    return nullptr;
+  }
+  if (d->stepper->stats().rejected_steps > 0 ||
+      !d->stepper->on_published_program()) {
+    return nullptr;
+  }
+  span.arg("steps", static_cast<double>(d->stepper->stats().accepted_steps));
+  return d;
 }
 
 }  // namespace
@@ -420,69 +581,7 @@ ExtractionResult extract_cell(const edram::MacroCell& mc, std::size_t row,
                               std::size_t col, const StructureParams& params,
                               const MeasurementTiming& timing,
                               const ExtractOptions& options) {
-  ECMS_REQUIRE(row < mc.rows() && col < mc.cols(), "target cell out of range");
-  obs::ScopedSpan span("extract_cell");
-  span.arg("row", static_cast<double>(row));
-  span.arg("col", static_cast<double>(col));
-
-  double delta_i = options.delta_i;
-  if (delta_i <= 0.0) {
-    const FastModel design(mc, params);
-    delta_i = design.delta_i();
-  }
-  circuit::Circuit ckt;
-  ExtractionResult res;
-  const StructureNet msu =
-      build_cell(ckt, mc, row, col, params, timing, delta_i, res);
-  circuit::TranParams tp;
-  tp.t_stop = res.schedule.t_end;
-  tp.dt = options.dt;
-  tp.newton = options.newton;
-  tp.uic = true;  // the flow's own step 1 establishes the real initial state
-
-  if (options.adaptive.enabled) {
-    res.adaptive.attempted = true;
-    std::string why = "fault injection armed for this cell";
-    if (options.newton.hooks == nullptr) {
-      obs::ScopedSpan adaptive_span("adaptive_extract");
-      StepperLane lane(ckt, tp);
-      const FlowCell cell{&ckt, &msu, &res};
-      run_flow(lane, std::span<const FlowCell>(&cell, 1), mc, params, timing,
-               options);
-      if (lane.retire_reason().empty()) {
-        ECMS_LOG(LogLevel::kDebug)
-            << "extract (" << row << "," << col << "): code=" << res.code
-            << " adaptive probes=" << res.adaptive.probes
-            << " steps=" << res.stats.accepted_steps;
-        return res;
-      }
-      why = lane.retire_reason();
-    }
-    res.adaptive.used = false;
-    res.adaptive.fell_back = true;
-    res.adaptive.fallback_reason = why;
-    ECMS_METRIC_COUNT("msu.adaptive.fallbacks", 1);
-    ECMS_LOG(LogLevel::kDebug) << "extract (" << row << "," << col
-                               << "): adaptive fallback: " << why;
-    // The exhaustive path below re-runs the whole flow from scratch, so a
-    // fallback result is bit-identical to a never-adaptive run.
-    res.stats = {};
-    res.prefix_steps = 0;
-  }
-
-  circuit::TranResult tr = circuit::transient_with_recovery(
-      ckt, tp, cell_probes(msu), options.recovery, &res.recovery);
-  res.status = res.recovery.recovered() ? CellStatus::kRecovered
-                                        : CellStatus::kOk;
-  res.stats = tr.stats;
-  decode_trace(tr.trace, mc.tech().vdd / 2.0, res);
-
-  ECMS_LOG(LogLevel::kDebug)
-      << "extract (" << row << "," << col << "): code=" << res.code
-      << " vgs=" << res.vgs_shared << " steps=" << res.stats.accepted_steps;
-
-  if (options.record_trace) res.trace = std::move(tr.trace);
-  return res;
+  return measure_cell(mc, row, col, params, timing, options, nullptr);
 }
 
 RobustExtraction extract_array(const edram::MacroCell& mc,
@@ -508,6 +607,18 @@ RobustExtraction extract_array(const edram::MacroCell& mc,
   span.arg("width", static_cast<double>(width));
 
   RobustExtraction out;
+  // Step 1 is the same for every cell: simulate it once and start the
+  // lanes and the scalar adaptive cells from it. Only where continuing a
+  // stepper is bit-identical (a published program, no solve hooks), and
+  // only for flows that continue one (not the scalar exhaustive path).
+  std::unique_ptr<Discharge> discharge;
+  if (batch_engageable(plan) && (lockstep || opts.adaptive.enabled)) {
+    discharge = run_discharge(mc, params, plan.timing, opts);
+    if (discharge != nullptr) {
+      out.discharge_steps = discharge->stepper->stats().accepted_steps;
+    }
+  }
+
   out.results.reserve(mc.cell_count());
   out.status.reserve(mc.cell_count());
   out.report.cells_total = mc.cell_count();
@@ -517,8 +628,12 @@ RobustExtraction extract_array(const edram::MacroCell& mc,
       slots[i].row = (base + i) / mc.cols();
       slots[i].col = (base + i) % mc.cols();
     }
-    if (lockstep) measure_lockstep(mc, params, plan, opts, slots);
-    for (Slot& s : slots) settle_cell(mc, params, plan, opts, s, out);
+    if (lockstep) {
+      measure_lockstep(mc, params, plan, opts, discharge.get(), slots);
+    }
+    for (Slot& s : slots) {
+      settle_cell(mc, params, plan, opts, discharge.get(), s, out);
+    }
   }
   return out;
 }

@@ -62,6 +62,10 @@ struct ExtractionResult {
   /// charge sharing), i.e. before the ramp; the remainder is the cost of
   /// the conversion step, which adaptive scheduling attacks.
   std::size_t prefix_steps = 0;
+  /// The transient continued the macro-cell's shared step-1 run
+  /// (extract_array) instead of simulating step 1 itself; `stats` and
+  /// `prefix_steps` count those steps all the same.
+  bool shared_discharge = false;
   std::size_t conversion_steps() const {
     return stats.accepted_steps > prefix_steps
                ? stats.accepted_steps - prefix_steps
@@ -76,6 +80,8 @@ struct RobustExtraction {
   std::vector<ExtractionResult> results;  ///< row-major, one per cell
   std::vector<CellStatus> status;         ///< row-major
   FailureReport report;
+  /// Steps of the shared step-1 run the cells continued (0: none ran).
+  std::size_t discharge_steps = 0;
 };
 
 /// How an array-level circuit extraction should run: one struct carrying
@@ -119,6 +125,14 @@ std::size_t resolved_batch_width(int batch_width);
 /// whole array unless plan.options.delta_i is set. Batched plans measure
 /// row-major chunks of cells in lockstep (circuit::BatchEngine) and
 /// re-measure any lane that leaves the batch on the scalar path.
+///
+/// Step 1 of the flow does not depend on the target cell
+/// (Schedule::t_discharge_end), so when the plan is batch_engageable and
+/// the cells continue a stepper (lockstep lanes, or the scalar adaptive
+/// flow) it is simulated once per call and every cell starts from it
+/// (counted as msu.discharge.{runs,shared_cells}). Results are
+/// bit-identical to extract_cell's either way, step counts included; a
+/// step-1 run that rejected a step or re-pivoted is not shared.
 RobustExtraction extract_array(const edram::MacroCell& mc,
                                const StructureParams& params,
                                const ExtractPlan& plan);

@@ -105,6 +105,7 @@ Schedule program_measurement(circuit::Circuit& ckt,
   Schedule s;
   s.ramp_steps = params.ramp_steps;
   s.delta_i = delta_i;
+  s.t_discharge_end = T;
   s.t_charge_end = 2 * T;
   s.t_share = 3 * T;
   s.t_ramp_start = 4 * T;

@@ -39,6 +39,14 @@ struct MeasurementTiming {
 
 /// Everything the interpretation of a run needs to know about the schedule.
 struct Schedule {
+  /// End of step 1 (T). The contract msu::extract_array relies on to
+  /// simulate step 1 once per macro-cell: on [0, t_discharge_end] every
+  /// wave program_measurement sets is the same for every target cell, and
+  /// t_discharge_end is a stimulus corner of every cell's circuit. Two
+  /// measurements of one macro-cell therefore reach a bitwise-identical
+  /// state (x and companion history) there, and the first step after it is
+  /// backward Euler in both.
+  double t_discharge_end = 0.0;
   double t_charge_end = 0.0;  ///< end of step 2 (plate fully charged)
   double t_share = 0.0;       ///< start of step 4
   double t_ramp_start = 0.0;  ///< start of step 5

@@ -7,7 +7,10 @@
 // msu/ relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <string>
 #include <span>
 #include <vector>
 
@@ -200,6 +203,50 @@ TEST(StepperT, MeasurementFlowSplitPerRampLevelMatchesOneTransient) {
     flow.build(level_ckt);
     expect_identical(full,
                      segmented(level_ckt, tp, flow.probes, flow.stops(sched)));
+  }
+}
+
+TEST(StepperT, PausesOnTheStepOneCornerAndLevelEndsLandOnTheGrid) {
+  // A segment ending on a corner the segment itself cannot see (its
+  // breakpoints stop short of t_stop) must land exactly where the
+  // uninterrupted run lands on that corner, not a few ulps short: every
+  // pause's time and x match one advance() over the whole flow bitwise.
+  const MeasurementFlow flow;
+  for (ProgramCache* cache : cache_modes()) {
+    SCOPED_TRACE(cache_mode_name(cache));
+    Circuit full_ckt;
+    const msu::Schedule sched = flow.build(full_ckt);
+    const TranParams tp = flow.params(sched, cache);
+    std::vector<double> times;
+    std::vector<std::vector<double>> xs;
+    TransientStepper full(full_ckt, tp);
+    full.advance(sched.t_end, [&](double t, std::span<const double> x) {
+      times.push_back(t);
+      xs.emplace_back(x.begin(), x.end());
+    });
+
+    std::vector<double> stops = flow.stops(sched);
+    stops.insert(stops.begin(), sched.t_discharge_end);
+    // The step-1 corner is exact: it is where extract_array pauses.
+    ASSERT_NE(std::find(times.begin(), times.end(), sched.t_discharge_end),
+              times.end());
+    Circuit split_ckt;
+    flow.build(split_ckt);
+    TransientStepper split(split_ckt, tp);
+    for (const double stop : stops) {
+      split.advance(stop, [](double, std::span<const double>) {});
+      SCOPED_TRACE("stop " + std::to_string(stop));
+      // The full run's grid point at the stop (a ramp corner may sit an
+      // ulp from the level end the flow computes; the pause takes it).
+      const auto it = std::lower_bound(times.begin(), times.end(),
+                                       stop - kTimeEps);
+      ASSERT_NE(it, times.end());
+      EXPECT_LE(std::abs(*it - stop), kTimeEps);
+      EXPECT_EQ(split.time(), *it);
+      const std::vector<double> x(split.x().begin(), split.x().end());
+      EXPECT_EQ(x, xs[static_cast<std::size_t>(it - times.begin())]);
+    }
+    EXPECT_EQ(split.stats().accepted_steps, full.stats().accepted_steps);
   }
 }
 

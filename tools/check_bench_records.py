@@ -12,7 +12,9 @@ measurements, so only their key sets are checked:
     splits and every perfbench A/B pair of the fast-model request path;
   * BENCH_solver.json: the reference schema of the EXT-A9 artifact, whose
     key set must equal that of FRESH_SOLVER_JSON, the file
-    `bench_array_scale --solver-json` just wrote.
+    `bench_array_scale --solver-json` just wrote;
+  * BENCH_trajectory.json: one entry per perfbench A/B of a change
+    against its parent, each with its metric summaries and every pair.
 
 Exits non-zero with a message naming the first mismatch.
 """
@@ -91,6 +93,38 @@ def check_pairs_record(path, splits, label):
     print('%s record schema OK' % label)
 
 
+def check_trajectory():
+    rec = load('BENCH_trajectory.json')
+    if set(rec) != {'schema', 'entries'} or not rec['entries']:
+        raise SystemExit('BENCH_trajectory.json keys %s' % sorted(rec))
+    need = {'commit', 'parent', 'host', 'method', 'workload', 'seed',
+            'pairs', 'seconds', 'metrics', 'runs'}
+    for i, e in enumerate(rec['entries']):
+        where = 'entries[%d]' % i
+        if set(e) != need:
+            raise SystemExit('%s keys %s, want %s'
+                             % (where, sorted(e), sorted(need)))
+        if set(e['metrics']) != METRICS:
+            raise SystemExit('%s metrics %s' % (where, sorted(e['metrics'])))
+        for m in METRICS:
+            if set(e['metrics'][m]) != FIELDS:
+                raise SystemExit('%s.%s fields %s'
+                                 % (where, m, sorted(e['metrics'][m])))
+            if not 0 <= e['metrics'][m]['pairs_won'] <= e['pairs']:
+                raise SystemExit('%s.%s pairs_won out of range' % (where, m))
+        if len(e['runs']) != e['pairs']:
+            raise SystemExit('%s: %d runs listed, %d pairs'
+                             % (where, len(e['runs']), e['pairs']))
+        for p in e['runs']:
+            if set(p) != {'first', 'parent', 'change'}:
+                raise SystemExit('%s run keys %s' % (where, sorted(p)))
+            for side in ('parent', 'change'):
+                if set(p[side]) != METRICS | {'correct'}:
+                    raise SystemExit('%s run %s keys %s'
+                                     % (where, side, sorted(p[side])))
+    print('trajectory record schema OK (%d entries)' % len(rec['entries']))
+
+
 def check_solver(fresh_path):
     fresh = set(load(fresh_path))
     baseline = set(load('BENCH_solver.json'))
@@ -111,6 +145,7 @@ def main(argv):
     check_pairs_record('BENCH_serve_fast.json',
                        fast_splits | {'BuildArray64', 'ServeFast64'},
                        'serve-fast')
+    check_trajectory()
     check_solver(argv[1])
 
 

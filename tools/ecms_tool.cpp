@@ -469,6 +469,9 @@ int cmd_array(const Args& args) {
   } else {
     std::printf("  adaptive scheduling: off (exhaustive ramp per cell)\n");
   }
+  std::printf("  shared discharge   : %zu cell(s) continue %zu step-1 "
+              "run(s)\n",
+              t.discharge_shared_cells, t.discharge_runs);
 
   print_health(result.report);
   obs_session.finish();
