@@ -24,6 +24,7 @@ Admission AdmissionQueue::offer(Job job) {
       a.retry_after_ms = static_cast<std::uint32_t>(
           std::min<std::size_t>(25 * (jobs_.size() + 1), 5000));
     } else {
+      job.admitted = std::chrono::steady_clock::now();
       jobs_.push_back(std::move(job));
       a.accepted = true;
       a.queue_depth = static_cast<std::uint32_t>(jobs_.size());
@@ -56,15 +57,7 @@ bool AdmissionQueue::take(Job& out) {
         dropped.emplace_back(std::move(jobs_.front()), "deadline expired in queue");
         jobs_.pop_front();
       }
-      if (stopped_) {
-        // Hard stop abandons the backlog; surface it through expire so no
-        // accepted job vanishes without a word.
-        while (!jobs_.empty()) {
-          dropped.emplace_back(std::move(jobs_.front()), "stopped");
-          jobs_.pop_front();
-        }
-        break;
-      }
+      if (stopped_) break;  // stop() already expired the backlog
       if (!jobs_.empty()) {
         out = std::move(jobs_.front());
         jobs_.pop_front();
@@ -102,12 +95,22 @@ void AdmissionQueue::begin_drain() {
 }
 
 void AdmissionQueue::stop() {
+  std::deque<Job> abandoned;
   {
     std::lock_guard<std::mutex> lock(mu_);
     draining_ = true;
     stopped_ = true;
+    abandoned.swap(jobs_);
+    ECMS_METRIC_GAUGE_SET("serve.queue.depth", 0);
   }
   cv_.notify_all();
+  // Hard stop abandons the backlog; expire it here, before returning, so
+  // no accepted job vanishes without a word even when the caller tears
+  // down its connections next.
+  for (Job& job : abandoned) {
+    ECMS_METRIC_COUNT("serve.requests.expired", 1);
+    if (job.expire) job.expire("stopped");
+  }
 }
 
 std::size_t AdmissionQueue::depth() const {

@@ -30,13 +30,16 @@ namespace ecms::serve {
 
 /// One admitted unit of work. `run` executes on a dispatcher thread and
 /// receives that dispatcher's private tile-worker pool (null = serial);
-/// `expire` is called instead (also on a dispatcher thread) when the
-/// deadline passes while the job is still queued.
+/// `expire` is called instead when the deadline passes while the job is
+/// still queued (on a dispatcher thread) or the queue is stopped (on the
+/// thread calling stop()).
 struct Job {
   std::uint64_t id = 0;
   /// time_point::max() = no deadline.
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
+  /// Stamped by offer() when the job is admitted.
+  std::chrono::steady_clock::time_point admitted;
   std::function<void(util::ThreadPool*)> run;
   std::function<void(const std::string&)> expire;
 };
@@ -74,8 +77,9 @@ class AdmissionQueue {
   /// Reject new offers; queued jobs still drain through take().
   void begin_drain();
   /// Reject new offers and unblock take() immediately, abandoning queued
-  /// jobs (their expire callbacks run with reason "stopped"). Hard-stop
-  /// path only; graceful shutdown uses begin_drain().
+  /// jobs: their expire callbacks run with reason "stopped" on the calling
+  /// thread before stop() returns. Hard-stop path only; graceful shutdown
+  /// uses begin_drain().
   void stop();
 
   std::size_t depth() const;

@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "bitmap/extraction.hpp"
@@ -79,6 +81,34 @@ struct Server::Connection {
   }
 };
 
+/// The array of one admitted extract request. Whichever thread asks first
+/// builds it, exactly once: the session thread while the job waits, or the
+/// dispatcher that takes it. A build that throws leaves it unbuilt, so the
+/// next caller builds again.
+struct Server::PreparedArray {
+  explicit PreparedArray(const ExtractSpec& spec)
+      : spec(array_spec_of(spec)) {}
+
+  /// Builds the array unless it is built; true when this call built it.
+  bool build() {
+    bool built = false;
+    std::call_once(once, [&] {
+      mc.emplace(build_array(spec));
+      built = true;
+    });
+    return built;
+  }
+
+  const edram::MacroCell& get() {
+    build();
+    return *mc;
+  }
+
+  ArraySpec spec;
+  std::once_flag once;
+  std::optional<edram::MacroCell> mc;
+};
+
 Server::Server(ServerConfig cfg)
     : cfg_(std::move(cfg)), queue_(cfg_.queue_capacity) {}
 
@@ -132,8 +162,11 @@ void Server::wait_drained() {
 }
 
 void Server::stop() {
-  if (shutdown_.exchange(true)) return;
+  // Expire the backlog before raising shutdown_: a session thread that sees
+  // shutdown_ marks its connection dead on the way out, and the "stopped"
+  // frames must reach their clients first. queue_.stop() is idempotent.
   queue_.stop();
+  if (shutdown_.exchange(true)) return;
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
@@ -301,8 +334,9 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
         job.deadline = std::chrono::steady_clock::now() +
                        std::chrono::milliseconds(spec.deadline_ms);
       }
-      job.run = [this, conn, spec](util::ThreadPool* pool) {
-        run_extract(conn, spec, pool);
+      auto array = std::make_shared<PreparedArray>(spec);
+      job.run = [this, conn, spec, array](util::ThreadPool* pool) {
+        run_extract(conn, spec, *array, pool);
       };
       job.expire = [this, conn, spec](const std::string& why) {
         expired_.fetch_add(1);
@@ -317,6 +351,20 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
         ack.request_id = spec.request_id;
         ack.queue_depth = verdict.queue_depth;
         conn->send(encode_struct(FrameType::kAccepted, ack));
+        // Build the array while the job waits, so its dispatcher only
+        // extracts. The queue is FIFO, so gating on the admission depth
+        // keeps at most `dispatchers` waiting jobs holding an array; deeper
+        // jobs leave the build to their dispatcher.
+        if (verdict.queue_depth <= std::max<std::size_t>(1, cfg_.dispatchers)) {
+          obs::ScopedSpan prepare("serve.prepare");
+          try {
+            if (array->build()) {
+              ECMS_METRIC_COUNT("serve.requests.prepared_ahead", 1);
+            }
+          } catch (const std::exception&) {
+            // The dispatcher builds again and answers the failure.
+          }
+        }
       } else {
         conn->send(encode_text_frame(FrameType::kReject, spec.request_id,
                                      verdict.retry_after_ms, verdict.reason));
@@ -382,10 +430,11 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
 }
 
 void Server::run_extract(const std::shared_ptr<Connection>& conn,
-                         const ExtractSpec& spec, util::ThreadPool* pool) {
+                         const ExtractSpec& spec, PreparedArray& array,
+                         util::ThreadPool* pool) {
   obs::ScopedSpan span("serve.request");
   try {
-    const edram::MacroCell mc = build_array(array_spec_of(spec));
+    const edram::MacroCell& mc = array.get();
     extraction::ExtractRequest req = request_of(spec);
     req.pool = pool;
     if (spec.want_progress != 0) {
@@ -439,10 +488,17 @@ void Server::dispatch_loop(std::size_t) {
   std::unique_ptr<util::ThreadPool> pool;
   if (cfg_.jobs > 1) pool = std::make_unique<util::ThreadPool>(cfg_.jobs);
 
+  using Seconds = std::chrono::duration<double>;
   Job job;
   while (queue_.take(job)) {
+    const auto taken = std::chrono::steady_clock::now();
+    ECMS_METRIC_OBSERVE("serve.request.queue_seconds",
+                        Seconds(taken - job.admitted).count());
     if (job.run) job.run(pool.get());
-    job = Job{};  // release captured state before sleeping
+    const auto done = std::chrono::steady_clock::now();
+    ECMS_METRIC_OBSERVE("serve.request.service_seconds",
+                        Seconds(done - taken).count());
+    job = Job{};  // release captured state (and its array) before sleeping
     flight_cv_.notify_all();
   }
   flight_cv_.notify_all();

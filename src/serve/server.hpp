@@ -9,6 +9,11 @@
 // appearance (the EXT-A12 gate).
 //
 // Threading rules:
+//   * an admitted extract request's array is built once, by whichever
+//     thread asks first: its session thread right after the ack, while
+//     the job waits (only when the job joined the queue within the first
+//     `dispatchers` places, so at most that many waiting jobs hold an
+//     array), or else the dispatcher that takes it;
 //   * each dispatcher owns a private util::ThreadPool (jobs > 1); pools
 //     are never shared between dispatchers, so tile fan-outs from
 //     concurrent requests cannot interleave on one pool (ThreadPool
@@ -47,7 +52,10 @@ struct ServerConfig {
   std::string socket_path;
   std::size_t queue_capacity = 64;
   std::size_t dispatchers = 1;  ///< concurrent requests in flight
-  std::size_t jobs = 1;         ///< tile workers per dispatcher
+  /// Tile threads per request: 1 runs tiles on the dispatcher alone; N >= 2
+  /// gives the dispatcher a private N-worker pool that it drains beside,
+  /// so tiles run on N + 1 threads.
+  std::size_t jobs = 1;
 };
 
 class Server {
@@ -84,6 +92,7 @@ class Server {
 
  private:
   struct Connection;
+  struct PreparedArray;
 
   void accept_loop();
   void session_loop(std::uint64_t session_id,
@@ -98,7 +107,8 @@ class Server {
                     const struct Frame& frame);
   /// Dispatcher-thread body of one accepted extraction request.
   void run_extract(const std::shared_ptr<Connection>& conn,
-                   const struct ExtractSpec& spec, util::ThreadPool* pool);
+                   const struct ExtractSpec& spec, PreparedArray& array,
+                   util::ThreadPool* pool);
 
   ServerConfig cfg_;
   int listen_fd_ = -1;

@@ -115,7 +115,8 @@ class Args {
 /// Resolves --jobs: default 1 (serial); 0 means one worker per hardware
 /// thread; negatives and non-integers are usage errors. The result is
 /// clamped to 512 workers — far beyond any host this runs on, but it bounds
-/// an accidental "--jobs 100000" thread bomb.
+/// an accidental "--jobs 100000" thread bomb. N >= 2 starts an N-worker
+/// pool whose parallel_for caller drains tiles beside it: N + 1 threads.
 std::size_t jobs_of(const Args& args) {
   constexpr long long kMaxJobs = 512;
   long long jobs = args.integer("jobs", 1);
@@ -926,7 +927,9 @@ int usage() {
       "           gracefully (accepted work finishes, zero loss)\n"
       "           --socket PATH (required) --queue-cap N (default 64)\n"
       "           --dispatchers N (concurrent requests, default 1)\n"
-      "           --jobs N (tile workers per dispatcher) --trace\n"
+      "           --jobs N (tile threads per request: 1 = the dispatcher\n"
+      "           alone; N >= 2 = the dispatcher plus N pool workers)\n"
+      "           --trace\n"
       "  client   talk to a running serve daemon\n"
       "           --socket PATH (required)\n"
       "           extract mode (default): array flags as bitmap, plus\n"
@@ -940,8 +943,10 @@ int usage() {
       "           version\n"
       "\n"
       "run shape (extract, bitmap, array — parsed once, same everywhere):\n"
-      "  --jobs N        worker threads (default 1; 0 = one per hardware\n"
-      "                  thread; clamped to 512)\n"
+      "  --jobs N        tile threads: 1 (default) runs serially; N >= 2\n"
+      "                  starts N pool workers and the calling thread\n"
+      "                  works beside them (N + 1 threads); 0 = one\n"
+      "                  worker per hardware thread; clamped to 512\n"
       "  --retries N     per-cell solve attempts (default 2)\n"
       "  --keep-going    contain per-cell failures, finish the array\n"
       "                  (default; excludes --fail-fast)\n"
