@@ -13,7 +13,8 @@
 //     noise streams, deterministic row-major merge);
 //   * the non-robust path lets the first cell failure escape (fail-fast),
 //     the robust path retries then contains failures as kUnmeasurable;
-//   * the circuit engine honours adaptive ramp scheduling and reports the
+//   * the circuit engine stops each cell at its flip level (unless
+//     options.adaptive.enabled is false) and reports the
 //     aggregate transient-step telemetry the benches assert on;
 //   * every cell is counted once, from its final status, into
 //     bitmap.cells.{ok,recovered,unmeasurable}.
@@ -105,16 +106,16 @@ struct ExtractReport {
     std::size_t cells = 0;
     std::size_t transient_steps = 0;  ///< accepted solver steps, all cells
     std::size_t prefix_steps = 0;     ///< spent in flow steps 1-4
-    std::size_t adaptive_used = 0;    ///< cells decided by the probe search
+    std::size_t adaptive_used = 0;  ///< cells stopped at their flip level
     std::size_t adaptive_fallbacks = 0;
-    std::size_t adaptive_probes = 0;
+    std::size_t adaptive_probes = 0;  ///< ramp segments simulated
     /// Cells whose transient continued their tile's shared step-1 run,
     /// and those runs (one per tile at most). A run's steps are simulated
     /// once and counted in every such cell's transient_steps.
     std::size_t discharge_shared_cells = 0;
     std::size_t discharge_runs = 0;
     /// Steps spent converting (ramping) rather than charging/sharing — the
-    /// cost adaptive scheduling attacks.
+    /// cost stopping at the flip shortens.
     std::size_t conversion_steps() const {
       return transient_steps > prefix_steps ? transient_steps - prefix_steps
                                             : 0;

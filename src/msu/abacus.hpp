@@ -26,11 +26,11 @@ class Abacus {
   static Abacus build(const ExtractFn& fn, int ramp_steps, double cm_lo,
                       double cm_hi, std::size_t points);
 
-  /// One sample from an adaptive extractor: the code plus what the search
-  /// spent deciding it (see msu::AdaptiveReport).
+  /// One sample from an adaptive extractor: the code plus what the
+  /// stop-at-flip flow spent deciding it (see msu::AdaptiveReport).
   struct ProbedCode {
     int code = 0;
-    int probes = 0;         ///< adaptive probe-search queries (0: exhaustive)
+    int probes = 0;         ///< ramp segments simulated (0: whole window)
     bool fell_back = false; ///< the exhaustive ramp decided this sample
   };
   /// Adaptive extractor: capacitance (F) -> probed code.

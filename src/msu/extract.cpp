@@ -1,7 +1,6 @@
 #include "msu/extract.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -9,7 +8,6 @@
 
 #include "circuit/batch.hpp"
 #include "circuit/kernels.hpp"
-#include "circuit/mosfet.hpp"
 #include "circuit/sources.hpp"
 #include "edram/netlister.hpp"
 #include "msu/fastmodel.hpp"
@@ -119,40 +117,6 @@ void decode_trace(const circuit::Trace& trace, double vdd_half,
               res);
 }
 
-// Model-guided first guess: the reference transistor sinks
-// mos_ids(vgs_shared) — the flip boundary sits where k * delta_i crosses
-// it. The guess only seeds the search; correctness never depends on it.
-int adaptive_guess(const edram::MacroCell& mc, const StructureParams& params,
-                   const ExtractionResult& res) {
-  const circuit::MosParams ref_params =
-      mc.tech().nmos(params.ref_w, params.ref_l);
-  const double i_sink = circuit::mos_ids(
-      ref_params, std::max(res.vgs_shared, 0.0), mc.tech().vdd / 2.0);
-  // Clamped as a double: the cast of an out-of-range value is undefined.
-  return static_cast<int>(
-      std::clamp(std::floor(i_sink / res.delta_i), 0.0,
-                 static_cast<double>(res.schedule.ramp_steps)));
-}
-
-// The adaptive ramp search of one cell, replayed against the known flip
-// time: schedule_ramp_search over probe(k) = "has OUT flipped by the end of
-// ramp level k?". The flow driver simulates the staircase only up to the
-// level where OUT crosses, which is as far as a search probing lazily would
-// have simulated, so the probes and their count are the lazy search's.
-// Returns false when the probe budget ran out before the bracket closed.
-bool search_ramp(ExtractionResult& res, const MeasurementTiming& timing,
-                 int max_probes, const std::optional<double>& t_flip) {
-  const Schedule& s = res.schedule;
-  return schedule_ramp_search(
-             s.ramp_steps, res.adaptive.guess, max_probes, [&](int k) {
-               obs::ScopedSpan probe_span("adaptive_probe");
-               probe_span.arg("level", static_cast<double>(k));
-               ++res.adaptive.probes;
-               return t_flip.has_value() &&
-                      *t_flip <= level_end(s, timing, k) + 1e-15;
-             }) >= 0;
-}
-
 // A cell the flow driver measures: its netlist and the result it decides
 // (build_cell already set the schedule and LSB).
 struct FlowCell {
@@ -164,28 +128,29 @@ struct FlowCell {
 // Runs the measurement flow of `cells` on one engine, lane li measuring
 // cells[li]: a circuit::BatchEngine over a lockstep chunk, or StepperLane
 // over one scalar cell. The exhaustive flow is one pass to the end. The
-// adaptive flow runs the charge/share prefix, then the ramp staircase
-// level by level, each lane stopping at the level where its OUT crossing
-// appears (the tail when it never does), and replays the search against
-// the flip time. The staircase is never reprogrammed: each segment
-// continues the one transient, so the trajectory is bit-identical to the
-// exhaustive run's and the flip time feeds the exact same decode. The code
-// is path-dependent — the sense node integrates charge while ramping
-// through sub-threshold levels — which is why a held-level probe cannot
-// stand in for the ramp. Every lane ends finished with its result decided,
-// or retired with a reason for the caller to re-measure it exhaustively.
+// stop-at-flip flow runs the charge/share prefix, then the ramp staircase
+// one level per segment, each lane stopping at the end of the level where
+// its OUT crossing appears (the tail when it never does). The staircase is
+// never reprogrammed: each segment continues the one transient, so the
+// trajectory is bit-identical to the exhaustive run's and the flip time
+// feeds the exact same decode. The code is path-dependent — the sense node
+// integrates charge while ramping through sub-threshold levels — which is
+// why a held-level probe cannot stand in for the ramp. Every lane ends
+// finished with its result decided, or retired with a reason for the
+// caller to re-measure it exhaustively.
 //
-// An engine started from a shared `discharge` continues it: each trace
-// starts with the discharge's head rows when the plan records traces, and
-// prefix_steps counts the discharge's steps either way.
+// A recorded trace holds all five channels up to where the lane stopped,
+// so it is a prefix of the exhaustive run's trace. An engine started from a
+// shared `discharge` continues it: each trace starts with the discharge's
+// head rows when the plan records traces, and prefix_steps counts the
+// discharge's steps either way.
 template <class Engine>
 void run_flow(Engine& eng, std::span<const FlowCell> cells,
-              const edram::MacroCell& mc, const StructureParams& params,
-              const MeasurementTiming& timing, const ExtractOptions& opts,
-              const Discharge* discharge) {
+              const edram::MacroCell& mc, const MeasurementTiming& timing,
+              const ExtractOptions& opts, const Discharge* discharge) {
   struct Run {
     std::optional<circuit::ProbeRecorder> probe, seg_probe;
-    circuit::Trace trace;  ///< full 5-channel trace (the prefix if adaptive)
+    circuit::Trace trace;  ///< full 5-channel trace up to the stop
     circuit::Trace seg;    ///< OUT-only trace of the current ramp segment
   };
   std::vector<Run> runs(cells.size());
@@ -235,20 +200,29 @@ void run_flow(Engine& eng, std::span<const FlowCell> cells,
     }
     res.prefix_steps = eng.stats(li).accepted_steps;
     read_prefix(runs[li].trace, res);
-    res.adaptive.guess = adaptive_guess(mc, params, res);
     runs[li].seg_probe.emplace(*cells[li].ckt, out_probe());
   }
   if (!adaptive) return;
 
-  // Advances every active lane to t_stop; lanes whose OUT crossed (or, at
-  // the tail, all) are decided.
-  auto segment = [&](double t_stop, bool tail) {
+  // Advances every active lane through ramp level `level` (the tail past
+  // the last one); lanes whose OUT crossed, or all at the tail, are
+  // decided. A segment's first sample is its boundary, the trace's last row.
+  auto segment = [&](int level) {
+    const bool tail = level > sch.ramp_steps;
+    obs::ScopedSpan probe_span("adaptive_probe");
+    probe_span.arg("level", static_cast<double>(level));
     for (std::size_t li = 0; li < cells.size(); ++li) {
-      if (eng.active(li)) runs[li].seg = runs[li].seg_probe->make_trace();
+      if (!eng.active(li)) continue;
+      runs[li].seg = runs[li].seg_probe->make_trace();
+      ++cells[li].res->adaptive.probes;
     }
-    eng.advance(t_stop,
+    eng.advance(tail ? sch.t_end : level_end(sch, timing, level),
                 [&](std::size_t li, double t, std::span<const double> x) {
-                  runs[li].seg_probe->record(runs[li].seg, t, x);
+                  Run& r = runs[li];
+                  if (opts.record_trace && r.seg.sample_count() > 0) {
+                    r.probe->record(r.trace, t, x);
+                  }
+                  r.seg_probe->record(r.seg, t, x);
                 });
     for (std::size_t li = 0; li < cells.size(); ++li) {
       if (!eng.active(li)) continue;
@@ -256,10 +230,6 @@ void run_flow(Engine& eng, std::span<const FlowCell> cells,
           runs[li].seg, "msu_out", vdd_half, circuit::Edge::kRising);
       if (!t_flip && !tail) continue;
       ExtractionResult& res = *cells[li].res;
-      if (!search_ramp(res, timing, opts.adaptive.max_probes, t_flip)) {
-        eng.retire(li, "probe budget exhausted before the bracket closed");
-        continue;
-      }
       decode_flip(t_flip, res);
       res.status = CellStatus::kOk;
       res.adaptive.used = true;
@@ -270,13 +240,12 @@ void run_flow(Engine& eng, std::span<const FlowCell> cells,
       complete(li);
     }
   };
-  for (int level = 1; level <= sch.ramp_steps && eng.active_lanes() > 0;
+  // No flip during the staircase proper: the tail decodes a late flip (or
+  // the full-scale code) exactly as the exhaustive run would.
+  for (int level = 1; level <= sch.ramp_steps + 1 && eng.active_lanes() > 0;
        ++level) {
-    segment(level_end(sch, timing, level), false);
+    segment(level);
   }
-  // No flip during the staircase proper: run the tail so a late flip (or
-  // full-scale code) decodes exactly as the exhaustive run would.
-  if (eng.active_lanes() > 0) segment(sch.t_end, true);
 }
 
 // One scalar cell behind BatchEngine's lane calls, so it runs the flow
@@ -319,7 +288,7 @@ class StepperLane {
     } catch (const SolverError&) {
       retire(0, prefix ? "prefix transient did not converge (recovery "
                          "ladder takes over)"
-                       : "probe transient did not converge");
+                       : "ramp segment did not converge");
     }
   }
 
@@ -362,8 +331,8 @@ ExtractionResult measure_cell(const edram::MacroCell& mc, std::size_t row,
       StepperLane lane(ckt, tp,
                        discharge != nullptr ? &*discharge->stepper : nullptr);
       const FlowCell cell{&ckt, &msu, &res};
-      run_flow(lane, std::span<const FlowCell>(&cell, 1), mc, params, timing,
-               options, discharge);
+      run_flow(lane, std::span<const FlowCell>(&cell, 1), mc, timing, options,
+               discharge);
       if (lane.retire_reason().empty()) {
         ECMS_LOG(LogLevel::kDebug)
             << "extract (" << row << "," << col << "): code=" << res.code
@@ -454,8 +423,8 @@ void measure_lockstep(const edram::MacroCell& mc,
   circuit::BatchEngine eng(
       std::span<circuit::Circuit* const>(lane_ckts.data(), lane_ckts.size()),
       bo, discharge != nullptr ? &*discharge->stepper : nullptr);
-  run_flow(eng, std::span<const FlowCell>(cells), mc, params, plan.timing,
-           opts, discharge);
+  run_flow(eng, std::span<const FlowCell>(cells), mc, plan.timing, opts,
+           discharge);
 
   for (std::size_t li = 0; li < lanes.size(); ++li) {
     Slot& s = *lanes[li];

@@ -12,13 +12,38 @@
 #include "circuit/recovery.hpp"
 #include "circuit/transient.hpp"
 #include "edram/macrocell.hpp"
-#include "msu/adaptive.hpp"
 #include "msu/sequencer.hpp"
 #include "msu/structure.hpp"
 #include "util/retry.hpp"
 #include "util/status.hpp"
 
 namespace ecms::msu {
+
+/// The ramp flow every measurement runs by default: the charge/share
+/// prefix, then the real I_REFP staircase one ramp level per transient
+/// segment, stopping at the end of the level where OUT crosses VDD/2 (the
+/// tail to t_end when it never does). Nothing after the flip is read: on
+/// chip the shift register latches the step count there. Every segment
+/// continues the one transient, so codes, flip times and the prefix
+/// readings are bit-identical to the whole-window run.
+struct AdaptiveOptions {
+  /// false: simulate the whole 50 ns window (the exhaustive reference).
+  bool enabled = true;
+};
+
+/// What the stop-at-flip flow did for one cell.
+struct AdaptiveReport {
+  bool attempted = false;  ///< the flow was enabled for this cell
+  bool used = false;       ///< the flow decided the code
+  /// The whole-window transient (with the recovery ladder) decided the
+  /// code instead: a segment failed to converge, OUT was already high
+  /// before the ramp, or fault injection was armed.
+  bool fell_back = false;
+  std::string fallback_reason;
+  /// Ramp segments simulated after the prefix: one per level checked,
+  /// plus the tail when OUT never flipped.
+  int probes = 0;
+};
 
 struct ExtractOptions {
   double dt = 20e-12;  ///< transient base step
@@ -35,12 +60,8 @@ struct ExtractOptions {
   /// by default: rung 0 is the unmodified solve, so results of healthy
   /// cells are unchanged and concessions are paid only on failure.
   circuit::RecoveryOptions recovery = {};
-  /// Adaptive ramp scheduling (see msu/adaptive.hpp): simulate the flow's
-  /// charge/share prefix, then the ramp staircase only up to the level
-  /// where OUT flips, and bracket-search the code against that flip time.
-  /// Off by default; codes are bit-identical either
-  /// way (the scheduler falls back to the exhaustive ramp whenever its
-  /// monotonicity assumptions cannot be trusted).
+  /// Stop the transient at the end of the ramp level where OUT flips (on
+  /// by default; see AdaptiveOptions). A recorded trace then ends there.
   AdaptiveOptions adaptive = {};
 };
 
@@ -52,15 +73,16 @@ struct ExtractionResult {
   double delta_i = 0.0;              ///< ramp LSB used
   Schedule schedule;
   circuit::Trace trace;  ///< channels: plate, msu_vgs, msu_sense, msu_out,
-                         ///< I(I_REFP) — empty if record_trace is false
+                         ///< I(I_REFP), up to where the transient stopped —
+                         ///< empty if record_trace is false
   circuit::TranStats stats;
   /// kOk, or kRecovered when the transient needed the recovery ladder.
   CellStatus status = CellStatus::kOk;
   circuit::RecoveryReport recovery;  ///< what the ladder did, if anything
-  AdaptiveReport adaptive;           ///< what the ramp scheduler did
+  AdaptiveReport adaptive;           ///< what the stop-at-flip flow did
   /// Accepted transient steps spent in flow steps 1-4 (discharge through
   /// charge sharing), i.e. before the ramp; the remainder is the cost of
-  /// the conversion step, which adaptive scheduling attacks.
+  /// the conversion step, which stopping at the flip shortens.
   std::size_t prefix_steps = 0;
   /// The transient continued the macro-cell's shared step-1 run
   /// (extract_array) instead of simulating step 1 itself; `stats` and

@@ -433,6 +433,9 @@ void Server::run_extract(const std::shared_ptr<Connection>& conn,
                          const ExtractSpec& spec, PreparedArray& array,
                          util::ThreadPool* pool) {
   obs::ScopedSpan span("serve.request");
+  const auto start = std::chrono::steady_clock::now();
+  std::string frame;
+  bool ok = false;
   try {
     const edram::MacroCell& mc = array.get();
     extraction::ExtractRequest req = request_of(spec);
@@ -471,15 +474,25 @@ void Server::run_extract(const std::shared_ptr<Connection>& conn,
     for (const CellStatus s : rep.status) {
       payload.push_back(static_cast<char>(s));
     }
-    conn->send(encode_frame(FrameType::kResult, payload.data(), payload.size()));
+    frame = encode_frame(FrameType::kResult, payload.data(), payload.size());
+    ok = true;
+  } catch (const std::exception& e) {
+    frame = encode_text_frame(FrameType::kError, spec.request_id, 0, e.what());
+  }
+  // Counted before the frame goes out, so a client holding its answer
+  // never reads a count (or a service-time histogram) one short.
+  if (ok) {
     completed_.fetch_add(1);
     ECMS_METRIC_COUNT("serve.requests.completed", 1);
-  } catch (const std::exception& e) {
+  } else {
     failed_.fetch_add(1);
     ECMS_METRIC_COUNT("serve.requests.failed", 1);
-    conn->send(
-        encode_text_frame(FrameType::kError, spec.request_id, 0, e.what()));
   }
+  ECMS_METRIC_OBSERVE(
+      "serve.request.service_seconds",
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count());
+  conn->send(frame);
 }
 
 void Server::dispatch_loop(std::size_t) {
@@ -495,9 +508,6 @@ void Server::dispatch_loop(std::size_t) {
     ECMS_METRIC_OBSERVE("serve.request.queue_seconds",
                         Seconds(taken - job.admitted).count());
     if (job.run) job.run(pool.get());
-    const auto done = std::chrono::steady_clock::now();
-    ECMS_METRIC_OBSERVE("serve.request.service_seconds",
-                        Seconds(done - taken).count());
     job = Job{};  // release captured state (and its array) before sleeping
     flight_cv_.notify_all();
   }

@@ -183,6 +183,7 @@ TEST(UnifiedExtractT, CircuitEngineJobCountInvariantAndAdaptiveIdentity) {
   base.engine = Engine::kCircuit;
   base.tile_rows = 2;
   base.tile_cols = 2;
+  base.options.adaptive.enabled = false;  // the whole-window reference
 
   ExtractRequest adaptive = base;
   adaptive.options.adaptive.enabled = true;
@@ -212,6 +213,7 @@ TEST(UnifiedExtractT, AdaptiveFallsBackUnderFaultInjectionAtAnyJobs) {
   clean.engine = Engine::kCircuit;
   clean.tile_rows = 2;
   clean.tile_cols = 2;
+  clean.options.adaptive.enabled = false;  // the whole-window reference
   const ExtractReport ref = extract(mc, clean);
 
   for (std::size_t jobs : {1u, 4u}) {
@@ -237,6 +239,7 @@ TEST(UnifiedExtractT, FlakyCellsRecoverWithoutDisturbingNeighbours) {
   clean.engine = Engine::kCircuit;
   clean.tile_rows = 2;
   clean.tile_cols = 2;
+  clean.options.adaptive.enabled = false;  // the whole-window reference
   const ExtractReport ref = extract(mc, clean);
 
   const fault::CellFaultPlan plan(0.2, 77);

@@ -37,7 +37,6 @@ inline void expect_identical(const RobustExtraction& batched,
         << "cell " << i;
     EXPECT_EQ(b.adaptive.attempted, s.adaptive.attempted) << "cell " << i;
     EXPECT_EQ(b.adaptive.used, s.adaptive.used) << "cell " << i;
-    EXPECT_EQ(b.adaptive.guess, s.adaptive.guess) << "cell " << i;
     EXPECT_EQ(b.adaptive.probes, s.adaptive.probes) << "cell " << i;
     EXPECT_EQ(b.adaptive.fell_back, s.adaptive.fell_back) << "cell " << i;
     EXPECT_EQ(b.adaptive.fallback_reason, s.adaptive.fallback_reason)

@@ -1,10 +1,11 @@
-// Adaptive ramp scheduling: the pure binary-search scheduler, and the
-// golden contract that adaptive codes are bit-identical to the exhaustive
-// staircase across every code, a capacitance sweep, and fault injection
-// (where the scheduler must fall back to the legacy path).
+// The stop-at-flip flow (the default): the golden contract that it is
+// bit-identical to the whole-window run (adaptive.enabled = false) across
+// every code, the Fig. 3 sweep, the no-flip tail, its fallbacks (OUT high
+// before the ramp, fault injection), recorded traces and calibration.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <map>
 #include <set>
 #include <vector>
@@ -12,7 +13,7 @@
 #include "circuit/mosfet.hpp"
 #include "circuit/program.hpp"
 #include "fault/fault.hpp"
-#include "msu/adaptive.hpp"
+#include "msu/calibrate.hpp"
 #include "msu/extract.hpp"
 #include "msu/fastmodel.hpp"
 #include "tech/tech.hpp"
@@ -20,84 +21,6 @@
 
 namespace ecms::msu {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Pure scheduler
-
-// probe(k) = (k >= threshold); counts probes and rejects repeats.
-struct FakeRamp {
-  int threshold;  // first flipping level; steps + 1 = never flips
-  std::set<int> seen{};
-  int probes = 0;
-  bool operator()(int k) {
-    EXPECT_TRUE(seen.insert(k).second) << "level " << k << " probed twice";
-    ++probes;
-    return k >= threshold;
-  }
-};
-
-TEST(AdaptiveSchedulerT, FindsEveryCodeWithoutAGuess) {
-  const int steps = 20;
-  for (int code = 0; code <= steps; ++code) {
-    FakeRamp ramp{code + 1};
-    const int got = schedule_ramp_search(
-        steps, -1, 12, [&](int k) { return ramp(k); });
-    EXPECT_EQ(got, code);
-    EXPECT_LE(ramp.probes, 5) << "code " << code;  // ceil(log2(21))
-  }
-}
-
-TEST(AdaptiveSchedulerT, ExactGuessClosesInTwoProbes) {
-  const int steps = 20;
-  for (int code = 1; code < steps; ++code) {
-    FakeRamp ramp{code + 1};
-    EXPECT_EQ(schedule_ramp_search(steps, code, 12,
-                                   [&](int k) { return ramp(k); }),
-              code);
-    EXPECT_LE(ramp.probes, 2) << "code " << code;
-  }
-}
-
-TEST(AdaptiveSchedulerT, OffByOneGuessClosesInThreeProbes) {
-  const int steps = 20;
-  for (int code = 0; code <= steps; ++code) {
-    for (int off : {-1, 1}) {
-      const int guess = code + off;
-      if (guess < 0 || guess > steps) continue;
-      FakeRamp ramp{code + 1};
-      EXPECT_EQ(schedule_ramp_search(steps, guess, 12,
-                                     [&](int k) { return ramp(k); }),
-                code)
-          << "code " << code << " guess " << guess;
-      EXPECT_LE(ramp.probes, 3) << "code " << code << " guess " << guess;
-    }
-  }
-}
-
-TEST(AdaptiveSchedulerT, WildGuessStillConvergesForEveryCode) {
-  const int steps = 20;
-  for (int code = 0; code <= steps; ++code) {
-    for (int guess = 0; guess <= steps; ++guess) {
-      FakeRamp ramp{code + 1};
-      int used = 0;
-      EXPECT_EQ(schedule_ramp_search(steps, guess, 12,
-                                     [&](int k) { return ramp(k); }, &used),
-                code)
-          << "code " << code << " guess " << guess;
-      EXPECT_EQ(used, ramp.probes);
-      EXPECT_LE(used, 8);
-    }
-  }
-}
-
-TEST(AdaptiveSchedulerT, ExhaustedBudgetReportsFailure) {
-  FakeRamp ramp{11};
-  int used = 0;
-  EXPECT_EQ(schedule_ramp_search(20, -1, 2, [&](int k) { return ramp(k); },
-                                 &used),
-            -1);
-  EXPECT_EQ(used, 2);
-}
 
 // ---------------------------------------------------------------------------
 // Circuit-level golden identity
@@ -120,6 +43,7 @@ ExtractOptions exhaustive_opts(
     circuit::ProgramCache* cache = &circuit::ProgramCache::global()) {
   ExtractOptions o;
   o.record_trace = false;
+  o.adaptive.enabled = false;
   o.newton.solver.program_cache = cache;
   return o;
 }
@@ -305,6 +229,7 @@ TEST(AdaptiveExtractT, AdaptiveArrayMatchesExhaustiveArray) {
   ExtractPlan fast;
   fast.options.adaptive.enabled = true;
   ExtractPlan slow;
+  slow.options.adaptive.enabled = false;
   const auto a = extract_array(mc, {}, fast);
   const auto e = extract_array(mc, {}, slow);
   ASSERT_EQ(a.results.size(), e.results.size());
@@ -313,6 +238,149 @@ TEST(AdaptiveExtractT, AdaptiveArrayMatchesExhaustiveArray) {
     EXPECT_TRUE(a.results[i].adaptive.attempted);
     EXPECT_FALSE(e.results[i].adaptive.attempted);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The default flow against the whole-window reference, with traces
+
+ExtractOptions whole_window(ExtractOptions opts = {}) {
+  opts.adaptive.enabled = false;
+  return opts;
+}
+
+// The decoded fields agree bit for bit.
+void expect_same_measurement(const ExtractionResult& d,
+                             const ExtractionResult& w) {
+  EXPECT_EQ(d.code, w.code);
+  EXPECT_EQ(d.t_out_rise, w.t_out_rise);
+  EXPECT_EQ(d.v_plate_charged, w.v_plate_charged);
+  EXPECT_EQ(d.vgs_shared, w.vgs_shared);
+}
+
+// The default trace's rows are the whole-window trace's first rows, every
+// channel bit for bit, and they reach past the flip.
+void expect_trace_prefix(const ExtractionResult& d,
+                         const ExtractionResult& w) {
+  ASSERT_EQ(d.trace.channel_names(), w.trace.channel_names());
+  const std::size_t n = d.trace.sample_count();
+  ASSERT_GT(n, 0u);
+  ASSERT_LE(n, w.trace.sample_count());
+  auto head = [n](const std::vector<double>& v) {
+    return std::vector<double>(v.begin(),
+                               v.begin() + static_cast<std::ptrdiff_t>(n));
+  };
+  EXPECT_EQ(d.trace.times(), head(w.trace.times()));
+  for (std::size_t ch = 0; ch < w.trace.channel_count(); ++ch) {
+    EXPECT_EQ(d.trace.channel(ch), head(w.trace.channel(ch)))
+        << w.trace.channel_names()[ch];
+  }
+  if (w.t_out_rise) {
+    EXPECT_GE(d.trace.times().back(), *w.t_out_rise);
+  }
+}
+
+TEST(AdaptiveExtractT, DefaultFlowMatchesWholeWindowOnFig3Sweep) {
+  // The paper's Fig. 3 sweep, Cm = 10..55 fF in 5 fF steps, on the
+  // default options (traces recorded): the default stops at the flip
+  // level and reads exactly what the whole window reads.
+  const StructureParams sp;
+  std::size_t default_steps = 0, whole_steps = 0;
+  for (int ff = 10; ff <= 55; ff += 5) {
+    SCOPED_TRACE("Cm = " + std::to_string(ff) + " fF");
+    auto mc = edram::MacroCell::uniform({}, tech::tech018(), 30e-15);
+    mc.set_true_cap(0, 0, ff * 1e-15);
+    const ExtractionResult d = extract_cell(mc, 0, 0, sp);
+    const ExtractionResult w = extract_cell(mc, 0, 0, sp, {}, whole_window());
+    EXPECT_TRUE(d.adaptive.used);
+    EXPECT_FALSE(w.adaptive.attempted);
+    expect_same_measurement(d, w);
+    expect_trace_prefix(d, w);
+    EXPECT_EQ(d.prefix_steps, w.prefix_steps);
+    EXPECT_LE(d.stats.accepted_steps, w.stats.accepted_steps);
+    if (d.code < sp.ramp_steps - 1) {
+      EXPECT_LT(d.trace.sample_count(), w.trace.sample_count());
+    }
+    default_steps += d.stats.accepted_steps;
+    whole_steps += w.stats.accepted_steps;
+  }
+  EXPECT_LT(default_steps, whole_steps);
+}
+
+TEST(AdaptiveExtractT, DefaultFlowMatchesWholeWindowOnTailAndFallbackCells) {
+  const StructureParams sp;
+  // No flip: every ramp level and the tail run, so the default trace is
+  // the whole window's.
+  {
+    SCOPED_TRACE("no flip");
+    const auto mc = mc2x2(80e-15);
+    const ExtractionResult d = extract_cell(mc, 0, 0, sp);
+    const ExtractionResult w = extract_cell(mc, 0, 0, sp, {}, whole_window());
+    ASSERT_FALSE(w.t_out_rise.has_value());
+    EXPECT_EQ(d.code, sp.ramp_steps);
+    EXPECT_TRUE(d.adaptive.used);
+    EXPECT_EQ(d.adaptive.probes, sp.ramp_steps + 1);
+    expect_same_measurement(d, w);
+    expect_trace_prefix(d, w);
+    EXPECT_EQ(d.trace.sample_count(), w.trace.sample_count());
+    EXPECT_EQ(d.stats.accepted_steps, w.stats.accepted_steps);
+  }
+  // OUT already high before the ramp (an oversized sense-chain PMOS leaks
+  // the sense node up): the whole-window transient decides.
+  {
+    SCOPED_TRACE("OUT high before the ramp");
+    const StructureParams leaky{.inv_wn = 0.01e-6, .inv_wp = 500e-6};
+    const auto mc = mc2x2();
+    const ExtractionResult d = extract_cell(mc, 0, 0, leaky);
+    const ExtractionResult w =
+        extract_cell(mc, 0, 0, leaky, {}, whole_window());
+    EXPECT_TRUE(d.adaptive.fell_back);
+    EXPECT_EQ(d.adaptive.fallback_reason,
+              "OUT already high before the ramp (monotone threshold "
+              "violated)");
+    expect_same_measurement(d, w);
+    expect_trace_prefix(d, w);
+    EXPECT_EQ(d.trace.sample_count(), w.trace.sample_count());
+    EXPECT_EQ(d.stats.accepted_steps, w.stats.accepted_steps);
+  }
+  // Fault hooks armed: the whole-window transient decides.
+  {
+    SCOPED_TRACE("fault hooks armed");
+    const auto mc = mc2x2();
+    fault::SolverFaultInjector inj_d(3), inj_w(3);
+    inj_d.set_stall_rate(0.0);  // armed but quiet: hooks are non-null
+    inj_w.set_stall_rate(0.0);
+    const circuit::SolveHooks hooks_d = inj_d.hooks();
+    const circuit::SolveHooks hooks_w = inj_w.hooks();
+    ExtractOptions od;
+    od.newton.hooks = &hooks_d;
+    ExtractOptions ow = whole_window();
+    ow.newton.hooks = &hooks_w;
+    const ExtractionResult d = extract_cell(mc, 0, 0, sp, {}, od);
+    const ExtractionResult w = extract_cell(mc, 0, 0, sp, {}, ow);
+    EXPECT_TRUE(d.adaptive.fell_back);
+    EXPECT_EQ(d.adaptive.fallback_reason,
+              "fault injection armed for this cell");
+    expect_same_measurement(d, w);
+    expect_trace_prefix(d, w);
+    EXPECT_EQ(d.trace.sample_count(), w.trace.sample_count());
+  }
+}
+
+TEST(AdaptiveExtractT, CalibrationBitwiseEqualUnderBothFlows) {
+  const StructureParams sp;
+  const auto mc = edram::MacroCell::uniform({}, tech::tech018(), 30e-15);
+  FastModel by_default(mc, sp);
+  FastModel by_whole(mc, sp);
+  const CalibrationResult d = calibrate_fast_model(by_default);
+  const CalibrationResult w = calibrate_fast_model(
+      by_whole, {20e-15, 45e-15}, {},
+      whole_window({.dt = 20e-12, .record_trace = false}));
+  EXPECT_EQ(d.vgs_correction, w.vgs_correction);
+  ASSERT_EQ(d.points.size(), w.points.size());
+  for (std::size_t i = 0; i < d.points.size(); ++i) {
+    EXPECT_EQ(d.points[i].vgs_circuit, w.points[i].vgs_circuit);
+  }
+  EXPECT_EQ(by_default.delta_i(), by_whole.delta_i());
 }
 
 }  // namespace

@@ -59,6 +59,7 @@ TEST(BatchEngineT, ExhaustiveArrayBitIdenticalToScalarPath) {
   // bind their probes exactly as the scalar transient does.
   for (const bool record_trace : {false, true}) {
     ExtractPlan scalar_plan = sparse_plan();
+    scalar_plan.options.adaptive.enabled = false;
     scalar_plan.options.record_trace = record_trace;
     const auto scalar = extract_array(mc, {}, scalar_plan);
     if (record_trace) {
@@ -79,9 +80,9 @@ TEST(BatchEngineT, ExhaustiveArrayBitIdenticalToScalarPath) {
 }
 
 TEST(BatchEngineT, AdaptiveArrayBitIdenticalIncludingProbeCounts) {
-  // The staircase-replay must reproduce the scalar scheduler probe by
-  // probe, so per-cell probe counts and accumulated step/iteration stats
-  // match exactly, not just the codes.
+  // The lanes must stop where the scalar flow stops, level by level, so
+  // per-cell segment counts, accumulated step/iteration stats and the
+  // traces up to the stop match exactly, not just the codes.
   const auto mc = mc2x2();
   for (const bool record_trace : {false, true}) {
     SCOPED_TRACE("record_trace=" + std::to_string(record_trace));
@@ -104,25 +105,27 @@ TEST(BatchEngineT, AdaptiveArrayBitIdenticalIncludingProbeCounts) {
 }
 
 TEST(BatchEngineT, AdaptiveFallbackRetiresLanesToTheScalarPath) {
-  // One probe cannot close the bracket, so the flow driver retires every
-  // lane once its OUT crosses and the scalar path re-measures the cell:
-  // the adaptive attempt, its fallback and the exhaustive re-run, exactly
-  // as a scalar-only run does. Width 3 leaves a one-lane chunk of the 4.
+  // An oversized sense-chain PMOS leaks the sense node high, so OUT is
+  // already high before the ramp: the flow driver retires every lane after
+  // the prefix and the scalar path re-measures the cell: the stop-at-flip
+  // attempt, its fallback and the exhaustive re-run, exactly as a
+  // scalar-only run does. Width 3 leaves a one-lane chunk of the 4.
   const auto mc = mc2x2();
+  const StructureParams leaky{.inv_wn = 0.01e-6, .inv_wp = 500e-6};
   ExtractPlan scalar_plan = sparse_plan();
   scalar_plan.options.adaptive.enabled = true;
-  scalar_plan.options.adaptive.max_probes = 1;
-  const auto scalar = extract_array(mc, {}, scalar_plan);
+  const auto scalar = extract_array(mc, leaky, scalar_plan);
 
   ExtractPlan plan = scalar_plan;
   plan.batch_width = 3;
-  const auto batched = extract_array(mc, {}, plan);
+  const auto batched = extract_array(mc, leaky, plan);
   expect_identical(batched, scalar);
   for (const auto& r : batched.results) {
     EXPECT_TRUE(r.adaptive.fell_back);
     EXPECT_EQ(r.adaptive.fallback_reason,
-              "probe budget exhausted before the bracket closed");
-    EXPECT_EQ(r.adaptive.probes, 1);
+              "OUT already high before the ramp (monotone threshold "
+              "violated)");
+    EXPECT_EQ(r.adaptive.probes, 0);
     EXPECT_EQ(r.status, CellStatus::kOk);
   }
 }

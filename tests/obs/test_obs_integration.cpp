@@ -109,12 +109,15 @@ TEST_F(ObsIntegrationT, TileSpansAndRetryCountersPopulate) {
 }
 
 TEST_F(ObsIntegrationT, NewtonCountersAndCircuitSpansPopulate) {
+  // The whole-window reference: one transient() per cell.
   const auto mc = edram::MacroCell::uniform({.rows = 2, .cols = 2},
                                             tech::tech018(), 30_fF);
+  msu::ExtractOptions whole_window;
+  whole_window.adaptive.enabled = false;
   obs::Registry::global().reset();
   obs::set_metrics_enabled(true);
   obs::start_tracing();
-  const auto res = msu::extract_cell(mc, 0, 0, {});
+  const auto res = msu::extract_cell(mc, 0, 0, {}, {}, whole_window);
   obs::stop_tracing();
   ASSERT_EQ(res.status, CellStatus::kOk);
 
@@ -150,6 +153,56 @@ TEST_F(ObsIntegrationT, NewtonCountersAndCircuitSpansPopulate) {
     if (e.name == "transient" && e.parent_id != 0) transient_nested = true;
   }
   EXPECT_TRUE(transient_nested);
+}
+
+TEST_F(ObsIntegrationT, StopAtFlipCountersMatchItsSegments) {
+  // The default flow: one stepper advanced once for the prefix and once
+  // per ramp level up to the flip, each advance one transient solve.
+  const auto mc = edram::MacroCell::uniform({.rows = 2, .cols = 2},
+                                            tech::tech018(), 30_fF);
+  obs::Registry::global().reset();
+  obs::set_metrics_enabled(true);
+  obs::start_tracing();
+  const auto res = msu::extract_cell(mc, 0, 0, {});
+  obs::stop_tracing();
+  ASSERT_EQ(res.status, CellStatus::kOk);
+  ASSERT_TRUE(res.adaptive.used);
+  ASSERT_GT(res.adaptive.probes, 0);
+  const auto segments = static_cast<std::uint64_t>(1 + res.adaptive.probes);
+
+  const std::uint64_t solves = counter_value("circuit.newton.solves");
+  EXPECT_GT(solves, 0u);
+  EXPECT_GE(counter_value("circuit.newton.iterations"), solves);
+  EXPECT_EQ(counter_value("circuit.newton.factorizations"),
+            counter_value("circuit.lu.symbolic") +
+                counter_value("circuit.lu.numeric"));
+  EXPECT_LE(counter_value("circuit.newton.factorizations"),
+            counter_value("circuit.newton.iterations"));
+  EXPECT_GT(counter_value("circuit.lu.numeric"), 0u);
+  EXPECT_EQ(counter_value("circuit.transient.accepted_steps"),
+            res.stats.accepted_steps);
+  EXPECT_EQ(counter_value("circuit.transient.solves"), segments);
+  EXPECT_EQ(counter_value("circuit.transient.resumes"), segments - 1);
+  EXPECT_EQ(counter_value("msu.adaptive.cells"), 1u);
+  EXPECT_EQ(counter_value("msu.adaptive.probes"),
+            static_cast<std::uint64_t>(res.adaptive.probes));
+
+  const auto snap = obs::Registry::global().snapshot();
+  const auto it = snap.histograms.find("circuit.newton.iterations_per_solve");
+  ASSERT_NE(it, snap.histograms.end());
+  EXPECT_EQ(it->second.count, solves);
+
+  // One transient_segment span per solve and one adaptive_probe span per
+  // ramp segment, all nested inside the extract_cell span.
+  std::uint64_t segment_spans = 0, probe_spans = 0, whole_spans = 0;
+  for (const auto& e : obs::collected_trace_events()) {
+    if (e.name == "transient_segment" && e.parent_id != 0) ++segment_spans;
+    if (e.name == "adaptive_probe" && e.parent_id != 0) ++probe_spans;
+    if (e.name == "transient") ++whole_spans;
+  }
+  EXPECT_EQ(segment_spans, segments);
+  EXPECT_EQ(probe_spans, static_cast<std::uint64_t>(res.adaptive.probes));
+  EXPECT_EQ(whole_spans, 0u);
 }
 
 TEST_F(ObsIntegrationT, RecoveryRungCountersTrackTheLadder) {

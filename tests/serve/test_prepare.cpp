@@ -1,8 +1,9 @@
 // Arrays built ahead on the session thread: a live server prepares the
 // array of at most `dispatchers` waiting extract requests while they queue,
 // and every served result — whichever thread built its array — equals
-// in-process extraction of the same spec. Drain loses no prepared job, and
-// stop() expires one with its error frame.
+// in-process extraction of the same spec. Drain loses no prepared job,
+// stop() expires one with its error frame, and a request is counted before
+// its result goes out.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -138,8 +139,26 @@ TEST_F(ServePrepareLiveT, AtMostDispatchersWaitingJobsArePreparedAhead) {
     EXPECT_TRUE(client_.await_result(id).ok) << "request " << id;
   }
   EXPECT_EQ(counter("serve.requests.prepared_ahead"), kDispatchers);
-  server_->wait_drained();  // a result frame precedes its completed() tick
+  server_->wait_drained();
   EXPECT_EQ(server_->completed(), 6u);
+}
+
+TEST_F(ServePrepareLiveT, CountsAreFinalWhenTheResultArrives) {
+  // A request is counted before its result frame is sent: a client that
+  // holds result i reads i completions, from completed(), the counter and
+  // the service-time histogram alike, with no wait in between.
+  constexpr std::uint64_t kRequests = 40;
+  for (std::uint64_t id = 1; id <= kRequests; ++id) {
+    ASSERT_TRUE(client_.submit(fast_spec(id)).accepted);
+    ASSERT_TRUE(client_.await_result(id).ok) << "request " << id;
+    EXPECT_EQ(server_->completed(), id);
+    EXPECT_EQ(counter("serve.requests.completed"), id);
+    const auto snap = obs::Registry::global().snapshot();
+    const auto it = snap.histograms.find("serve.request.service_seconds");
+    ASSERT_NE(it, snap.histograms.end());
+    EXPECT_EQ(it->second.count, id);
+  }
+  EXPECT_EQ(server_->failed(), 0u);
 }
 
 TEST_F(ServePrepareLiveT, ResultsEqualInProcessExtractWhoeverBuiltTheArray) {

@@ -157,9 +157,9 @@ void print_metrics_summary() {
 
 /// Run-shape options shared by every measuring command (extract, bitmap,
 /// array): worker count, per-cell retry budget, containment, fault
-/// injection and adaptive ramp scheduling. Parsed in exactly one place so
+/// injection and the stop-at-flip ramp flow. Parsed in exactly one place so
 /// the flags are spelled (and validated) the same way everywhere — a new
-/// shared flag like --adaptive/--no-adaptive is defined once, not once per
+/// shared flag like --no-adaptive is defined once, not once per
 /// subcommand.
 struct CliRunConfig {
   std::size_t jobs = 1;
@@ -167,7 +167,7 @@ struct CliRunConfig {
   bool fail_fast = false;  ///< --fail-fast; default is --keep-going
   double fault_rate = 0.0;
   std::uint64_t fault_seed = 1;
-  bool adaptive = false;  ///< --adaptive / --no-adaptive
+  bool adaptive = true;  ///< --no-adaptive: the whole-window reference
   /// --no-program-cache: compile every netlist program privately instead
   /// of sharing through the process-wide topology cache (the A/B switch
   /// for cache-accounting runs; codes are bit-identical either way).
@@ -179,10 +179,10 @@ struct CliRunConfig {
   int batch_width = 0;
 };
 
-/// `adaptive_default` is per-command: the single-cell `extract` keeps the
-/// exhaustive ramp (its printed trace narrates the full staircase) while
-/// the transistor-level `array` command defaults the scheduler on.
-CliRunConfig run_config_of(const Args& args, bool adaptive_default) {
+/// Every measuring command stops each cell's transient at the end of the
+/// ramp level where OUT flips unless --no-adaptive asks for the whole
+/// window; codes are identical either way.
+CliRunConfig run_config_of(const Args& args) {
   CliRunConfig cfg;
   cfg.jobs = jobs_of(args);
   cfg.retries = static_cast<int>(args.integer("retries", 2));
@@ -197,12 +197,7 @@ CliRunConfig run_config_of(const Args& args, bool adaptive_default) {
                      args.str("fault-rate", "") + "'");
   }
   cfg.fault_seed = static_cast<std::uint64_t>(args.num("fault-seed", 1));
-  if (args.flag("adaptive") && args.flag("no-adaptive")) {
-    throw UsageError("--adaptive and --no-adaptive are mutually exclusive");
-  }
-  cfg.adaptive = adaptive_default;
-  if (args.flag("adaptive")) cfg.adaptive = true;
-  if (args.flag("no-adaptive")) cfg.adaptive = false;
+  cfg.adaptive = !args.flag("no-adaptive");
   cfg.program_cache = !args.flag("no-program-cache");
   if (args.flag("no-batch") &&
       (args.flag("batch") || args.flag("batch-width"))) {
@@ -318,7 +313,7 @@ int cmd_abacus(const Args& args) {
 
 int cmd_extract(const Args& args) {
   ObsSession obs_session(args);
-  const CliRunConfig cfg = run_config_of(args, /*adaptive_default=*/false);
+  const CliRunConfig cfg = run_config_of(args);
   const auto r = static_cast<std::size_t>(args.num("row", 0));
   const auto c = static_cast<std::size_t>(args.num("col", 0));
   auto mc = edram::MacroCell::uniform(spec_of(args), tech::tech018(), 30_fF);
@@ -340,10 +335,10 @@ int cmd_extract(const Args& args) {
   }
   if (res.adaptive.attempted) {
     if (res.adaptive.used) {
-      std::printf("  adaptive search    : %d probe(s), model guess %d\n",
-                  res.adaptive.probes, res.adaptive.guess);
+      std::printf("  stopped at the flip: %d ramp segment(s)\n",
+                  res.adaptive.probes);
     } else {
-      std::printf("  adaptive search    : fell back to exhaustive ramp (%s)\n",
+      std::printf("  stopped at the flip: no, whole window instead (%s)\n",
                   res.adaptive.fallback_reason.c_str());
     }
   }
@@ -411,7 +406,7 @@ void print_code_hash(const bitmap::AnalogBitmap& analog) {
 
 int cmd_bitmap(const Args& args) {
   ObsSession obs_session(args);
-  const CliRunConfig cfg = run_config_of(args, /*adaptive_default=*/false);
+  const CliRunConfig cfg = run_config_of(args);
   const edram::MacroCell mc = array_of(args, 32);
 
   // Codes are bit-identical whatever --jobs says (per-tile RNG streams);
@@ -441,11 +436,12 @@ int cmd_bitmap(const Args& args) {
 
 /// array — transistor-level extraction of every cell, tile by tile, through
 /// the unified API's circuit engine. This is the paper's validation flow at
-/// array scale; adaptive ramp scheduling defaults on here (codes are
-/// bit-identical either way, only the transient-step cost changes).
+/// array scale; each cell stops at its flip level unless --no-adaptive
+/// (codes are bit-identical either way, only the transient-step cost
+/// changes).
 int cmd_array(const Args& args) {
   ObsSession obs_session(args);
-  const CliRunConfig cfg = run_config_of(args, /*adaptive_default=*/true);
+  const CliRunConfig cfg = run_config_of(args);
   const edram::MacroCell mc = array_of(args, 8);
 
   const fault::CellFaultPlan plan(cfg.fault_rate, cfg.fault_seed);
@@ -464,8 +460,8 @@ int cmd_array(const Args& args) {
   std::printf("  transient steps    : %zu (prefix %zu + conversion %zu)\n",
               t.transient_steps, t.prefix_steps, t.conversion_steps());
   if (cfg.adaptive) {
-    std::printf("  adaptive scheduling: %zu cell(s) via probe search "
-                "(%zu probes), %zu fallback(s)\n",
+    std::printf("  adaptive scheduling: %zu cell(s) stopped at the flip "
+                "(%zu ramp segments), %zu fallback(s)\n",
                 t.adaptive_used, t.adaptive_probes, t.adaptive_fallbacks);
   } else {
     std::printf("  adaptive scheduling: off (exhaustive ramp per cell)\n");
@@ -894,7 +890,8 @@ int usage() {
       "commands:\n"
       "  abacus   print the code -> capacitance conversion table\n"
       "           --rows N --cols N --ref-w UM --steps N\n"
-      "  extract  measure one cell through the full transient flow\n"
+      "  extract  measure one cell through the transient flow, up to\n"
+      "           the end of the ramp level where OUT flips\n"
       "           --rows N --cols N --row R --col C --cap FF\n"
       "           --defect short|open\n"
       "  bitmap   extract every cell (fast model), render heatmap +\n"
@@ -902,8 +899,8 @@ int usage() {
       "           --rows N --cols N --seed S --gradient G --drift D\n"
       "           --shorts R --opens R --partials R\n"
       "  array    extract every cell at transistor level (circuit engine,\n"
-      "           one transient per cell; adaptive scheduling on by\n"
-      "           default), render heatmap + measurement cost\n"
+      "           one transient per cell, stopped at the flip), render\n"
+      "           heatmap + measurement cost\n"
       "           same array flags as bitmap (default 8x8)\n"
       "  design   auto-size the measurement structure for the array\n"
       "           --rows N --cols N\n"
@@ -954,11 +951,9 @@ int usage() {
       "  --fault-rate P  inject transient solver faults with\n"
       "                  probability P per cell (testing aid)\n"
       "  --fault-seed S  RNG seed for --fault-rate (default 1)\n"
-      "  --adaptive      adaptive ramp scheduling: simulate the ramp\n"
-      "                  only up to the flip level, then search the code\n"
-      "                  (circuit engine; codes identical, fewer steps;\n"
-      "                  default on for array, off for extract)\n"
-      "  --no-adaptive   force the exhaustive linear ramp\n"
+      "  --no-adaptive   simulate each cell's whole window instead of\n"
+      "                  stopping at the end of the ramp level where OUT\n"
+      "                  flips (circuit engine; codes identical)\n"
       "  --no-program-cache  compile netlist programs privately\n"
       "                  instead of sharing the process-wide topology\n"
       "                  cache (A/B switch for cache accounting; codes\n"
